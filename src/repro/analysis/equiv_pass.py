@@ -303,21 +303,16 @@ def build_crash_plan(
 ) -> CrashPlan:
     """Compute a pruned crash plan for one campaign.
 
-    Runs the profile pass and one golden recording execution (the same
-    work the campaign's snapshot phase does — no restarts), replays the
-    delta log into per-point signatures, and partitions.  With ``cache``
+    Plans and records the campaign's one shard through the engine's own
+    pipeline (:func:`~repro.nvct.campaign.plan_shards` →
+    :meth:`~repro.nvct.campaign.PreparedShard.record` — the campaign's
+    snapshot phase, no restarts), replays the delta log into per-point
+    signatures, and partitions.  With ``cache``
     (or ``REPRO_CACHE_DIR`` via :meth:`ArtifactCache.from_env`), the plan
     is content-addressed by :func:`crash_plan_key` and the delta replay
     is skipped entirely on a warm hit.
     """
-    import numpy as np
-
-    from repro.nvct.campaign import (
-        CountingRuntime,
-        _dedupe_crash_points,
-        _instrumented_run,
-        _sample_crash_points,
-    )
+    from repro.nvct.campaign import PreparedShard, plan_shards
 
     if cfg.n_cores > 1 or cfg.verified_mode:
         raise UsageError(
@@ -330,20 +325,12 @@ def build_crash_plan(
         if cached is not None and len(cached.executed_indices()) and cached_tail_ok(cached, tail):
             return cached
 
-    counting = CountingRuntime()
-    factory.make(runtime=counting).run()
-    window = (counting.window_begin or 0, counting.counter)
-    sampled = _sample_crash_points(
-        window, cfg.n_tests, cfg.seed, factory.name, cfg.distribution
-    )
-    points, weights = _dedupe_crash_points(sampled)
-    rt, _ = _instrumented_run(factory, cfg, points, golden=True)
-    store = rt.golden_store()
-    if store is None or store.n_images != points.size:
+    (shard,), _ = plan_shards(factory, cfg)
+    store = PreparedShard.record(factory, shard).store
+    if store is None:
         raise RuntimeError(f"{factory.name}: golden recording lost crash points")
     plan = plan_from_store(
-        factory, cfg, window,
-        [int(p) for p in points], [int(w) for w in np.asarray(weights)],
+        factory, cfg, shard.window, shard.points.tolist(), shard.weights.tolist(),
         store, tail=tail,
     )
     if cache is not None:

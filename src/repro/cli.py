@@ -95,6 +95,93 @@ def _add_jobs_flag(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags that describe *which* campaign runs — declared once, for
+    ``repro campaign`` (local executors) and ``repro serve`` (socket
+    workers) alike; :func:`_campaign_config` turns them into the config."""
+    sub.add_argument("app", help="application name (see list-apps)")
+    sub.add_argument("--tests", type=int, default=100, help="number of crash tests")
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument(
+        "--plan",
+        choices=["none", "loop", "easycrash"],
+        default="none",
+        help="persistence plan: none, flush candidates at loop end, or the planned EasyCrash configuration",
+    )
+    sub.add_argument("--cores", type=int, default=1, help="simulated cores")
+    sub.add_argument("--save", metavar="FILE", help="write the campaign to a JSON file")
+    sub.add_argument(
+        "--trial-timeout",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="per-trial deadline: a trial exceeding it is quarantined as a "
+        "FAILED record instead of hanging the campaign (in-process trial "
+        "loop, Unix only; default: unbounded)",
+    )
+    sub.add_argument(
+        "--no-golden",
+        action="store_true",
+        help="disable the golden-pass batched snapshot engine and take "
+        "full per-crash-point snapshots instead (the bit-identical legacy "
+        "oracle)",
+    )
+    sub.add_argument(
+        "--crash-plan",
+        metavar="FILE",
+        default=None,
+        help="pruned crash plan from `repro analyze --emit-plan`: execute "
+        "one trial per NVM-image equivalence class (plus a purity tail) "
+        "and broadcast the results — bit-identical to the full campaign",
+    )
+    sub.add_argument(
+        "--crash-model",
+        metavar="MODEL",
+        default="whole-cache-loss",
+        help="crash model (repro.memsim.crashmodel): whole-cache-loss "
+        "(default, the paper's), adr[:wpq=N] (a bounded write-pending "
+        "queue of the most recent lines drains), eadr[:granularity=G] "
+        "(dirty caches flush; the in-flight store tears), or "
+        "torn[:granularity=G] (a seeded prefix of the in-flight store "
+        "persists)",
+    )
+    sub.add_argument(
+        "--nodes",
+        type=int,
+        default=1,
+        metavar="N",
+        help="emulated cluster size: shard the campaign across N nodes, "
+        "each with its own cache hierarchy and NVM survivor overlay, and "
+        "drive crashes from a correlated burst schedule (repro.cluster); "
+        "--tests counts total node crashes across the cluster",
+    )
+    sub.add_argument(
+        "--correlation",
+        type=float,
+        default=0.0,
+        metavar="C",
+        help="failure correlation in [0, 1): each crash spawns a "
+        "correlated follow-up with probability C, so one burst can take "
+        "down several nodes at the same instant (default 0)",
+    )
+    sub.add_argument(
+        "--burst-window",
+        type=float,
+        default=600.0,
+        metavar="SECONDS",
+        help="emulated-time window grouping correlated failures into one "
+        "burst (default 600)",
+    )
+    sub.add_argument(
+        "--recovery-log",
+        metavar="FILE",
+        default=None,
+        help="(multi-node) write the per-burst recovery-decision log "
+        "(NVM restart vs checkpoint rollback, coordinated-rollback "
+        "propagation) as JSON",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -108,17 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("app")
 
     c = sub.add_parser("campaign", help="run a crash-test campaign")
-    c.add_argument("app", help="application name (see list-apps)")
-    c.add_argument("--tests", type=int, default=100, help="number of crash tests")
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument(
-        "--plan",
-        choices=["none", "loop", "easycrash"],
-        default="none",
-        help="persistence plan: none, flush candidates at loop end, or the planned EasyCrash configuration",
-    )
-    c.add_argument("--cores", type=int, default=1, help="simulated cores")
-    c.add_argument("--save", metavar="FILE", help="write the campaign to a JSON file")
+    _add_campaign_flags(c)
     c.add_argument(
         "--until-stable",
         action="store_true",
@@ -147,76 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retries per failed classification chunk in the parallel "
         "engine before the circuit breaker degrades to serial (default 2)",
-    )
-    c.add_argument(
-        "--trial-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-trial deadline: a trial exceeding it is quarantined as a "
-        "FAILED record instead of hanging the campaign (serial engine, "
-        "Unix only; default: unbounded)",
-    )
-    c.add_argument(
-        "--no-golden",
-        action="store_true",
-        help="disable the golden-pass batched snapshot engine and take "
-        "full per-crash-point snapshots instead (the bit-identical legacy "
-        "oracle; also REPRO_GOLDEN=0)",
-    )
-    c.add_argument(
-        "--crash-plan",
-        metavar="FILE",
-        default=None,
-        help="pruned crash plan from `repro analyze --emit-plan`: execute "
-        "one trial per NVM-image equivalence class (plus a purity tail) "
-        "and broadcast the results — bit-identical to the full campaign",
-    )
-    c.add_argument(
-        "--crash-model",
-        metavar="MODEL",
-        default="whole-cache-loss",
-        help="crash model (repro.memsim.crashmodel): whole-cache-loss "
-        "(default, the paper's), adr[:wpq=N] (a bounded write-pending "
-        "queue of the most recent lines drains), eadr[:granularity=G] "
-        "(dirty caches flush; the in-flight store tears), or "
-        "torn[:granularity=G] (a seeded prefix of the in-flight store "
-        "persists)",
-    )
-    c.add_argument(
-        "--nodes",
-        type=int,
-        default=1,
-        metavar="N",
-        help="emulated cluster size: shard the campaign across N nodes, "
-        "each with its own cache hierarchy and NVM survivor overlay, and "
-        "drive crashes from a correlated burst schedule (repro.cluster); "
-        "--tests counts total node crashes across the cluster",
-    )
-    c.add_argument(
-        "--correlation",
-        type=float,
-        default=0.0,
-        metavar="C",
-        help="failure correlation in [0, 1): each crash spawns a "
-        "correlated follow-up with probability C, so one burst can take "
-        "down several nodes at the same instant (default 0)",
-    )
-    c.add_argument(
-        "--burst-window",
-        type=float,
-        default=600.0,
-        metavar="SECONDS",
-        help="emulated-time window grouping correlated failures into one "
-        "burst (default 600)",
-    )
-    c.add_argument(
-        "--recovery-log",
-        metavar="FILE",
-        default=None,
-        help="(multi-node) write the per-burst recovery-decision log "
-        "(NVM restart vs checkpoint rollback, coordinated-rollback "
-        "propagation) as JSON",
     )
     _add_jobs_flag(c)
 
@@ -366,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
         "final result is bit-identical to `repro campaign` (same summary, "
         "same --save file).",
     )
-    sv.add_argument("app", help="application name (see list-apps)")
+    _add_campaign_flags(sv)
     sv.add_argument("--socket", required=True, metavar="PATH",
                     help="Unix socket path the scheduler listens on")
     sv.add_argument("--journal", required=True, metavar="FILE",
@@ -384,29 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rebuild the queue from an existing lease journal "
                     "(required after a scheduler crash; without it a "
                     "non-empty lease journal is refused)")
-    sv.add_argument("--tests", type=int, default=100)
-    sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--plan", choices=["none", "loop", "easycrash"], default="none",
-                    help="persistence plan (as in `repro campaign`)")
-    sv.add_argument("--cores", type=int, default=1, help="simulated cores")
-    sv.add_argument("--save", metavar="FILE",
-                    help="write the assembled campaign to a JSON file")
-    sv.add_argument("--no-golden", action="store_true",
-                    help="legacy snapshot path on the workers (see campaign)")
-    sv.add_argument("--trial-timeout", type=float, default=None, metavar="SECONDS",
-                    help="per-trial deadline on the workers")
-    sv.add_argument("--crash-plan", metavar="FILE", default=None,
-                    help="pruned crash plan (see `repro campaign --crash-plan`)")
-    sv.add_argument("--crash-model", metavar="MODEL", default="whole-cache-loss",
-                    help="crash model (see `repro campaign --crash-model`)")
-    sv.add_argument("--nodes", type=int, default=1, metavar="N",
-                    help="emulated cluster size (see `repro campaign --nodes`)")
-    sv.add_argument("--correlation", type=float, default=0.0, metavar="C",
-                    help="failure correlation (see campaign)")
-    sv.add_argument("--burst-window", type=float, default=600.0, metavar="SECONDS",
-                    help="burst grouping window (see campaign)")
-    sv.add_argument("--recovery-log", metavar="FILE", default=None,
-                    help="(multi-node) write the recovery-decision log as JSON")
 
     w = sub.add_parser(
         "work",
@@ -494,100 +478,115 @@ def _install_sigterm_handler() -> None:
         pass
 
 
-def _build_persistence_plan(args: argparse.Namespace, factory):
-    """The ``--plan none|loop|easycrash`` leg shared by campaign and serve."""
-    from repro.core.planner import EasyCrashConfig, plan_easycrash
+def _campaign_config(args: argparse.Namespace):
+    """``(factory, CampaignConfig)`` from the shared campaign flags,
+    rejecting the combinations no executor supports."""
+    from repro.apps.registry import get_factory
+    from repro.nvct.campaign import CampaignConfig
     from repro.nvct.plan import PersistencePlan
 
+    factory = get_factory(args.app)
     if args.plan == "none":
-        return PersistencePlan.none()
-    if args.plan == "loop":
+        plan = PersistencePlan.none()
+    elif args.plan == "loop":
         app = factory.make(None)
-        return PersistencePlan.at_loop_end([o.name for o in app.ws.heap.candidates()])
-    report = plan_easycrash(
-        factory, EasyCrashConfig(n_tests=args.tests, seed=args.seed)
+        plan = PersistencePlan.at_loop_end([o.name for o in app.ws.heap.candidates()])
+    else:
+        from repro.core.planner import EasyCrashConfig, plan_easycrash
+
+        report = plan_easycrash(
+            factory, EasyCrashConfig(n_tests=args.tests, seed=args.seed)
+        )
+        print(f"critical objects: {', '.join(report.critical_objects) or '(none)'}")
+        plan = report.plan
+    cfg = CampaignConfig(
+        n_tests=args.tests, seed=args.seed, plan=plan, n_cores=args.cores,
+        crash_model=args.crash_model, nodes=args.nodes,
+        correlation=args.correlation, burst_window_s=args.burst_window,
     )
-    print(f"critical objects: {', '.join(report.critical_objects) or '(none)'}")
-    return report.plan
+    until_stable = getattr(args, "until_stable", False)  # a `campaign`-only flag
+    cluster = "--nodes/--correlation"
+    for given, flag, other, why in (
+        (cfg.clustered and until_stable, "--until-stable", cluster,
+         "the burst schedule covers a fixed campaign"),
+        (cfg.clustered and args.crash_plan, "--crash-plan", cluster,
+         "plans cover single-node crash schedules"),
+        (cfg.clustered and args.cores > 1, "--cores > 1", cluster,
+         "each emulated node is one rank"),
+        (until_stable and args.resume, "--resume", "--until-stable",
+         "round sizes grow adaptively"),
+        (until_stable and args.crash_plan, "--crash-plan", "--until-stable",
+         "the plan covers a fixed campaign"),
+    ):
+        if given:
+            raise UsageError(f"{flag} is not supported with {other} ({why})")
+    return factory, cfg
 
 
-def _print_single_result(result) -> None:
-    """Postmortem summary of a single-node campaign (campaign and serve
-    print through this one function, so their outputs diff clean)."""
-    from repro.nvct.report import (
-        campaign_summary,
-        object_inconsistency_table,
-        region_breakdown,
-    )
+def _finish_campaign(result, args: argparse.Namespace) -> None:
+    """``--save`` / ``--recovery-log`` and the postmortem summary of a
+    finished campaign, single-node or cluster — campaign and serve print
+    through this one function, so their outputs diff clean."""
+    from repro.cluster import ClusterResult, report as cluster_report
+    from repro.nvct import report, serialize
 
-    print(campaign_summary(result))
-    print()
-    print(region_breakdown(result))
-    print()
-    print(object_inconsistency_table(result))
+    clustered = isinstance(result, ClusterResult)
+    if args.save:
+        save = serialize.save_cluster_result if clustered else serialize.save_campaign
+        what = "cluster campaign" if clustered else "campaign"
+        print(f"{what} saved to {save(result, args.save)}")
+    if clustered:
+        if args.recovery_log:
+            import json as _json
+
+            from repro.obs.export import write_text
+
+            out = write_text(args.recovery_log, _json.dumps(result.log.to_dict(), indent=1))
+            print(f"recovery log written to {out}")
+        sections = [
+            cluster_report.cluster_summary(result),
+            cluster_report.recovery_mix_table(result.log),
+            cluster_report.decision_log(result.log),
+        ]
+    else:
+        sections = [
+            report.campaign_summary(result),
+            report.region_breakdown(result),
+            report.object_inconsistency_table(result),
+        ]
+    print("\n\n".join(sections))
 
 
-def _print_cluster_result(result, args: argparse.Namespace) -> None:
-    """Cluster postmortem + optional artifacts (shared campaign/serve)."""
-    from repro.cluster.report import cluster_summary, decision_log, recovery_mix_table
+def _run_local(factory, cfg, args: argparse.Namespace, **kwargs):
+    """Run (or, for ``serve``, replay from the complete journals) through
+    the local executors: the inline loop, the pool at ``--jobs``, and for
+    a cluster topology the same single-shard path once per emulated node."""
+    kwargs.update(trial_timeout=args.trial_timeout, golden=not args.no_golden)
+    if cfg.clustered:
+        from repro.cluster import run_cluster_campaign
 
-    if getattr(args, "save", None):
-        from repro.nvct.serialize import save_cluster_result
+        return run_cluster_campaign(factory, cfg, **kwargs)
+    from repro.nvct.campaign import run_campaign
 
-        print(f"cluster campaign saved to {save_cluster_result(result, args.save)}")
-    if getattr(args, "recovery_log", None):
-        import json as _json
-
-        from repro.obs.export import write_text
-
-        out = write_text(args.recovery_log, _json.dumps(result.log.to_dict(), indent=1))
-        print(f"recovery log written to {out}")
-    print(cluster_summary(result))
-    print()
-    print(recovery_mix_table(result.log))
-    print()
-    print(decision_log(result.log))
+    return run_campaign(factory, cfg, plan=args.crash_plan, **kwargs)
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import contextlib
     import os
+    from dataclasses import replace
 
     from repro import obs
-    from repro.apps.registry import get_factory
-    from repro.nvct.campaign import CampaignConfig, run_campaign
+    from repro.harness.resilience import POOL_CHUNK_RETRY
 
     _install_sigterm_handler()
-    stats_file = getattr(args, "stats", None)
-    scope = obs.enabled() if stats_file else contextlib.nullcontext()
+    scope = obs.enabled() if args.stats else contextlib.nullcontext()
     with scope as reg:
-        factory = get_factory(args.app)
-        plan = _build_persistence_plan(args, factory)
-        cfg = CampaignConfig(
-            n_tests=args.tests, seed=args.seed, plan=plan, n_cores=args.cores,
-            crash_model=getattr(args, "crash_model", "whole-cache-loss"),
-            nodes=getattr(args, "nodes", 1),
-            correlation=getattr(args, "correlation", 0.0),
-            burst_window_s=getattr(args, "burst_window", 600.0),
-        )
+        factory, cfg = _campaign_config(args)
         retry = None
-        if getattr(args, "max_retries", None) is not None:
-            from repro.harness.resilience import RetryPolicy
-
-            retry = RetryPolicy(max_retries=args.max_retries)
-        crash_plan = getattr(args, "crash_plan", None)
-        if cfg.nodes > 1 or cfg.correlation > 0.0:
-            return _cluster_campaign(args, factory, cfg, retry, crash_plan)
-        if getattr(args, "until_stable", False):
-            if getattr(args, "resume", None):
-                print("campaign: --resume is not supported with --until-stable "
-                      "(round sizes grow adaptively)", file=sys.stderr)
-                return 2
-            if crash_plan:
-                print("campaign: --crash-plan is not supported with "
-                      "--until-stable (the plan covers a fixed campaign)",
-                      file=sys.stderr)
-                return 2
+        if args.max_retries is not None:
+            retry = replace(POOL_CHUNK_RETRY, max_retries=args.max_retries)
+        if args.until_stable:
             from repro.nvct.adaptive import recomputability_interval, run_campaign_until_stable
 
             stable = run_campaign_until_stable(factory, cfg, round_size=args.tests)
@@ -596,23 +595,11 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             print(f"stabilized after {stable.rounds} rounds "
                   f"({result.n_tests} tests); 95% CI: [{lo:.3f}, {hi:.3f}]")
         else:
-            result = run_campaign(
-                factory,
-                cfg,
-                journal=getattr(args, "resume", None),
-                retry=retry,
-                trial_timeout=getattr(args, "trial_timeout", None),
-                golden=False if getattr(args, "no_golden", False) else None,
-                plan=crash_plan,
-            )
-            if crash_plan and result.executed_trials is not None:
+            result = _run_local(factory, cfg, args, journal=args.resume, retry=retry)
+            if args.crash_plan and result.executed_trials is not None:
                 print(f"crash plan: executed {result.executed_trials} of "
                       f"{result.n_tests} trials (equivalence-pruned)")
-        if getattr(args, "save", None):
-            from repro.nvct.serialize import save_campaign
-
-            print(f"campaign saved to {save_campaign(result, args.save)}")
-        _print_single_result(result)
+        _finish_campaign(result, args)
         if reg is not None:
             from pathlib import Path
 
@@ -621,64 +608,21 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             records = obs_export.bench_records(
                 reg, scale=os.environ.get("REPRO_BENCH_SCALE", "default")
             )
-            out = obs_export.write_bench(stats_file, records)
+            out = obs_export.write_bench(args.stats, records)
             trace = obs_export.write_jsonl(
-                Path(stats_file).with_suffix(".trace.jsonl"), reg.tracer.to_records()
+                Path(args.stats).with_suffix(".trace.jsonl"), reg.tracer.to_records()
             )
             print(f"\nbench metrics: {out} ({len(records)} records; trace: {trace})")
     return 0
 
 
-def _cluster_campaign(args, factory, cfg, retry, crash_plan) -> int:
-    """The multi-node leg of ``repro campaign`` (--nodes/--correlation)."""
-    from repro.cluster import run_cluster_campaign
-
-    if getattr(args, "until_stable", False):
-        print("campaign: --until-stable is not supported with --nodes/"
-              "--correlation (the burst schedule covers a fixed campaign)",
-              file=sys.stderr)
-        return 2
-    if crash_plan:
-        print("campaign: --crash-plan is not supported with --nodes/"
-              "--correlation (plans cover single-node crash schedules)",
-              file=sys.stderr)
-        return 2
-    if args.cores > 1:
-        print("campaign: --cores > 1 is not supported with --nodes/"
-              "--correlation (each emulated node is one rank)",
-              file=sys.stderr)
-        return 2
-    result = run_cluster_campaign(
-        factory,
-        cfg,
-        journal=getattr(args, "resume", None),
-        retry=retry,
-        trial_timeout=getattr(args, "trial_timeout", None),
-        golden=False if getattr(args, "no_golden", False) else None,
-    )
-    _print_cluster_result(result, args)
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.apps.registry import get_factory
-    from repro.nvct.campaign import CampaignConfig, run_campaign
     from repro.service import CampaignScheduler, serve_forever
 
     _install_sigterm_handler()
-    factory = get_factory(args.app)
-    plan = _build_persistence_plan(args, factory)
-    cfg = CampaignConfig(
-        n_tests=args.tests, seed=args.seed, plan=plan, n_cores=args.cores,
-        crash_model=args.crash_model, nodes=args.nodes,
-        correlation=args.correlation, burst_window_s=args.burst_window,
-    )
-    crash_plan = None
-    if args.crash_plan:
-        from repro.analysis.equiv_pass import CrashPlan
-
-        crash_plan = CrashPlan.load(args.crash_plan)
-    golden = False if args.no_golden else None
+    factory, cfg = _campaign_config(args)
+    # The socket-worker executor: the scheduler only plans the shards;
+    # `repro work` processes record and classify them.
     scheduler = CampaignScheduler(
         factory,
         cfg,
@@ -687,8 +631,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         deadline_s=args.heartbeat_deadline,
         resume=args.resume,
-        crash_plan=crash_plan,
-        golden=golden,
+        crash_plan=args.crash_plan,
+        golden=not args.no_golden,
         trial_timeout=args.trial_timeout,
     )
     scheduler.prepare()
@@ -702,44 +646,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve_forever(scheduler, args.socket)
     print("campaign complete; assembling the result from the journals")
     # The service is a drop-in superset of `repro campaign`: the final
-    # result is the ordinary engine replaying the now-complete journals
-    # (bit-identical by construction) and the summary is printed through
-    # the same helpers, so outputs diff clean against a serial run.
-    if cfg.nodes > 1 or cfg.correlation > 0.0:
-        from repro.cluster import run_cluster_campaign
-
-        result = run_cluster_campaign(
-            factory, cfg, journal=args.journal,
-            trial_timeout=args.trial_timeout, golden=golden,
-        )
-        _print_cluster_result(result, args)
-        return 0
-    result = run_campaign(
-        factory, cfg, journal=args.journal, plan=crash_plan,
-        trial_timeout=args.trial_timeout, golden=golden,
-    )
-    if args.save:
-        from repro.nvct.serialize import save_campaign
-
-        print(f"campaign saved to {save_campaign(result, args.save)}")
-    _print_single_result(result)
+    # result is the local engine replaying the now-complete journals
+    # (bit-identical by construction), saved and printed through the
+    # same helper, so outputs diff clean against a serial run.
+    _finish_campaign(_run_local(factory, cfg, args, journal=args.journal), args)
     return 0
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from repro.harness.resilience import WORKER_RETRY
     from repro.service import run_worker
 
     _install_sigterm_handler()
-    retry = None
-    if args.max_retries is not None:
-        from repro.harness.resilience import RetryPolicy
-
-        retry = RetryPolicy(max_retries=args.max_retries, base_delay=0.1, max_delay=2.0)
     committed = run_worker(
         args.socket,
         name=args.name,
         idle_timeout_s=args.idle_timeout,
-        retry=retry,
+        retry=None if args.max_retries is None
+        else replace(WORKER_RETRY, max_retries=args.max_retries),
     )
     print(f"worker done: {committed} chunk(s) committed")
     return 0

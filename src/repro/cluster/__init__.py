@@ -11,7 +11,6 @@ See :mod:`repro.cluster.emulator` for the execution model and
 from repro.cluster.emulator import (
     BURST_MTBF_S,
     Burst,
-    ClusterEmulator,
     ClusterResult,
     NodeLease,
     burst_schedule,
@@ -31,7 +30,6 @@ from repro.cluster.topology import ClusterTopology, node_journal_path, topology_
 __all__ = [
     "BURST_MTBF_S",
     "Burst",
-    "ClusterEmulator",
     "ClusterResult",
     "ClusterTopology",
     "NodeLease",

@@ -1,6 +1,6 @@
 """Multi-node crash emulation: shard a campaign across emulated nodes.
 
-The :class:`ClusterEmulator` runs one crash-test campaign per emulated
+:func:`run_cluster_campaign` runs one crash-test campaign per emulated
 node — each node an SPMD replica of the application with its **own**
 cache hierarchy, golden-pass engine and crash-model survivor overlay
 (all reused verbatim from the single-node stack) — and drives the crash
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.checkpoint.multilevel import CorrelatedFailureProcess
 from repro.cluster.recovery import RecoveryLog, RecoveryOrchestrator
-from repro.cluster.topology import ClusterTopology, node_journal_path
+from repro.cluster.topology import ClusterTopology
 from repro.errors import UsageError
 from repro.util.rng import derive_rng, derive_seed
 
@@ -55,7 +55,7 @@ __all__ = [
     "trials_per_node",
     "NodeLease",
     "ClusterResult",
-    "ClusterEmulator",
+    "cut_shards",
     "run_cluster_campaign",
 ]
 
@@ -239,113 +239,36 @@ class ClusterResult:
         }
 
 
-class ClusterEmulator:
-    """Shard one campaign across ``cfg.nodes`` emulated nodes.
+def cut_shards(cfg: "CampaignConfig") -> tuple[list[Burst], list["CampaignConfig"]]:
+    """Cut one campaign into per-node shard configs: ``(bursts, cfgs)``.
 
-    ``cfg`` is an ordinary :class:`~repro.nvct.campaign.CampaignConfig`
-    whose topology fields (``nodes``/``correlation``/``burst_window_s``)
-    are non-default; ``cfg.n_tests`` is the *total* number of node
-    crashes across the cluster.  Every other parameter means exactly
-    what it means for a single-node campaign and is applied per shard.
+    ``cfg.n_tests`` is the *total* number of node crashes across the
+    cluster; every other parameter applies per shard.  Node ``n`` gets as
+    many trials as the burst schedule crashes it, and no shard if never.
+    :func:`repro.nvct.campaign.plan_shards` is the only caller, so the
+    emulator and the service scheduler agree shard for shard.
     """
-
-    def __init__(
-        self,
-        factory: "AppFactory",
-        cfg: "CampaignConfig",
-        *,
-        jobs: int | None = None,
-        chunk_timeout: float | None = None,
-        journal: "str | Path | None" = None,
-        retry: "RetryPolicy | None" = None,
-        trial_timeout: float | None = None,
-        golden: bool | None = None,
-        checkpoint: "MultiLevelCheckpointModel | None" = None,
-        breaker_threshold: int = 3,
-    ):
-        if cfg.node != 0:
-            raise UsageError(
-                "the cluster emulator owns shard assignment: pass node=0 "
-                f"(got node={cfg.node})"
-            )
-        if cfg.n_cores > 1 or cfg.verified_mode:
-            raise UsageError(
-                "cluster emulation requires single-core, non-verified "
-                "campaigns (each node is one emulated rank)"
-            )
-        self.factory = factory
-        self.cfg = cfg
-        try:
-            self.topology = ClusterTopology.from_config(cfg)
-        except ValueError as exc:
-            # Same contract as a bad --crash-model spec: a usage error,
-            # not an internal failure (the CLI maps it to exit 2).
-            raise UsageError(str(exc)) from exc
-        self.jobs = jobs
-        self.chunk_timeout = chunk_timeout
-        self.journal = journal
-        self.retry = retry
-        self.trial_timeout = trial_timeout
-        self.golden = golden
-        self.checkpoint = checkpoint
-        self.breaker_threshold = breaker_threshold
-
-    def _lease_policy(self) -> "RetryPolicy":
-        from repro.harness.resilience import RetryPolicy
-
-        # Leases retry instantly by default: a replayed shard is pure CPU
-        # work, and the chaos death schedule advances per attempt.
-        return self.retry or RetryPolicy(max_retries=4, base_delay=0.0, max_delay=0.0)
-
-    def run(self) -> ClusterResult:
-        from repro.harness.resilience import CircuitBreaker
-        from repro.memsim.crashmodel import get_model
-        from repro.nvct.campaign import run_campaign
-
-        cfg = self.cfg
-        model = get_model(cfg.crash_model)  # validate the spec up front
-        bursts = burst_schedule(self.topology, cfg.n_tests, cfg.seed)
-        counts = trials_per_node(bursts, self.topology.nodes)
-        policy = self._lease_policy()
-        breaker = CircuitBreaker(threshold=self.breaker_threshold)
-        node_results: dict[int, "CampaignResult"] = {}
-        for node, n_trials in enumerate(counts):
-            if n_trials == 0:
-                continue  # the schedule never crashed this node
-            node_cfg = replace(cfg, node=node, n_tests=n_trials)
-            journal = (
-                node_journal_path(self.journal, node)
-                if self.journal is not None
-                else None
-            )
-            lease = NodeLease(node=node, policy=policy, breaker=breaker)
-            node_results[node] = lease.run(
-                lambda node_cfg=node_cfg, journal=journal: run_campaign(
-                    self.factory,
-                    node_cfg,
-                    jobs=self.jobs,
-                    chunk_timeout=self.chunk_timeout,
-                    journal=journal,
-                    retry=self.retry,
-                    trial_timeout=self.trial_timeout,
-                    golden=self.golden,
-                    _shard=True,
-                )
-            )
-        orchestrator = RecoveryOrchestrator(
-            nodes=self.topology.nodes, checkpoint=self.checkpoint
+    if cfg.node != 0:
+        raise UsageError(
+            "the cluster emulator owns shard assignment: pass node=0 "
+            f"(got node={cfg.node})"
         )
-        log = orchestrator.orchestrate(
-            bursts, {n: _slot_records(r) for n, r in node_results.items()}
+    if cfg.n_cores > 1 or cfg.verified_mode:
+        raise UsageError(
+            "cluster emulation requires single-core, non-verified "
+            "campaigns (each node is one emulated rank)"
         )
-        return ClusterResult(
-            app=self.factory.name,
-            topology=self.topology,
-            crash_model=model.spec,
-            bursts=bursts,
-            node_results=node_results,
-            log=log,
-        )
+    try:
+        topology = ClusterTopology.from_config(cfg)
+    except ValueError as exc:
+        # Same contract as a bad --crash-model spec: a usage error,
+        # not an internal failure (the CLI maps it to exit 2).
+        raise UsageError(str(exc)) from exc
+    bursts = burst_schedule(topology, cfg.n_tests, cfg.seed)
+    counts = trials_per_node(bursts, topology.nodes)
+    return bursts, [
+        replace(cfg, node=node, n_tests=n) for node, n in enumerate(counts) if n > 0
+    ]
 
 
 def run_cluster_campaign(
@@ -357,18 +280,42 @@ def run_cluster_campaign(
     journal: "str | Path | None" = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
-    golden: bool | None = None,
+    golden: bool = True,
     checkpoint: "MultiLevelCheckpointModel | None" = None,
 ) -> ClusterResult:
-    """Run one multi-node crash campaign (see :class:`ClusterEmulator`)."""
-    return ClusterEmulator(
-        factory,
-        cfg,
-        jobs=jobs,
-        chunk_timeout=chunk_timeout,
-        journal=journal,
-        retry=retry,
-        trial_timeout=trial_timeout,
-        golden=golden,
-        checkpoint=checkpoint,
-    ).run()
+    """Run one multi-node crash campaign: a sharding of the campaign plan.
+
+    Every shard of :func:`~repro.nvct.campaign.plan_shards` runs through
+    the same single-shard path as a plain campaign
+    (:func:`~repro.nvct.campaign.run_shard`: per-node journal, own cache
+    hierarchy, golden engine and crash-model overlay) under a
+    :class:`NodeLease`; the recovery orchestrator then replays the burst
+    schedule over the measured records.  ``jobs`` / ``chunk_timeout`` /
+    ``retry`` / ``trial_timeout`` / ``golden`` mean what they mean for
+    :func:`~repro.nvct.campaign.run_campaign`, per shard.
+    """
+    from repro.harness.resilience import NODE_LEASE_RETRY, new_breaker
+    from repro.memsim.crashmodel import get_model
+    from repro.nvct.campaign import phase_span, plan_shards, run_shard
+
+    shards, bursts = plan_shards(factory, cfg, golden=golden, journal=journal, cluster=True)
+    assert bursts is not None
+    breaker = new_breaker()
+    node_results: dict[int, "CampaignResult"] = {}
+    for shard in shards:
+        lease = NodeLease(node=shard.cfg.node, policy=NODE_LEASE_RETRY, breaker=breaker)
+        with phase_span("campaign", factory, tests=shard.cfg.n_tests):
+            node_results[shard.cfg.node] = lease.run(
+                lambda: run_shard(factory, shard, jobs, chunk_timeout, retry, trial_timeout)
+            )
+    log = RecoveryOrchestrator(nodes=cfg.nodes, checkpoint=checkpoint).orchestrate(
+        bursts, {n: _slot_records(r) for n, r in node_results.items()}
+    )
+    return ClusterResult(
+        app=factory.name,
+        topology=ClusterTopology.from_config(cfg),
+        crash_model=get_model(cfg.crash_model).spec,
+        bursts=bursts,
+        node_results=node_results,
+        log=log,
+    )

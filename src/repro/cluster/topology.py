@@ -49,11 +49,6 @@ class ClusterTopology:
         if self.burst_window_s <= 0:
             raise ValueError("burst_window_s must be positive")
 
-    @property
-    def is_default(self) -> bool:
-        """A single uncorrelated node — the historical single-node campaign."""
-        return self.nodes == 1 and self.correlation == 0.0
-
     @classmethod
     def from_config(cls, cfg: "CampaignConfig") -> "ClusterTopology":
         return cls(

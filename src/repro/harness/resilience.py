@@ -31,7 +31,15 @@ from repro.errors import TrialTimeout
 from repro.obs import registry as obs_registry
 from repro.util.rng import derive_seed
 
-__all__ = ["RetryPolicy", "CircuitBreaker", "call_with_deadline"]
+__all__ = [
+    "RetryPolicy",
+    "CircuitBreaker",
+    "POOL_CHUNK_RETRY",
+    "NODE_LEASE_RETRY",
+    "WORKER_RETRY",
+    "new_breaker",
+    "call_with_deadline",
+]
 
 T = TypeVar("T")
 
@@ -144,6 +152,26 @@ class CircuitBreaker:
             if (reg := obs_registry()) is not None:
                 reg.counter("resilience.breaker_trips", unit="trips").inc()
         return self.tripped
+
+
+# -- the one home of retry/breaker parameters ---------------------------------
+#
+# Callers take a preset and override single fields with
+# ``dataclasses.replace`` (the CLIs' ``--max-retries``); nobody else
+# constructs a policy or a breaker.
+
+#: A failed or timed-out pool chunk: two resubmissions, short backoff.
+POOL_CHUNK_RETRY = RetryPolicy()
+#: A node's shard lease: instant replays — a replayed shard is pure CPU
+#: work, and the chaos death schedule advances per attempt, not per second.
+NODE_LEASE_RETRY = RetryPolicy(max_retries=4, base_delay=0.0, max_delay=0.0)
+#: A ``repro work`` worker reconnecting to a restarting scheduler.
+WORKER_RETRY = RetryPolicy(max_retries=8, base_delay=0.1, max_delay=2.0)
+
+
+def new_breaker() -> CircuitBreaker:
+    """A fresh breaker (one per fan-out, cluster run or worker)."""
+    return CircuitBreaker(threshold=3)
 
 
 def call_with_deadline(fn: Callable[[], T], deadline: float | None) -> T:

@@ -14,7 +14,7 @@ provides bootstrap confidence intervals for any finished campaign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -54,6 +54,7 @@ def _merged(base: CampaignResult, extra: CampaignResult) -> CampaignResult:
         records=base.records + extra.records,
         run_stats=base.run_stats,
         golden_iterations=base.golden_iterations,
+        crash_model=base.crash_model,
     )
 
 
@@ -80,17 +81,9 @@ def run_campaign_until_stable(
     merged: CampaignResult | None = None
     history: list[float] = []
     while True:
-        round_cfg = CampaignConfig(
-            n_tests=step,
-            seed=config.seed + rounds,
-            hierarchy=config.hierarchy,
-            plan=config.plan,
-            verified_mode=config.verified_mode,
-            max_iter_factor=config.max_iter_factor,
-            distribution=config.distribution,
-            n_cores=config.n_cores,
+        result = run_campaign(
+            factory, replace(config, n_tests=step, seed=config.seed + rounds)
         )
-        result = run_campaign(factory, round_cfg)
         merged = result if merged is None else _merged(merged, result)
         rounds += 1
         history.append(merged.recomputability())

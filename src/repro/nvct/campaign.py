@@ -23,18 +23,21 @@ By default the snapshots themselves come from the *golden pass*
 write-back deltas per crash-point segment, and all N crash images are
 reconstructed afterwards by vectorized delta replay — ``O(heap +
 writeback_traffic)`` instead of the legacy ``O(N x heap)`` copy-and-diff
-per point.  The legacy path (``REPRO_GOLDEN=0`` / ``--no-golden`` /
-``run_campaign(..., golden=False)``) is retained as the bit-identical
-oracle and still serves verified-mode and multi-core campaigns.
+per point.  The legacy path (``--no-golden`` / ``run_campaign(...,
+golden=False)``) is retained as the bit-identical oracle and still
+serves verified-mode and multi-core campaigns.
+
+Every way of running a campaign — serial, ``--jobs``, ``--nodes``,
+``repro serve`` + ``repro work`` — goes through one pipeline defined
+here: :func:`plan_shards` → :class:`PreparedShard` → an executor →
+:class:`~repro.nvct.journal.TrialLedger`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 from dataclasses import dataclass, field
-
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -47,10 +50,14 @@ from repro.obs import RuntimeSpanListener, maybe_span, registry
 from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # avoid a circular import (apps depend on nvct)
+    from collections.abc import Iterable, Iterator, Mapping, Sequence
     from pathlib import Path
 
+    from repro.analysis.equiv_pass import CrashPlan
     from repro.apps.base import AppFactory
+    from repro.cluster.emulator import Burst
     from repro.harness.resilience import RetryPolicy
+    from repro.memsim.golden import GoldenStore
 
 __all__ = [
     "Response",
@@ -58,6 +65,10 @@ __all__ = [
     "CampaignConfig",
     "CampaignResult",
     "campaign_points",
+    "ShardPlan",
+    "plan_shards",
+    "PreparedShard",
+    "run_shard",
     "run_campaign",
     "measure_run",
 ]
@@ -132,11 +143,16 @@ class CampaignConfig:
     nodes: int = 1
     correlation: float = 0.0
     burst_window_s: float = 600.0
-    # Which shard this config executes.  Set by the cluster emulator;
-    # node 0 samples crash points with the historical single-node key,
-    # so a one-node cluster is record-for-record identical to a plain
-    # campaign.
+    # Which shard this config executes.  Set by the shard cut
+    # (plan_shards(cluster=True)); node 0 samples crash points with the
+    # historical single-node key, so a one-node cluster is
+    # record-for-record identical to a plain campaign.
     node: int = 0
+
+    @property
+    def clustered(self) -> bool:
+        """A topology other than the single uncorrelated node."""
+        return self.nodes > 1 or self.correlation > 0.0
 
 
 @dataclass
@@ -328,16 +344,6 @@ def _dedupe_crash_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(pts, return_counts=True)
 
 
-def _golden_default() -> bool:
-    """Golden-pass batching is on unless ``REPRO_GOLDEN`` disables it."""
-    return os.environ.get("REPRO_GOLDEN", "").strip().lower() not in (
-        "0",
-        "false",
-        "no",
-        "off",
-    )
-
-
 def _classify(
     factory: AppFactory,
     snap: Snapshot,
@@ -451,6 +457,12 @@ def _instrumented_run(
     return rt, result.iterations
 
 
+def phase_span(name: str, factory: AppFactory, **attrs: object):
+    """A telemetry span around one campaign phase (no-op with obs off)."""
+    reg = registry()
+    return maybe_span(reg.tracer if reg else None, name, app=factory.name, **attrs)
+
+
 def _run_stats(rt: Runtime, iterations: int) -> RunStats:
     assert rt.hierarchy is not None
     return RunStats(
@@ -466,10 +478,9 @@ def _run_stats(rt: Runtime, iterations: int) -> RunStats:
 def measure_run(factory: AppFactory, cfg: CampaignConfig) -> RunStats:
     """Instrumented execution without crash points: the event counts of a
     production run under ``cfg.plan`` (performance / write-traffic model)."""
-    reg = registry()
-    with maybe_span(reg.tracer if reg else None, "measure", app=factory.name):
+    with phase_span("measure", factory):
         rt, iterations = _instrumented_run(factory, cfg, None)
-    if reg is not None:
+    if (reg := registry()) is not None:
         rt.publish_metrics(reg)
         reg.counter("campaign.measure_runs", unit="runs").inc()
     return _run_stats(rt, iterations)
@@ -520,22 +531,11 @@ def _broadcast_plan_records(
         )
 
 
-def campaign_points(
+def _profile_and_sample(
     factory: AppFactory, cfg: CampaignConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Profile one application and sample its campaign's crash points.
-
-    Returns ``(points, weights)``: the sorted deduplicated crash counters
-    the instrumented run will snapshot, and the multiplicity each point
-    carries (:attr:`CrashTestRecord.weight`).  This is *the* sampling
-    function — :func:`run_campaign`, the orchestration service's
-    scheduler, and its stateless workers all call it, which is what lets
-    a worker re-derive a chunk's snapshots from nothing but the campaign
-    config and still produce records bit-identical to a serial run.
-    """
-    reg = registry()
-    tracer = reg.tracer if reg is not None else None
-    with maybe_span(tracer, "profile", app=factory.name):
+) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """Profile pass + sampling: ``(window, points, weights)``."""
+    with phase_span("profile", factory):
         counting = CountingRuntime()
         profiling_app = factory.make(runtime=counting)
         profiling_app.run()
@@ -549,7 +549,256 @@ def campaign_points(
     points = _sample_crash_points(
         window, cfg.n_tests, cfg.seed, sample_key, cfg.distribution
     )
-    return _dedupe_crash_points(points)
+    return (window, *_dedupe_crash_points(points))
+
+
+def campaign_points(
+    factory: AppFactory, cfg: CampaignConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Profile one application and sample its campaign's crash points.
+
+    Returns ``(points, weights)``: the sorted deduplicated crash counters
+    the instrumented run will snapshot, and the multiplicity each point
+    carries (:attr:`CrashTestRecord.weight`).  This is *the* sampling
+    function — every :class:`ShardPlan` is built from it, which is what
+    lets a stateless worker re-derive a chunk's snapshots from nothing
+    but the campaign config and still produce records bit-identical to a
+    serial run.
+    """
+    _window, points, weights = _profile_and_sample(factory, cfg)
+    return points, weights
+
+
+@dataclass(frozen=True, eq=False)
+class ShardPlan:
+    """The cheap half of one shard: everything decided before its
+    instrumented run.  ``cfg`` is the shard's own config (node index and
+    trial count already cut); ``to_run`` are the trial indices actually
+    classified — all of them, or a crash plan's representatives + tails."""
+
+    cfg: CampaignConfig
+    window: tuple[int, int]
+    points: np.ndarray
+    weights: np.ndarray
+    use_golden: bool
+    to_run: "Sequence[int]"
+    crash_plan: "CrashPlan | None"
+    journal: "str | Path | None"
+
+    @property
+    def n_snaps(self) -> int:
+        return int(self.points.size)
+
+
+def plan_shards(
+    factory: AppFactory,
+    cfg: CampaignConfig,
+    crash_plan: "CrashPlan | str | Path | None" = None,
+    *,
+    golden: bool = True,
+    journal: "str | Path | None" = None,
+    cluster: bool = False,
+) -> "tuple[list[ShardPlan], list[Burst] | None]":
+    """Validate a campaign and plan its shards — no instrumented run.
+
+    ``cluster=False`` treats ``cfg`` as one shard as it stands (a plain
+    campaign, or one node's config a scheduler shipped to a worker);
+    ``cluster=True`` cuts it across ``cfg.nodes`` emulated nodes by the
+    correlated burst schedule, each shard journaling to its per-node
+    sibling of ``journal``.  Per shard: profile + sample the crash
+    points, check a pruned crash plan against them, and choose the
+    golden-pass or the legacy snapshot engine.  Returns the shards and
+    the burst schedule that cut them (``None`` without ``cluster``).
+    """
+    from repro.errors import UsageError
+    from repro.memsim.crashmodel import get_model
+
+    batched = cfg.n_cores == 1 and not cfg.verified_mode
+    if crash_plan is not None:
+        from repro.analysis.equiv_pass import CrashPlan
+
+        if not isinstance(crash_plan, CrashPlan):
+            crash_plan = CrashPlan.load(crash_plan)
+        crash_plan.validate_for(factory, cfg)
+        if not (batched and golden):
+            raise UsageError(
+                "a pruned crash plan requires the golden-pass engine: "
+                "single-core, non-verified, and not --no-golden"
+            )
+    crash_model = get_model(cfg.crash_model)
+    if not crash_model.is_default and not batched:
+        raise UsageError(
+            f"crash model {crash_model.spec!r} requires a single-core, "
+            "non-verified campaign (whole-cache-loss is the only model the "
+            "multi-core and verified paths support)"
+        )
+    bursts, node_cfgs = None, [cfg]
+    if cluster:
+        from repro.cluster.emulator import cut_shards
+        from repro.cluster.topology import node_journal_path
+
+        bursts, node_cfgs = cut_shards(cfg)
+    shards = []
+    for node_cfg in node_cfgs:
+        window, points, weights = _profile_and_sample(factory, node_cfg)
+        if crash_plan is not None and (
+            crash_plan.points != points.tolist()
+            or crash_plan.weights != weights.tolist()
+        ):
+            raise UsageError(
+                "crash plan's sampled points disagree with this campaign's "
+                "sampling — the plan is stale; re-emit with "
+                "`repro analyze --emit-plan`"
+            )
+        path = node_journal_path(journal, node_cfg.node) if cluster and journal else journal
+        if crash_plan is not None:
+            use_golden, to_run = True, crash_plan.executed_indices()
+        else:
+            use_golden = golden and batched and points.size > 0
+            to_run = range(points.size)
+        shards.append(
+            ShardPlan(node_cfg, window, points, weights, use_golden, to_run, crash_plan, path)
+        )
+    return shards, bursts
+
+
+def _classify_each(
+    factory: AppFactory,
+    snapshots: "Iterable[Snapshot]",
+    golden_iterations: int,
+    cfg: CampaignConfig,
+    trial_timeout: float | None = None,
+) -> "Iterator[CrashTestRecord]":
+    """The in-process trial loop: one quarantined restart per snapshot,
+    consumed one at a time (so ``snapshots`` may yield borrowed views)."""
+    for snap in snapshots:
+        yield _classify_trial(factory, snap, golden_iterations, cfg, trial_timeout)
+
+
+@dataclass
+class PreparedShard:
+    """The expensive half of one shard: its golden run and its single
+    instrumented execution, snapshotted at every crash point.  Owns the
+    in-process trial loop and the result assembly; the executors (inline,
+    process pool, socket worker) are functions over this object."""
+
+    factory: AppFactory
+    plan: ShardPlan
+    golden_iterations: int
+    runtime: Runtime
+    iterations: int
+    store: "GoldenStore | None"  # None on the legacy snapshot path
+
+    @property
+    def cfg(self) -> CampaignConfig:
+        return self.plan.cfg
+
+    @classmethod
+    def record(cls, factory: AppFactory, plan: ShardPlan):
+        with phase_span("golden", factory):
+            golden_result, _ = factory.golden()
+        with phase_span("instrumented_run", factory):
+            rt, iterations = _instrumented_run(
+                factory, plan.cfg, plan.points, golden=plan.use_golden
+            )
+        store = rt.golden_store() if plan.use_golden else None
+        n_snaps = store.n_images if store is not None else len(rt.snapshots)
+        if n_snaps != plan.n_snaps:
+            raise RuntimeError(
+                f"{factory.name}: {plan.n_snaps} crash points but {n_snaps} snapshots"
+            )
+        if plan.crash_plan is not None:
+            from repro.analysis.equiv_pass import partition_signatures
+
+            assert store is not None
+            if partition_signatures(store.image_signatures()) != plan.crash_plan.class_ids:
+                raise RuntimeError(
+                    "crash plan is stale: the recorded write-back partition "
+                    "differs from the plan's equivalence classes — re-emit "
+                    "with `repro analyze --emit-plan`"
+                )
+        return cls(factory, plan, golden_result.iterations, rt, iterations, store)
+
+    def classify(
+        self, indices: "Sequence[int]", trial_timeout: float | None = None
+    ) -> "Iterator[tuple[int, CrashTestRecord]]":
+        """Classify trials ``indices`` (ascending) in process.  Golden
+        snapshots are *borrowed* zero-copy views, one trial at a time."""
+        snaps = (
+            self.store.snapshots(indices)
+            if self.store is not None
+            else (self.runtime.snapshots[i] for i in indices)
+        )
+        return zip(indices, _classify_each(
+            self.factory, snaps, self.golden_iterations, self.cfg, trial_timeout
+        ))
+
+    def result(self, completed: "Mapping[int, CrashTestRecord]") -> CampaignResult:
+        """Assemble the campaign result from the committed records."""
+        from repro.memsim.crashmodel import get_model
+
+        plan = self.plan
+        records = [completed.get(i) for i in range(plan.n_snaps)]
+        if plan.crash_plan is not None:
+            _broadcast_plan_records(plan.crash_plan, records, self.store)
+        assert all(r is not None for r in records)
+        # Weights derive deterministically from the seed, so re-applying
+        # them on a journal resume reproduces the uninterrupted result.
+        for rec, w in zip(records, plan.weights):
+            rec.weight = int(w)  # type: ignore[union-attr]
+        if (reg := registry()) is not None:
+            self.runtime.publish_metrics(reg)
+            reg.counter("campaign.runs", unit="campaigns").inc()
+            reg.counter("campaign.tests", unit="tests").inc(len(records))
+            for rec in records:
+                reg.counter(
+                    f"campaign.response.{rec.response.name}", unit="tests"  # type: ignore[union-attr]
+                ).inc()
+        return CampaignResult(
+            app=self.factory.name,
+            plan=plan.cfg.plan,
+            records=records,  # type: ignore[arg-type]
+            run_stats=_run_stats(self.runtime, self.iterations),
+            golden_iterations=self.golden_iterations,
+            executed_trials=len(plan.to_run),
+            crash_model=get_model(plan.cfg.crash_model).spec,
+        )
+
+
+def run_shard(
+    factory: AppFactory,
+    plan: ShardPlan,
+    jobs: int | None = None,
+    chunk_timeout: float | None = None,
+    retry: "RetryPolicy | None" = None,
+    trial_timeout: float | None = None,
+) -> CampaignResult:
+    """The single-shard path every local run goes through: record the
+    planned shard, classify what its journal does not already hold
+    (inline, or through the pool at ``jobs`` > 1), commit every record
+    through the ledger, assemble the result."""
+    from repro.nvct.journal import TrialLedger, campaign_header
+    from repro.nvct.parallel import classify_pooled, resolve_jobs
+
+    shard = PreparedShard.record(factory, plan)
+    ledger = TrialLedger.open(
+        plan.journal, campaign_header(factory, plan.cfg), plan.n_snaps
+    )
+    try:
+        missing = ledger.missing(plan.to_run)
+        n_jobs = resolve_jobs(jobs)
+        with phase_span(
+            "classify", factory, tests=plan.n_snaps,
+            replayed=plan.n_snaps - len(missing),
+        ):
+            if n_jobs > 1 and len(missing) > 1:
+                classify_pooled(shard, missing, ledger.add, n_jobs, chunk_timeout, retry)
+            else:
+                for i, rec in shard.classify(missing, trial_timeout):
+                    ledger.add(i, rec)
+    finally:
+        ledger.close()
+    return shard.result(ledger.records)
 
 
 def run_campaign(
@@ -560,9 +809,8 @@ def run_campaign(
     journal: "str | Path | None" = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
-    golden: bool | None = None,
-    plan: "object | str | Path | None" = None,
-    _shard: bool = False,
+    golden: bool = True,
+    plan: "CrashPlan | str | Path | None" = None,
 ) -> CampaignResult:
     """Run a full crash-test campaign for one application and plan.
 
@@ -583,12 +831,12 @@ def run_campaign(
     ``golden`` selects the golden-pass batched snapshot engine
     (:mod:`repro.memsim.golden`): the instrumented run records write-back
     deltas and all N crash images are reconstructed by vectorized replay
-    instead of N full heap copies + diffs.  Default: on, unless
-    ``REPRO_GOLDEN=0`` (the CLI's ``--no-golden``) selects the legacy
-    serial snapshot path — retained as the bit-identical oracle.  It is
-    an execution strategy, not a campaign parameter: results, journal
-    headers and artifact-cache content keys are unchanged either way.
-    Verified mode and multi-core simulation always use the legacy path.
+    instead of N full heap copies + diffs.  ``golden=False`` (the CLI's
+    ``--no-golden``) selects the legacy serial snapshot path — retained
+    as the bit-identical oracle.  It is an execution strategy, not a
+    campaign parameter: results, journal headers and artifact-cache
+    content keys are unchanged either way.  Verified mode and multi-core
+    simulation always use the legacy path.
 
     ``plan`` is a pruned crash plan (a :class:`repro.analysis.equiv_pass.
     CrashPlan` or a path to one emitted by ``repro analyze --emit-plan``):
@@ -601,7 +849,7 @@ def run_campaign(
     (app, params, config, versions) or a :class:`~repro.errors.UsageError`
     is raised.  Requires the golden-pass engine.
     """
-    if cfg.nodes > 1 and not _shard:
+    if cfg.nodes > 1:
         from repro.errors import UsageError
 
         raise UsageError(
@@ -609,167 +857,6 @@ def run_campaign(
             "repro.cluster.run_cluster_campaign (CLI: `repro campaign "
             "--nodes`), which shards the campaign and orchestrates recovery"
         )
-    crash_plan = None
-    if plan is not None:
-        from repro.analysis.equiv_pass import CrashPlan
-
-        crash_plan = plan if isinstance(plan, CrashPlan) else CrashPlan.load(plan)
-        crash_plan.validate_for(factory, cfg)
-        if cfg.n_cores > 1 or cfg.verified_mode or golden is False:
-            from repro.errors import UsageError
-
-            raise UsageError(
-                "a pruned crash plan requires the golden-pass engine: "
-                "single-core, non-verified, and not --no-golden"
-            )
-    from repro.memsim.crashmodel import get_model
-
-    crash_model = get_model(cfg.crash_model)
-    if not crash_model.is_default and (cfg.n_cores > 1 or cfg.verified_mode):
-        from repro.errors import UsageError
-
-        raise UsageError(
-            f"crash model {crash_model.spec!r} requires a single-core, "
-            "non-verified campaign (whole-cache-loss is the only model the "
-            "multi-core and verified paths support)"
-        )
-    reg = registry()
-    tracer = reg.tracer if reg is not None else None
-    with maybe_span(tracer, "campaign", app=factory.name, tests=cfg.n_tests):
-        with maybe_span(tracer, "golden", app=factory.name):
-            golden_result, _ = factory.golden()
-
-        # Profile pass: total access count and the main-loop crash window,
-        # then sample + dedupe the crash points (shared with the
-        # orchestration service, which re-derives the same points).
-        points, weights = campaign_points(factory, cfg)
-        if crash_plan is not None and (
-            crash_plan.points != [int(p) for p in points]
-            or crash_plan.weights != [int(w) for w in weights]
-        ):
-            from repro.errors import UsageError
-
-            raise UsageError(
-                "crash plan's sampled points disagree with this campaign's "
-                "sampling — the plan is stale; re-emit with "
-                "`repro analyze --emit-plan`"
-            )
-        use_golden = crash_plan is not None or (
-            (golden if golden is not None else _golden_default())
-            and cfg.n_cores == 1
-            and not cfg.verified_mode
-            and points.size > 0
-        )
-        with maybe_span(tracer, "instrumented_run", app=factory.name):
-            rt, iterations = _instrumented_run(factory, cfg, points, golden=use_golden)
-        store = rt.golden_store() if use_golden else None
-        n_snaps = store.n_images if store is not None else len(rt.snapshots)
-        if n_snaps != points.size:
-            raise RuntimeError(
-                f"{factory.name}: {points.size} crash points but {n_snaps} snapshots"
-            )
-        if crash_plan is not None:
-            from repro.analysis.equiv_pass import partition_signatures
-
-            assert store is not None
-            if partition_signatures(store.image_signatures()) != crash_plan.class_ids:
-                raise RuntimeError(
-                    "crash plan is stale: the recorded write-back partition "
-                    "differs from the plan's equivalence classes — re-emit "
-                    "with `repro analyze --emit-plan`"
-                )
-
-        from repro.nvct.parallel import DEFAULT_CHUNK_TIMEOUT, classify_snapshots, resolve_jobs
-
-        journal_obj = None
-        completed: dict[int, CrashTestRecord] = {}
-        if journal is not None:
-            from repro.nvct.journal import CampaignJournal, campaign_header
-
-            journal_obj, completed = CampaignJournal.open_or_resume(
-                journal, campaign_header(factory, cfg)
-            )
-
-        n_jobs = resolve_jobs(jobs)
-        records: list[CrashTestRecord | None] = [None] * n_snaps
-        for i, rec in completed.items():
-            if 0 <= i < n_snaps:
-                records[i] = rec
-        to_run = (
-            crash_plan.executed_indices()
-            if crash_plan is not None
-            else range(n_snaps)
-        )
-        missing = [i for i in to_run if records[i] is None]
-        try:
-            with maybe_span(
-                tracer, "classify", app=factory.name, tests=n_snaps,
-                replayed=n_snaps - len(missing),
-            ):
-                if n_jobs > 1 and len(missing) > 1:
-
-                    def _sink(local: int, rec: CrashTestRecord) -> None:
-                        if journal_obj is not None:
-                            journal_obj.append(missing[local], rec)
-
-                    if store is not None:
-                        from repro.memsim.golden import GoldenSnapshotSource
-
-                        batch: "object" = GoldenSnapshotSource(store, missing)
-                    else:
-                        batch = [rt.snapshots[i] for i in missing]
-                    fanned = classify_snapshots(
-                        factory,
-                        batch,
-                        golden_result.iterations,
-                        cfg,
-                        jobs=n_jobs,
-                        chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT,
-                        retry=retry,
-                        record_sink=_sink if journal_obj is not None else None,
-                    )
-                    for i, rec in zip(missing, fanned):
-                        records[i] = rec
-                else:
-                    # In-process streaming: golden snapshots are *borrowed*
-                    # zero-copy views, consumed one trial at a time.
-                    snaps = (
-                        store.snapshots(missing)
-                        if store is not None
-                        else (rt.snapshots[i] for i in missing)
-                    )
-                    for i, snap in zip(missing, snaps):
-                        rec = _classify_trial(
-                            factory, snap, golden_result.iterations,
-                            cfg, trial_timeout,
-                        )
-                        records[i] = rec
-                        if journal_obj is not None:
-                            journal_obj.append(i, rec)
-        finally:
-            if journal_obj is not None:
-                journal_obj.close()
-        if crash_plan is not None:
-            _broadcast_plan_records(crash_plan, records, store)
-        assert all(r is not None for r in records)
-        # Weights derive deterministically from the seed, so re-applying
-        # them on a journal resume reproduces the uninterrupted result.
-        for rec, w in zip(records, weights):
-            rec.weight = int(w)  # type: ignore[union-attr]
-        if reg is not None:
-            rt.publish_metrics(reg)
-            reg.counter("campaign.runs", unit="campaigns").inc()
-            reg.counter("campaign.tests", unit="tests").inc(len(records))
-            for rec in records:  # type: ignore[assignment]
-                reg.counter(
-                    f"campaign.response.{rec.response.name}", unit="tests"
-                ).inc()
-    return CampaignResult(
-        app=factory.name,
-        plan=cfg.plan,
-        records=records,  # type: ignore[arg-type]
-        run_stats=_run_stats(rt, iterations),
-        golden_iterations=golden_result.iterations,
-        executed_trials=len(list(to_run)),
-        crash_model=crash_model.spec,
-    )
+    with phase_span("campaign", factory, tests=cfg.n_tests):
+        (shard,), _ = plan_shards(factory, cfg, plan, golden=golden, journal=journal)
+        return run_shard(factory, shard, jobs, chunk_timeout, retry, trial_timeout)

@@ -31,11 +31,13 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import JournalError, SnapshotCorruptError
 from repro.obs import registry as obs_registry
+from repro.obs.metrics import bump
 
 if TYPE_CHECKING:
     from repro.apps.base import AppFactory
@@ -43,7 +45,9 @@ if TYPE_CHECKING:
 
 __all__ = [
     "JOURNAL_FORMAT_VERSION",
+    "SealedJournal",
     "CampaignJournal",
+    "TrialLedger",
     "campaign_header",
     "scan_journal",
     "load_journal",
@@ -148,25 +152,124 @@ def load_journal(path: str | Path) -> tuple[dict | None, dict[int, "CrashTestRec
     return header, records, valid
 
 
-class CampaignJournal:
-    """Append-only fsync'd trial journal for one campaign."""
+class SealedJournal:
+    """Append-only fsync'd JSONL file of CRC-sealed lines, header first.
+
+    The write-ahead mechanics the campaign journal and the service's
+    lease journal (:class:`repro.service.leases.LeaseJournal`) share: a
+    line is either durably on disk or it never happened; the torn tail a
+    SIGKILL can leave is quarantined and truncated on resume; a journal
+    of a different campaign or cluster topology is refused.
+    """
+
+    #: how refusal messages name this kind of journal
+    WHAT = "journal"
+
+    #: Write attempts per append before giving up.  Transient faults can
+    #: arrive back to back (the chaos schedule at seed 7 proves it), so a
+    #: single absorbed failure is not enough; three bounded attempts ride
+    #: out a double fault while a persistently unwritable journal — which
+    #: has lost its crash-safety guarantee — still fails loudly.
+    APPEND_ATTEMPTS = 3
 
     def __init__(self, path: str | Path, header: dict):
         self.path = Path(path)
         self.header = header
-        self.appended = 0
         self._fh = None  # type: ignore[assignment]
 
     # -- lifecycle ------------------------------------------------------------
 
     @classmethod
-    def create(cls, path: str | Path, header: dict) -> "CampaignJournal":
+    def create(cls, path: str | Path, header: dict):
         """Start a fresh journal (truncating any previous file)."""
         journal = cls(path, header)
         journal.path.parent.mkdir(parents=True, exist_ok=True)
         journal._fh = open(journal.path, "wb")
         journal._write_line(header)
         return journal
+
+    @classmethod
+    def _refuse_foreign(cls, path: Path, found: dict, header: dict) -> None:
+        """Raise unless the on-disk header ``found`` journals ``header``'s campaign."""
+        if found.get("topology") != header.get("topology"):
+            # Checked before the key so the operator sees the real cause:
+            # same campaign, replayed under a different cluster topology
+            # (--nodes/--correlation/crash model), would interleave shard
+            # records that belong to different burst schedules.
+            raise JournalError(
+                f"{path}: {cls.WHAT} was recorded under a different cluster "
+                f"topology (found {found.get('topology')!r}, campaign has "
+                f"{header.get('topology')!r}); refusing to resume"
+            )
+        if found.get("key") != header.get("key"):
+            raise JournalError(
+                f"{path}: {cls.WHAT} belongs to a different campaign "
+                f"(app {found.get('app')!r}, key {str(found.get('key'))[:12]}…); "
+                "refusing to resume"
+            )
+
+    @classmethod
+    def _reopen(cls, path: Path, found: dict, header: dict, raw: bytes, valid: int):
+        """Reopen ``path`` for appending once its header checks out;
+        quarantine and truncate the invalid tail ``raw[valid:]`` so
+        subsequent appends stay line-aligned."""
+        from repro.harness.store import quarantine_bytes
+
+        cls._refuse_foreign(path, found, header)
+        if raw[valid:]:
+            quarantine_bytes(raw[valid:], path.parent, path.name + ".tail")
+        journal = cls(path, found)
+        journal._fh = open(path, "r+b")
+        journal._fh.truncate(valid)  # drop the quarantined tail from the live file
+        journal._fh.seek(valid)
+        return journal
+
+    def close(self) -> None:
+        if self._fh is not None:
+            try:
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+            finally:
+                self._fh.close()
+                self._fh = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    # -- the write-ahead append ----------------------------------------------
+
+    def _write_line(self, doc: dict) -> None:
+        from repro.harness.chaos import injector as chaos_injector
+        from repro.harness.store import seal_line
+
+        assert self._fh is not None, f"{self.WHAT} is closed"
+        line = json.dumps(seal_line(doc), sort_keys=True).encode("utf-8") + b"\n"
+        if (ch := chaos_injector()) is not None:
+            ch.maybe_sleep("journal.append")
+            ch.check_io("journal.append")
+        self._fh.write(line)
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+
+    def _append(self, doc: dict) -> None:
+        """Durably append one line (fsync before returning).  Transient
+        I/O failures are absorbed by reopening the file and retrying, at
+        most :attr:`APPEND_ATTEMPTS` times in total; then they propagate."""
+        for attempt in range(self.APPEND_ATTEMPTS):
+            try:
+                self._write_line(doc)
+                break
+            except OSError:
+                if attempt == self.APPEND_ATTEMPTS - 1:
+                    raise
+                self._fh = open(self.path, "ab")
+
+
+class CampaignJournal(SealedJournal):
+    """Append-only fsync'd trial journal for one campaign."""
 
     @classmethod
     def open_or_resume(
@@ -179,11 +282,8 @@ class CampaignJournal:
         :class:`~repro.errors.JournalError` instead of silently
         discarding its contents.  An invalid tail — a torn in-flight
         append or a record that fails its CRC — is quarantined beside
-        the journal and truncated away so subsequent appends stay
-        line-aligned; the affected trials re-run.
+        the journal and truncated away; the affected trials re-run.
         """
-        from repro.harness.store import quarantine_bytes
-
         path = Path(path)
         if not path.exists() or path.stat().st_size == 0:
             return cls.create(path, header), {}
@@ -192,89 +292,66 @@ class CampaignJournal:
             raise JournalError(
                 f"{path}: not a campaign journal (delete it or pick another path)"
             )
-        if found.get("topology") != header.get("topology"):
-            # Checked before the key so the operator sees the real cause:
-            # same campaign, replayed under a different cluster topology
-            # (--nodes/--correlation/crash model), would interleave shard
-            # records that belong to different burst schedules.
-            raise JournalError(
-                f"{path}: journal was recorded under a different cluster topology "
-                f"(found {found.get('topology')!r}, campaign has "
-                f"{header.get('topology')!r}); refusing to resume"
-            )
-        if found.get("key") != header.get("key"):
-            raise JournalError(
-                f"{path}: journal belongs to a different campaign "
-                f"(app {found.get('app')!r}, key {str(found.get('key'))[:12]}…); "
-                "refusing to resume"
-            )
-        tail = path.read_bytes()[valid:]
-        if tail:
-            quarantine_bytes(tail, path.parent, path.name + ".tail")
-        journal = cls(path, found)
-        journal._fh = open(path, "r+b")
-        journal._fh.truncate(valid)  # drop the quarantined tail from the live file
-        journal._fh.seek(valid)
+        journal = cls._reopen(path, found, header, path.read_bytes(), valid)
         if (reg := obs_registry()) is not None:
             reg.counter("journal.resumes", unit="resumes").inc()
             reg.counter("journal.replayed", unit="trials").inc(len(records))
         return journal, records
 
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            finally:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "CampaignJournal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- the write-ahead append ----------------------------------------------
-
-    def _write_line(self, doc: dict) -> None:
-        from repro.harness.chaos import injector as chaos_injector
-        from repro.harness.store import seal_line
-
-        assert self._fh is not None, "journal is closed"
-        line = json.dumps(seal_line(doc), sort_keys=True).encode("utf-8") + b"\n"
-        if (ch := chaos_injector()) is not None:
-            ch.maybe_sleep("journal.append")
-            ch.check_io("journal.append")
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    #: Write attempts per append before giving up.  Transient faults can
-    #: arrive back to back (the chaos schedule at seed 7 proves it), so a
-    #: single absorbed failure is not enough; three bounded attempts ride
-    #: out a double fault while a persistently unwritable journal — which
-    #: has lost its crash-safety guarantee — still fails loudly.
-    APPEND_ATTEMPTS = 3
-
     def append(self, index: int, record: "CrashTestRecord") -> None:
-        """Durably journal one completed trial (fsync before returning).
-
-        Transient I/O failures are absorbed by reopening the file and
-        retrying, at most :attr:`APPEND_ATTEMPTS` times in total; after
-        that the failure propagates.
-        """
+        """Durably journal one completed trial (fsync before returning)."""
         from repro.nvct.serialize import record_to_dict
 
-        doc = {"kind": "trial", "index": index, "record": record_to_dict(record)}
-        for attempt in range(self.APPEND_ATTEMPTS):
-            try:
-                self._write_line(doc)
-                break
-            except OSError:
-                if attempt == self.APPEND_ATTEMPTS - 1:
-                    raise
-                self._fh = open(self.path, "ab")
-        self.appended += 1
+        self._append({"kind": "trial", "index": index, "record": record_to_dict(record)})
         if (reg := obs_registry()) is not None:
             reg.counter("journal.appends", unit="trials").inc()
+
+
+@dataclass
+class TrialLedger:
+    """The one committer: journal first, each trial index at most once.
+
+    ``add`` journals (fsync) and keeps a record iff its index is new;
+    duplicates — a re-sent record after a lost ack, a ``msg_duplicate``
+    chaos double, a zombie worker's in-flight stream — are dropped and
+    counted.  Safe because classification is deterministic: every
+    delivery of index ``i`` carries the bit-identical record.  ``records``
+    is keyed by crash-point index, which is the order results are
+    assembled in.  Used by the local engine (:func:`repro.nvct.campaign.
+    run_shard`) and the ``repro serve`` scheduler alike.
+    """
+
+    journal: CampaignJournal | None
+    records: "dict[int, CrashTestRecord]" = field(default_factory=dict)
+
+    @classmethod
+    def open(cls, path: str | Path | None, header: dict, n_trials: int) -> "TrialLedger":
+        """Ledger over ``path`` (created or resumed; ``None``: in memory
+        only), pre-loaded with the journal's completed in-range trials."""
+        if path is None:
+            return cls(None)
+        journal, completed = CampaignJournal.open_or_resume(path, header)
+        return cls(journal, {i: r for i, r in completed.items() if 0 <= i < n_trials})
+
+    def close(self) -> None:
+        if self.journal is not None:
+            self.journal.close()
+
+    @property
+    def indices(self) -> set[int]:
+        return set(self.records)
+
+    def add(self, index: int, record: "CrashTestRecord") -> bool:
+        if index in self.records:
+            bump("service.duplicate_records", unit="records")
+            return False
+        if self.journal is not None:
+            self.journal.append(index, record)
+        self.records[index] = record
+        return True
+
+    def has(self, index: int) -> bool:
+        return index in self.records
+
+    def missing(self, indices: Iterable[int]) -> list[int]:
+        return [i for i in indices if i not in self.records]

@@ -39,9 +39,8 @@ from repro.obs import registry
 __all__ = [
     "resolve_jobs",
     "chunk_indices",
-    "SnapshotSource",
-    "as_snapshot_source",
     "classify_snapshots",
+    "classify_pooled",
     "run_campaigns",
     "DEFAULT_CHUNK_TIMEOUT",
 ]
@@ -49,7 +48,13 @@ __all__ = [
 if TYPE_CHECKING:  # avoid import cycles at runtime
     from repro.apps.base import AppFactory
     from repro.harness.resilience import RetryPolicy
-    from repro.nvct.campaign import CampaignConfig, CampaignResult, CrashTestRecord
+    from repro.memsim.golden import GoldenSnapshotSource
+    from repro.nvct.campaign import (
+        CampaignConfig,
+        CampaignResult,
+        CrashTestRecord,
+        PreparedShard,
+    )
     from repro.nvct.runtime import Snapshot
 
 #: Seconds one chunk (or one whole campaign, in :func:`run_campaigns`) may
@@ -62,35 +67,6 @@ MAX_TASKS_PER_CHILD = 32
 #: Snapshots materialized per batch when the parent classifies serially
 #: from a lazy source (bounds peak memory to a few images).
 _SERIAL_BATCH = 64
-
-
-class SnapshotSource:
-    """List-backed snapshot provider (the snapshot-source protocol).
-
-    The classification engine only ever asks for contiguous ascending
-    ranges via ``get(lo, hi)`` plus ``len()``.  Lazy providers — the
-    golden-pass :class:`~repro.memsim.golden.GoldenSnapshotSource`, which
-    materializes crash images from write-back deltas on demand — implement
-    the same two methods instead of holding N full images in memory.
-    """
-
-    def __init__(self, snapshots: Sequence["Snapshot"]) -> None:
-        self._snaps = list(snapshots)
-
-    def __len__(self) -> int:
-        return len(self._snaps)
-
-    def get(self, lo: int, hi: int) -> list["Snapshot"]:
-        return self._snaps[lo:hi]
-
-
-def as_snapshot_source(snapshots) -> "SnapshotSource":
-    """Wrap a plain sequence; pass lazy sources (``get``/``len``) through."""
-    if hasattr(snapshots, "get") and hasattr(snapshots, "__len__") and not isinstance(
-        snapshots, (list, tuple)
-    ):
-        return snapshots
-    return SnapshotSource(snapshots)
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -138,16 +114,12 @@ def _pool_context() -> multiprocessing.context.BaseContext:
 # Worker state is installed once per worker by the pool initializer; chunk
 # tasks then only carry packed snapshots.
 
-_worker_state: dict | None = None
+_worker_state: tuple | None = None  # (factory, golden_iterations, cfg)
 
 
-def _classify_worker_init(factory, golden_iterations, cfg) -> None:
+def _classify_worker_init(*state) -> None:
     global _worker_state
-    _worker_state = {
-        "factory": factory,
-        "golden_iterations": golden_iterations,
-        "cfg": cfg,
-    }
+    _worker_state = state
 
 
 def _classify_chunk(task: tuple[int, list[dict]]):
@@ -159,23 +131,19 @@ def _classify_chunk(task: tuple[int, list[dict]]):
     index, packed = task
     if (ch := chaos_injector()) is not None:
         ch.maybe_kill("parallel.worker")
-    st = _worker_state
-    records = []
-    for p in packed:
-        # unpack outside the quarantine: a corrupt *payload*
-        # (SnapshotCorruptError) must fail the whole chunk so the parent
-        # retries / reclassifies from its pristine snapshot, while a
-        # poison *trial* is quarantined as a FAILED record right here.
-        snap = unpack_snapshot(p)
-        records.append(
-            _classify_trial(st["factory"], snap, st["golden_iterations"], st["cfg"])
-        )
-    return index, records
+    # unpack outside the quarantine: a corrupt *payload*
+    # (SnapshotCorruptError) must fail the whole chunk so the parent
+    # retries / reclassifies from its pristine snapshot, while a poison
+    # *trial* is quarantined as a FAILED record right here.
+    factory, golden_iterations, cfg = _worker_state
+    return index, [
+        _classify_trial(factory, unpack_snapshot(p), golden_iterations, cfg) for p in packed
+    ]
 
 
 def classify_snapshots(
     factory: "AppFactory",
-    snapshots: "Sequence[Snapshot] | SnapshotSource",
+    snapshots: "Sequence[Snapshot] | GoldenSnapshotSource",
     golden_iterations: int,
     cfg: "CampaignConfig",
     jobs: int | None = None,
@@ -185,11 +153,12 @@ def classify_snapshots(
 ) -> list["CrashTestRecord"]:
     """Classify every snapshot, fanning out over ``jobs`` processes.
 
-    ``snapshots`` is a plain sequence or any snapshot source
-    (``get``/``len`` protocol, see :class:`SnapshotSource`) — the golden
-    engine passes a lazy source that reconstructs crash images from
-    write-back deltas per requested range, both for chunk payload packing
-    and for the pristine serial fallback.
+    ``snapshots`` is a plain sequence or a lazy snapshot source
+    (``len()`` plus ``get(lo, hi)`` for contiguous ascending ranges) —
+    the golden engine passes a :class:`~repro.memsim.golden.
+    GoldenSnapshotSource` that reconstructs crash images from write-back
+    deltas per requested range, both for chunk payload packing and for
+    the pristine serial fallback, instead of holding N full images.
 
     Bit-identical to the serial ``[_classify(...) for snap in snapshots]``
     under any job count: classification is pure (plain-mode restart, no
@@ -211,31 +180,33 @@ def classify_snapshots(
 
     from repro.harness.chaos import WORKER_DEATH_TIMEOUT
     from repro.harness.chaos import injector as chaos_injector
-    from repro.harness.resilience import CircuitBreaker, RetryPolicy
-    from repro.nvct.campaign import _classify_trial
+    from repro.harness.resilience import POOL_CHUNK_RETRY, new_breaker
+    from repro.nvct.campaign import _classify_each
     from repro.nvct.serialize import pack_snapshot
 
     jobs = resolve_jobs(jobs)
-    source = as_snapshot_source(snapshots)
-    n_snaps = len(source)
+    n_snaps = len(snapshots)
+    get = getattr(snapshots, "get", None) or (lambda lo, hi: snapshots[lo:hi])
 
     def classify_serial(lo: int, hi: int) -> list:
+        # The inline trial loop over materialized batches of the source.
+        snaps = (
+            snap
+            for start in range(lo, hi, _SERIAL_BATCH)
+            for snap in get(start, min(start + _SERIAL_BATCH, hi))
+        )
         out = []
-        for start in range(lo, hi, _SERIAL_BATCH):
-            stop = min(start + _SERIAL_BATCH, hi)
-            for offset, snap in enumerate(source.get(start, stop)):
-                rec = _classify_trial(factory, snap, golden_iterations, cfg)
-                if record_sink is not None:
-                    record_sink(start + offset, rec)
-                out.append(rec)
+        for rec in _classify_each(factory, snaps, golden_iterations, cfg):
+            if record_sink is not None:
+                record_sink(lo + len(out), rec)
+            out.append(rec)
         return out
 
     if jobs <= 1 or n_snaps < 2:
         return classify_serial(0, n_snaps)
 
-    if retry is None:
-        retry = RetryPolicy()
-    breaker = CircuitBreaker()
+    retry = retry or POOL_CHUNK_RETRY
+    breaker = new_breaker()
     if (ch := chaos_injector()) is not None and "worker_death" in ch.kinds:
         # A killed worker never posts its result; the chunk timeout is the
         # detection latency, so clamp it to keep fault-injection runs fast.
@@ -244,7 +215,7 @@ def classify_snapshots(
     factory.golden()  # warm before fork so workers inherit it
     chunks = chunk_indices(n_snaps, jobs)
     payloads = [
-        (ci, [pack_snapshot(s) for s in source.get(lo, hi)])
+        (ci, [pack_snapshot(s) for s in get(lo, hi)])
         for ci, (lo, hi) in enumerate(chunks)
     ]
     done: dict[int, list] = {}
@@ -308,6 +279,31 @@ def classify_snapshots(
                 len(done) / len(chunks)
             )
     return out
+
+
+def classify_pooled(
+    shard: "PreparedShard",
+    indices: Sequence[int],
+    sink: "Callable[[int, CrashTestRecord], object]",
+    jobs: int,
+    chunk_timeout: float | None = None,
+    retry: "RetryPolicy | None" = None,
+) -> None:
+    """The process-pool executor over a prepared shard: classify trials
+    ``indices`` through :func:`classify_snapshots` (packed, *copied*
+    payloads — a shipped image must not alias the replay buffers) and
+    hand each ``(index, record)`` to ``sink`` as its chunk lands."""
+    if shard.store is not None:
+        from repro.memsim.golden import GoldenSnapshotSource
+
+        batch: object = GoldenSnapshotSource(shard.store, indices)
+    else:
+        batch = [shard.runtime.snapshots[i] for i in indices]
+    classify_snapshots(
+        shard.factory, batch, shard.golden_iterations, shard.cfg,  # type: ignore[arg-type]
+        jobs=jobs, chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT, retry=retry,
+        record_sink=lambda local, rec: sink(indices[local], rec),
+    )
 
 
 # -- application-level campaign map -------------------------------------------

@@ -122,12 +122,16 @@ def run_stats_from_dict(rs: dict) -> RunStats:
 
 
 def record_to_dict(r: CrashTestRecord) -> dict:
-    """JSON-compatible dict of one crash-test record (file + journal format)."""
+    """JSON-compatible dict of one crash-test record (file + journal format).
+
+    ``rates`` is emitted in sorted key order — the order a record replayed
+    from a (``sort_keys``) journal carries — so a saved campaign's bytes
+    do not depend on whether its records were classified or replayed."""
     doc = {
         "counter": r.counter,
         "iteration": r.iteration,
         "region": r.region,
-        "rates": {k: float(v) for k, v in r.rates.items()},
+        "rates": {k: float(r.rates[k]) for k in sorted(r.rates)},
         "response": r.response.name,
         "extra_iterations": r.extra_iterations,
     }

@@ -18,13 +18,19 @@ story is the point, not a bolt-on:
   missed its deadline but kept running) has its late commit rejected
   by the stale token;
 * trial records are **exactly-once** in the campaign journal: the
-  scheduler dedupes by trial index, which is safe because
+  engine's own committer (:class:`repro.nvct.journal.TrialLedger`)
+  dedupes by trial index, which is safe because
   classification is deterministic — any two workers that classify the
   same snapshot produce the bit-identical record;
 * the final result is assembled by the ordinary
   :func:`~repro.nvct.campaign.run_campaign` replaying the fully
   populated journal, so a service campaign is **bit-identical** to a
   serial one by construction.
+
+The service is one executor of the engine's pipeline, not a second
+engine: the scheduler runs only :func:`~repro.nvct.campaign.plan_shards`
+and a worker's :class:`ChunkExecutor` *is* a
+:class:`~repro.nvct.campaign.PreparedShard`.
 
 Layout: :mod:`~repro.service.leases` (lease state machine + journals,
 no I/O besides the journal, no wall-clock reads — callers pass ``now``),
@@ -34,7 +40,8 @@ CRC-sealed like journal lines), :mod:`~repro.service.scheduler`
 :mod:`~repro.service.worker` (the pull-execute-commit loop).
 """
 
-from repro.service.leases import Chunk, LeaseJournal, LeaseState, LeaseTable, TrialLedger
+from repro.nvct.journal import TrialLedger
+from repro.service.leases import Chunk, LeaseJournal, LeaseState, LeaseTable
 from repro.service.scheduler import CampaignScheduler, serve_forever
 from repro.service.worker import ChunkExecutor, run_worker
 

@@ -1,6 +1,8 @@
-"""Lease state machine, lease journal, and the exactly-once trial ledger.
+"""Lease state machine and lease journal.
 
-The scheduler's whole queue is three small, separately testable pieces:
+The scheduler's queue is two small, separately testable pieces (the
+exactly-once record sink in front of each shard's campaign journal is
+the engine's own :class:`repro.nvct.journal.TrialLedger`):
 
 * :class:`LeaseTable` — pure in-memory state machine over the campaign's
   chunks.  **No wall-clock reads**: every time-dependent transition takes
@@ -18,34 +20,22 @@ The scheduler's whole queue is three small, separately testable pieces:
   before the worker sees it), so ``repro serve --resume`` rebuilds the
   table by pure replay; foreign journals are refused through the same
   campaign-key + topology-fingerprint checks as campaign journals.
-* :class:`TrialLedger` — the exactly-once sink in front of one shard's
-  campaign journal: a record is appended iff its trial index has never
-  been journaled.  Deduplicating by index is sufficient because
-  classification is deterministic — a duplicate delivery or a zombie's
-  in-flight record carries bit-identical content.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.errors import JournalError
+from repro.nvct.journal import SealedJournal, scan_journal
 from repro.obs.metrics import bump
-
-if TYPE_CHECKING:
-    from repro.nvct.campaign import CrashTestRecord
-    from repro.nvct.journal import CampaignJournal
 
 __all__ = [
     "Chunk",
     "LeaseState",
     "LeaseTable",
     "LeaseJournal",
-    "TrialLedger",
     "lease_header",
 ]
 
@@ -219,30 +209,18 @@ def lease_header(
     return header
 
 
-class LeaseJournal:
+class LeaseJournal(SealedJournal):
     """Append-only fsync'd event journal for one scheduler's queue.
 
-    Same write-ahead discipline as the campaign journal: an event is
-    either durably on disk or it never happened.  The torn tail a
-    SIGKILL can leave is quarantined and truncated on resume, exactly
-    like :meth:`repro.nvct.journal.CampaignJournal.open_or_resume` —
-    losing the tail is always safe because every lost event is
+    Same write-ahead discipline as the campaign journal (shared
+    :class:`~repro.nvct.journal.SealedJournal` mechanics): an event is
+    either durably on disk or it never happened.  Losing the torn tail a
+    SIGKILL can leave is always safe because every lost event is
     re-derivable (an un-journaled grant was never exposed to a worker;
     an un-journaled commit leaves the chunk pending and it re-runs).
     """
 
-    def __init__(self, path: str | Path, header: dict):
-        self.path = Path(path)
-        self.header = header
-        self._fh = None  # type: ignore[assignment]
-
-    @classmethod
-    def create(cls, path: str | Path, header: dict) -> "LeaseJournal":
-        journal = cls(path, header)
-        journal.path.parent.mkdir(parents=True, exist_ok=True)
-        journal._fh = open(journal.path, "wb")
-        journal._write_line(header)
-        return journal
+    WHAT = "lease journal"
 
     @classmethod
     def open_or_resume(
@@ -251,14 +229,11 @@ class LeaseJournal:
         """Resume ``path`` if it journals this queue, else start fresh.
 
         Returns the journal and every intact replayable event, in append
-        order.  Refusal rules mirror the campaign journal's (topology
-        first, then the content key), plus the service-shape check: a
-        journal written under a different chunk size describes a
-        different queue and cannot be replayed onto this one.
+        order.  Refusal rules are the campaign journal's (topology first,
+        then the content key), plus the service-shape check: a journal
+        written under a different chunk size describes a different queue
+        and cannot be replayed onto this one.
         """
-        from repro.harness.store import quarantine_bytes
-        from repro.nvct.journal import scan_journal
-
         path = Path(path)
         if not path.exists() or path.stat().st_size == 0:
             return cls.create(path, header), []
@@ -268,18 +243,18 @@ class LeaseJournal:
             raise JournalError(
                 f"{path}: not a lease journal (delete it or pick another path)"
             )
-        if found.get("topology") != header.get("topology"):
-            raise JournalError(
-                f"{path}: lease journal was recorded under a different cluster "
-                f"topology (found {found.get('topology')!r}, campaign has "
-                f"{header.get('topology')!r}); refusing to resume"
-            )
-        if found.get("key") != header.get("key"):
-            raise JournalError(
-                f"{path}: lease journal belongs to a different campaign "
-                f"(app {found.get('app')!r}, key {str(found.get('key'))[:12]}…); "
-                "refusing to resume"
-            )
+        journal = cls._reopen(path, found, header, raw, valid)
+        events = [
+            {k: v for k, v in doc.items() if k != "crc"}
+            for doc, _ in lines
+            if doc.get("kind") == "lease-event"
+        ]
+        bump("service.lease_journal_resumes", unit="resumes")
+        return journal, events
+
+    @classmethod
+    def _refuse_foreign(cls, path: Path, found: dict, header: dict) -> None:
+        super()._refuse_foreign(path, found, header)
         for param in ("chunk_size", "deadline_s", "n_chunks"):
             if found.get(param) != header.get(param):
                 raise JournalError(
@@ -288,91 +263,8 @@ class LeaseJournal:
                     f"{header.get(param)!r} — the chunk layout would not "
                     "match; re-run with the original value or start fresh"
                 )
-        tail = raw[valid:]
-        if tail:
-            quarantine_bytes(tail, path.parent, path.name + ".tail")
-        events = [
-            {k: v for k, v in doc.items() if k != "crc"}
-            for doc, _ in lines
-            if doc.get("kind") == "lease-event"
-        ]
-        journal = cls(path, found)
-        journal._fh = open(path, "r+b")
-        journal._fh.truncate(valid)
-        journal._fh.seek(valid)
-        bump("service.lease_journal_resumes", unit="resumes")
-        return journal, events
-
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            finally:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> "LeaseJournal":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    def _write_line(self, doc: dict) -> None:
-        from repro.harness.chaos import injector as chaos_injector
-        from repro.harness.store import seal_line
-
-        assert self._fh is not None, "lease journal is closed"
-        line = json.dumps(seal_line(doc), sort_keys=True).encode("utf-8") + b"\n"
-        if (ch := chaos_injector()) is not None:
-            ch.maybe_sleep("journal.append")
-            ch.check_io("journal.append")
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    #: Same bounded-retry budget as the campaign journal's appends.
-    APPEND_ATTEMPTS = 3
 
     def append(self, event: dict) -> None:
         """Durably journal one lease event (fsync before returning)."""
-        doc = {"kind": "lease-event", **event}
-        for attempt in range(self.APPEND_ATTEMPTS):
-            try:
-                self._write_line(doc)
-                break
-            except OSError:
-                if attempt == self.APPEND_ATTEMPTS - 1:
-                    raise
-                self._fh = open(self.path, "ab")
+        self._append({"kind": "lease-event", **event})
         bump("service.lease_events", unit="events")
-
-
-@dataclass
-class TrialLedger:
-    """Exactly-once gate in front of one shard's campaign journal.
-
-    ``add`` journals a record iff its index is new; duplicates — a
-    re-sent record after a lost ack, a ``msg_duplicate`` chaos double, a
-    zombie's in-flight stream — are dropped and counted.  Safe because
-    classification is deterministic: every delivery of index ``i``
-    carries the bit-identical record.
-    """
-
-    journal: "CampaignJournal | None"
-    indices: set[int] = field(default_factory=set)
-
-    def add(self, index: int, record: "CrashTestRecord") -> bool:
-        if index in self.indices:
-            bump("service.duplicate_records", unit="records")
-            return False
-        if self.journal is not None:
-            self.journal.append(index, record)
-        self.indices.add(index)
-        return True
-
-    def has(self, index: int) -> bool:
-        return index in self.indices
-
-    def missing(self, indices: tuple[int, ...]) -> list[int]:
-        return [i for i in indices if i not in self.indices]

@@ -25,25 +25,20 @@ from __future__ import annotations
 
 import socket as socket_mod
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
 from repro.errors import JournalError, UsageError
 from repro.obs.metrics import bump
-from repro.service.leases import (
-    Chunk,
-    LeaseJournal,
-    LeaseTable,
-    TrialLedger,
-    lease_header,
-)
+from repro.nvct.journal import TrialLedger
+from repro.service.leases import Chunk, LeaseJournal, LeaseTable, lease_header
 from repro.service.protocol import config_to_doc, encode
 
 if TYPE_CHECKING:
     from repro.apps.base import AppFactory
-    from repro.nvct.campaign import CampaignConfig
-    from repro.nvct.journal import CampaignJournal
+    from repro.analysis.equiv_pass import CrashPlan
+    from repro.nvct.campaign import CampaignConfig, ShardPlan
 
 __all__ = ["CampaignScheduler", "serve_forever", "DEFAULT_CHUNK_SIZE", "DEFAULT_DEADLINE_S"]
 
@@ -53,14 +48,16 @@ DEFAULT_DEADLINE_S = 30.0
 
 @dataclass
 class _Shard:
-    """One node's slice of the campaign: its config, journal and ledger."""
+    """One node's slice of the campaign: its plan, the self-contained
+    spec workers execute, and the ledger in front of its journal."""
 
-    node: int
-    cfg: "CampaignConfig"
-    n_snaps: int
-    spec: dict  # the self-contained campaign description workers execute
-    journal: "CampaignJournal"
+    plan: "ShardPlan"
+    spec: dict
     ledger: TrialLedger
+
+    @property
+    def n_snaps(self) -> int:
+        return self.plan.n_snaps
 
 
 class CampaignScheduler:
@@ -87,8 +84,8 @@ class CampaignScheduler:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         deadline_s: float = DEFAULT_DEADLINE_S,
         resume: bool = False,
-        crash_plan: "object | None" = None,
-        golden: bool | None = None,
+        crash_plan: "CrashPlan | str | Path | None" = None,
+        golden: bool = True,
         trial_timeout: float | None = None,
     ):
         if chunk_size < 1:
@@ -120,88 +117,39 @@ class CampaignScheduler:
 
     # -- queue construction ----------------------------------------------------
 
-    def _shard_cfgs(self) -> list["CampaignConfig"]:
-        """Per-node campaign configs, exactly as the cluster emulator cuts
-        them (so journal headers and sampling keys match shard for shard)."""
-        if self.cfg.nodes == 1:
-            return [self.cfg]
-        from repro.cluster.emulator import burst_schedule, trials_per_node
-        from repro.cluster.topology import ClusterTopology
-
-        topology = ClusterTopology.from_config(self.cfg)
-        bursts = burst_schedule(topology, self.cfg.n_tests, self.cfg.seed)
-        counts = trials_per_node(bursts, topology.nodes)
-        return [
-            replace(self.cfg, node=node, n_tests=n)
-            for node, n in enumerate(counts)
-            if n > 0
-        ]
-
     def prepare(self) -> None:
-        """Shard the campaign, open the journals, rebuild or create the queue."""
-        from repro.cluster.topology import node_journal_path
-        from repro.memsim.crashmodel import get_model
-        from repro.nvct.campaign import _golden_default, campaign_points
-        from repro.nvct.journal import CampaignJournal, campaign_header
+        """Shard the campaign, open the journals, rebuild or create the queue.
 
-        get_model(self.cfg.crash_model)  # validate the spec up front
-        if self.crash_plan is not None:
-            self.crash_plan.validate_for(self.factory, self.cfg)  # type: ignore[attr-defined]
+        Only the cheap half of the pipeline runs here
+        (:func:`~repro.nvct.campaign.plan_shards`: profile + sample per
+        shard) — the instrumented runs are the workers' job.
+        """
+        from repro.nvct.campaign import plan_shards
+        from repro.nvct.journal import campaign_header
 
+        shards, _ = plan_shards(
+            self.factory, self.cfg, self.crash_plan, golden=self.golden,
+            journal=self.journal_path, cluster=self.cfg.clustered,
+        )
         chunks: list[Chunk] = []
-        chunk_id = 0
-        for node_cfg in self._shard_cfgs():
-            points, weights = campaign_points(self.factory, node_cfg)
-            n_snaps = int(points.size)
-            if self.crash_plan is not None:
-                plan = self.crash_plan
-                if plan.points != [int(p) for p in points] or plan.weights != [  # type: ignore[attr-defined]
-                    int(w) for w in weights
-                ]:
-                    raise UsageError(
-                        "crash plan's sampled points disagree with this "
-                        "campaign's sampling — the plan is stale; re-emit "
-                        "with `repro analyze --emit-plan`"
-                    )
-                to_run: list[int] = list(plan.executed_indices())  # type: ignore[attr-defined]
-            else:
-                to_run = list(range(n_snaps))
-            use_golden = self.crash_plan is not None or (
-                (self.golden if self.golden is not None else _golden_default())
-                and node_cfg.n_cores == 1
-                and not node_cfg.verified_mode
-                and n_snaps > 0
-            )
-            journal, completed = CampaignJournal.open_or_resume(
-                node_journal_path(self.journal_path, node_cfg.node),
-                campaign_header(self.factory, node_cfg),
-            )
-            ledger = TrialLedger(journal, {i for i in completed if 0 <= i < n_snaps})
+        for shard in shards:
+            node = shard.cfg.node
+            shard_header = campaign_header(self.factory, shard.cfg)
+            ledger = TrialLedger.open(shard.journal, shard_header, shard.n_snaps)
             spec = {
                 "app": self.factory.name,
-                "key": journal.header["key"],
-                "cfg": config_to_doc(node_cfg),
-                "golden": use_golden,
+                "key": shard_header["key"],
+                "cfg": config_to_doc(shard.cfg),
+                "golden": shard.use_golden,
             }
             if self.trial_timeout is not None:
                 spec["trial_timeout"] = self.trial_timeout
-            self.shards[node_cfg.node] = _Shard(
-                node=node_cfg.node,
-                cfg=node_cfg,
-                n_snaps=n_snaps,
-                spec=spec,
-                journal=journal,
-                ledger=ledger,
-            )
+            self.shards[node] = _Shard(shard, spec, ledger)
+            to_run = list(shard.to_run)
             for lo in range(0, len(to_run), self.chunk_size):
                 chunks.append(
-                    Chunk(
-                        chunk_id=chunk_id,
-                        node=node_cfg.node,
-                        indices=tuple(to_run[lo : lo + self.chunk_size]),
-                    )
+                    Chunk(len(chunks), node, tuple(to_run[lo : lo + self.chunk_size]))
                 )
-                chunk_id += 1
 
         self.table = LeaseTable(chunks, self.deadline_s)
         header = lease_header(
@@ -373,7 +321,7 @@ class CampaignScheduler:
 
     def close(self) -> None:
         for shard in self.shards.values():
-            shard.journal.close()
+            shard.ledger.close()
         if self.lease_journal is not None:
             self.lease_journal.close()
 

@@ -30,14 +30,12 @@ from __future__ import annotations
 import os
 import socket as socket_mod
 import time
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import Callable, Iterator
 
 from repro.errors import ServiceError
+from repro.nvct.campaign import PreparedShard, plan_shards
 from repro.obs.metrics import bump
 from repro.service.protocol import LineReader, config_from_doc, encode
-
-if TYPE_CHECKING:
-    from repro.nvct.campaign import CampaignConfig
 
 __all__ = ["ChunkExecutor", "run_worker"]
 
@@ -52,36 +50,21 @@ DEFAULT_IDLE_TIMEOUT_S = 30.0
 REPLY_TIMEOUT_S = 60.0
 
 
-class ChunkExecutor:
-    """Executable form of one shard's campaign spec.
+class ChunkExecutor(PreparedShard):
+    """The socket-worker executor: one shard's spec made executable.
 
-    Building one replays the spec through the exact single-node pipeline
-    ``run_campaign`` uses — golden run, :func:`campaign_points`,
-    instrumented run, snapshot store — so :meth:`run` yields records
+    :meth:`from_spec` replays the spec through the engine's own pipeline
+    (:func:`~repro.nvct.campaign.plan_shards` →
+    :meth:`PreparedShard.record`), so :meth:`run` yields records
     bit-identical to the serial campaign's, trial index by trial index.
     """
 
-    def __init__(
-        self,
-        factory,
-        cfg: "CampaignConfig",
-        golden_iterations: int,
-        store,
-        runtime,
-        trial_timeout: float | None,
-    ):
-        self.factory = factory
-        self.cfg = cfg
-        self.golden_iterations = golden_iterations
-        self.store = store  # golden image store, or None on the legacy path
-        self.runtime = runtime
-        self.trial_timeout = trial_timeout
+    trial_timeout: float | None = None
 
     @classmethod
     def from_spec(cls, spec: dict) -> "ChunkExecutor":
         from repro.apps.registry import get_factory
         from repro.harness.cache import campaign_key
-        from repro.nvct.campaign import _instrumented_run, campaign_points
 
         try:
             factory = get_factory(str(spec["app"]))
@@ -98,40 +81,18 @@ class ChunkExecutor:
                 f"{str(spec.get('key'))[:12]}…, this worker derives "
                 f"{key[:12]}… — mixed package versions? refusing the lease"
             )
-        golden_result, _ = factory.golden()
-        points, _weights = campaign_points(factory, cfg)
-        use_golden = bool(spec.get("golden"))
-        rt, _iterations = _instrumented_run(factory, cfg, points, golden=use_golden)
-        store = rt.golden_store() if use_golden else None
-        n_snaps = store.n_images if store is not None else len(rt.snapshots)
-        if n_snaps != points.size:
-            raise ServiceError(
-                f"{factory.name}: {points.size} crash points but {n_snaps} snapshots"
-            )
-        return cls(
-            factory,
-            cfg,
-            golden_result.iterations,
-            store,
-            rt,
-            spec.get("trial_timeout"),
-        )
+        # The shipped cfg is one shard as it stands (no cluster cut), and
+        # the scheduler already chose the engine.
+        (plan,), _ = plan_shards(factory, cfg, golden=bool(spec.get("golden")))
+        executor = cls.record(factory, plan)
+        executor.trial_timeout = spec.get("trial_timeout")
+        return executor
 
     def run(self, indices: list[int]) -> Iterator[tuple[int, dict]]:
         """Classify the chunk's trials, yielding ``(index, record_doc)``."""
-        from repro.nvct.campaign import _classify_trial
         from repro.nvct.serialize import record_to_dict
 
-        snaps = (
-            self.store.snapshots(indices)
-            if self.store is not None
-            else (self.runtime.snapshots[i] for i in indices)
-        )
-        for i, snap in zip(indices, snaps):
-            rec = _classify_trial(
-                self.factory, snap, self.golden_iterations, self.cfg,
-                self.trial_timeout,
-            )
+        for i, rec in self.classify(indices, self.trial_timeout):
             yield i, record_to_dict(rec)
 
 
@@ -210,13 +171,13 @@ def run_worker(
     cannot execute chunks at all; a merely *finished* (or vanished)
     scheduler is a clean return.
     """
-    from repro.harness.resilience import CircuitBreaker, RetryPolicy
+    from repro.harness.resilience import WORKER_RETRY, new_breaker
     from repro.obs import maybe_span, registry
 
     path = str(socket_path)
     worker = name or f"worker-{os.getpid()}"
-    retry = retry or RetryPolicy(max_retries=8, base_delay=0.1, max_delay=2.0)
-    breaker = breaker or CircuitBreaker(threshold=3)
+    retry = retry or WORKER_RETRY
+    breaker = breaker or new_breaker()
     reg = registry()
     tracer = reg.tracer if reg else None
     executors: dict[str, ChunkExecutor] = {}

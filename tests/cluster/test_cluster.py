@@ -105,14 +105,12 @@ def test_run_campaign_refuses_multinode_configs():
 
 
 def test_emulator_refuses_bad_configs():
-    from repro.cluster.emulator import ClusterEmulator
-
     with pytest.raises(UsageError, match="node=1"):
-        ClusterEmulator(EP, CampaignConfig(n_tests=4, seed=0, nodes=2, node=1))
+        run_cluster_campaign(EP, CampaignConfig(n_tests=4, seed=0, nodes=2, node=1))
     with pytest.raises(UsageError, match="single-core"):
-        ClusterEmulator(EP, CampaignConfig(n_tests=4, seed=0, nodes=2, n_cores=2))
+        run_cluster_campaign(EP, CampaignConfig(n_tests=4, seed=0, nodes=2, n_cores=2))
     with pytest.raises(UsageError, match="correlation"):
-        ClusterEmulator(EP, CampaignConfig(n_tests=4, seed=0, nodes=2, correlation=2.0))
+        run_cluster_campaign(EP, CampaignConfig(n_tests=4, seed=0, nodes=2, correlation=2.0))
 
 
 # -- recovery orchestration ----------------------------------------------------

@@ -93,3 +93,22 @@ def test_confidence_validation():
     res = run_campaign(factory(), CampaignConfig(n_tests=10, seed=4))
     with pytest.raises(ValueError):
         recomputability_interval(res, confidence=1.5)
+
+
+def test_rounds_honour_the_crash_model():
+    """Regression: the round config used to be rebuilt field by field
+    without ``crash_model``, so an eadr request ran whole-cache-loss."""
+    from dataclasses import replace
+
+    from repro.apps.registry import get_factory
+
+    ep = get_factory("EP")
+    cfg = CampaignConfig(n_tests=12, seed=3, crash_model="eadr")
+    stable = run_campaign_until_stable(
+        ep, cfg, tolerance=0.9, min_tests=12, max_tests=24, round_size=12
+    )
+    assert stable.result.crash_model.startswith("eadr")
+    first_round = run_campaign(ep, cfg)
+    assert stable.result.records[: len(first_round.records)] == first_round.records
+    whole_cache_loss = run_campaign(ep, replace(cfg, crash_model="whole-cache-loss"))
+    assert first_round.records != whole_cache_loss.records

@@ -22,7 +22,6 @@ from repro.nvct.campaign import (
     CampaignResult,
     Response,
     _dedupe_crash_points,
-    _golden_default,
     run_campaign,
 )
 from repro.nvct.plan import PersistencePlan
@@ -225,16 +224,6 @@ def test_verified_mode_ignores_golden_request():
     a = run_campaign(APPS["contig"](), cfg, golden=True)
     b = run_campaign(APPS["contig"](), cfg, golden=False)
     assert _records_json(a) == _records_json(b)
-
-
-def test_golden_env_default(monkeypatch):
-    monkeypatch.delenv("REPRO_GOLDEN", raising=False)
-    assert _golden_default() is True
-    for v in ("0", "false", "No", "OFF"):
-        monkeypatch.setenv("REPRO_GOLDEN", v)
-        assert _golden_default() is False
-    monkeypatch.setenv("REPRO_GOLDEN", "1")
-    assert _golden_default() is True
 
 
 # -- journal resume mid-batch -------------------------------------------------

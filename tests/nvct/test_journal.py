@@ -33,6 +33,28 @@ def _record(i: int) -> CrashTestRecord:
     )
 
 
+def test_resumed_save_is_byte_identical_to_a_fresh_save(tmp_path):
+    """Regression: journal lines are written with ``sort_keys``, so a
+    replayed record used to carry sorted ``rates`` keys while a freshly
+    classified one kept insertion order — ``--save`` bytes depended on
+    whether a record had been through a journal (IS: four objects whose
+    insertion order is not sorted)."""
+    from repro.nvct.serialize import save_campaign
+
+    factory = get_factory("IS")
+    cfg = CampaignConfig(n_tests=6, seed=1)
+    fresh = save_campaign(run_campaign(factory, cfg), tmp_path / "fresh.json")
+
+    path = tmp_path / "j.jsonl"
+    run_campaign(factory, cfg, journal=path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[: 1 + cfg.n_tests // 2]))  # header + half
+    resumed = save_campaign(
+        run_campaign(factory, cfg, journal=path), tmp_path / "resumed.json"
+    )
+    assert resumed.read_bytes() == fresh.read_bytes()
+
+
 def test_append_load_roundtrip(tmp_path):
     path = tmp_path / "j.jsonl"
     with CampaignJournal.create(path, _header()) as j:

@@ -9,13 +9,8 @@ import pytest
 from repro.apps.registry import get_factory
 from repro.errors import JournalError
 from repro.nvct.campaign import CampaignConfig
-from repro.service.leases import (
-    Chunk,
-    LeaseJournal,
-    LeaseTable,
-    TrialLedger,
-    lease_header,
-)
+from repro.service import TrialLedger
+from repro.service.leases import Chunk, LeaseJournal, LeaseTable, lease_header
 
 CHUNKS = [
     Chunk(chunk_id=0, node=0, indices=(0, 1, 2)),

@@ -16,7 +16,8 @@ three load-bearing invariants of the whole design:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.leases import Chunk, LeaseTable, TrialLedger
+from repro.service import TrialLedger
+from repro.service.leases import Chunk, LeaseTable
 
 N_CHUNKS = 4
 INDICES = {c: tuple(range(c * 3, c * 3 + 3)) for c in range(N_CHUNKS)}
