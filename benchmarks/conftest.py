@@ -7,10 +7,7 @@ campaigns (the EasyCrash workflow per application) are paid once per
 Every table/figure driver calls :func:`emit`, which routes all artifacts
 through the one writer of :mod:`repro.obs.export` (parent directories
 created, UTF-8, single trailing newline) and gives each text report a
-JSON twin in ``benchmarks/results/``.  At session end the collected
-pytest-benchmark timings (plus any live telemetry registry) are written
-as bench.json records to a top-level ``BENCH_<git-sha>.json`` — the
-machine-readable trajectory the CI ``perf-gate`` job uploads and diffs.
+JSON twin in ``benchmarks/results/``.
 
 Set ``REPRO_BENCH_SCALE=quick|default|paper`` to trade fidelity for time.
 """
@@ -21,11 +18,8 @@ from pathlib import Path
 import pytest
 
 from repro.harness.context import get_context
-from repro.obs import export as obs_export
-from repro.obs import registry as obs_registry
 
 RESULTS_DIR = Path(__file__).parent / "results"
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def _scale() -> str:
@@ -50,53 +44,3 @@ def emit(report, results_dir):
     report.save(results_dir)
     report.save_json(results_dir, scale=_scale())
     return report
-
-
-def _benchmark_records(session) -> list:
-    """pytest-benchmark timings as bench.json records (ops/s gated rates)."""
-    bench_session = getattr(session.config, "_benchmarksession", None)
-    if bench_session is None:
-        return []
-    sha = obs_export.git_sha(REPO_ROOT)
-    records = []
-    for bench in bench_session.benchmarks:
-        try:
-            mean = float(bench.stats.mean)
-            ops = float(bench.stats.ops)
-        except Exception:
-            continue  # errored or empty benchmark: nothing to record
-        name = bench.name
-        records.append(
-            {"metric": f"benchmark.{name}.mean_s", "value": mean, "unit": "s",
-             "scale": _scale(), "git_sha": sha}
-        )
-        records.append(
-            {"metric": f"benchmark.{name}.ops", "value": ops, "unit": "ops/s",
-             "scale": _scale(), "git_sha": sha}
-        )
-    return records
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the session's bench trajectory file: ``BENCH_<sha>.json``."""
-    records = _benchmark_records(session)
-    reg = obs_registry()
-    if reg is not None:
-        records.extend(
-            obs_export.bench_records(reg, scale=_scale(), calibrate=False)
-        )
-    if not records:
-        return
-    sha = obs_export.git_sha(REPO_ROOT)
-    records.append(
-        {"metric": obs_export.CALIBRATION_METRIC,
-         "value": obs_export.calibration_ops_per_s(), "unit": "ops/s",
-         "scale": _scale(), "git_sha": sha}
-    )
-    target = REPO_ROOT / f"BENCH_{sha}.json"
-    obs_export.write_bench(target, records)
-    if reg is not None:
-        obs_export.write_jsonl(
-            target.with_suffix(".trace.jsonl"), reg.tracer.to_records()
-        )
-    print(f"\nbench trajectory: {target} ({len(records)} records)")

@@ -23,15 +23,14 @@ Commands
     ``campaign --crash-plan``.
 ``stats``
     Dump a machine-readable ``bench.json`` produced by ``campaign
-    --stats`` or the benchmark session, or diff two of them
-    (``--diff current baseline``); the diff's exit code is the CI
-    perf-regression gate (see ``tools/check_bench_regression.py``).
+    --stats`` (before/after performance comparison is ``bench/run.py``
+    + ``bench/compare.py``, not this command).
 ``doctor``
     Environment preflight (interpreter/numpy versions, cache-dir
     writability, free disk, quota, journal ownership) and ``doctor
     fsck [--repair]``: scan the artifact cache and campaign journals,
-    classifying every entry (ok / legacy-v0 / corrupt / foreign-version
-    / orphaned-tmp); ``--repair`` quarantines the bad ones and rebuilds
+    classifying every entry (ok / corrupt / foreign-version /
+    orphaned-tmp); ``--repair`` quarantines the bad ones and rebuilds
     the LRU index.
 ``serve APP``
     Campaign orchestration scheduler (:mod:`repro.service`): shard the
@@ -44,7 +43,7 @@ Commands
     pull leases, execute chunks through the golden-pass engine, stream
     records back, heartbeat, commit.  Run as many as you like.
 
-Exit codes: 0 success, 1 findings/regression/failed check, 2 usage or
+Exit codes: 0 success, 1 findings/failed check, 2 usage or
 environment error, 3 data corruption (:class:`~repro.errors.
 SnapshotCorruptError`), 130 interrupted — see :mod:`repro.errors`.
 """
@@ -321,21 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     st = sub.add_parser(
         "stats",
-        help="dump or diff bench.json telemetry files",
-        description="Dump bench.json metric files as tables, or with "
-        "--diff compare CURRENT against BASELINE: rate metrics (unit */s) "
-        "are calibration-normalized and gate the exit code (1 when any "
-        "drops more than --threshold below the baseline).",
+        help="dump bench.json telemetry files",
+        description="Dump bench.json metric files (written by `repro "
+        "campaign --stats`) as tables.",
     )
     st.add_argument("files", nargs="+", metavar="FILE", help="bench.json file(s)")
-    st.add_argument(
-        "--diff", action="store_true",
-        help="treat FILEs as CURRENT BASELINE and compare them",
-    )
-    st.add_argument(
-        "--threshold", type=float, default=0.15, metavar="FRAC",
-        help="allowed fractional slowdown of gated rate metrics (default 0.15)",
-    )
 
     d = sub.add_parser(
         "doctor",
@@ -677,14 +666,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs import export as obs_export
 
     try:
-        if args.diff:
-            if len(args.files) != 2:
-                print("stats --diff needs exactly CURRENT and BASELINE", file=_sys.stderr)
-                return 2
-            current, baseline = (obs_export.load_bench(f) for f in args.files)
-            diff = obs_export.diff_bench(current, baseline, threshold=args.threshold)
-            print(obs_export.render_diff(diff))
-            return 0 if diff.ok else 1
         for path in args.files:
             print(obs_export.render_bench(obs_export.load_bench(path)))
     except SnapshotCorruptError:

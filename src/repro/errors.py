@@ -7,9 +7,8 @@ tested by ``tests/test_cli.py``):
 code   meaning
 ====== ======================================================================
 ``0``  success
-``1``  findings / regression: the command ran but its gate failed (analyzer
-       findings in ``--strict``, a perf regression in ``stats --diff``,
-       a failed doctor check or fsck verdict)
+``1``  findings: the command ran but its gate failed (analyzer findings in
+       ``--strict``, a failed doctor check or fsck verdict)
 ``2``  usage or environment error: bad arguments, unreadable input,
        :class:`JournalError` (e.g. resuming a journal that belongs to a
        different campaign)
@@ -50,30 +49,12 @@ class AllocationError(ReproError):
     """Raised when the persistent heap cannot satisfy an allocation."""
 
 
-class CrashInjected(ReproError):
-    """Raised inside an instrumented run when an injected crash fires.
-
-    This is the simulated analogue of the machine halting: the exception
-    unwinds the application's main loop, and the campaign driver captures
-    the NVM image that remains.
-    """
-
-
 class RestartInterrupted(ReproError):
     """Raised when a restarted application cannot run to completion.
 
     Corresponds to the paper's response class S3 ("Interruption", e.g. a
     segfault caused by restarting from inconsistent data).
     """
-
-
-class VerificationError(ReproError):
-    """Raised when an application's acceptance verification fails."""
-
-
-class PlanInfeasible(ReproError):
-    """Raised when no code-region selection satisfies both the runtime
-    overhead bound ``ts`` and the recomputability threshold ``tau``."""
 
 
 class SnapshotCorruptError(ReproError, ValueError):

@@ -18,8 +18,8 @@ of :mod:`repro.harness.store` (schema version + payload CRC-32 + git
 sha), verified on every read.  A corrupted or unreadable entry is
 **quarantined** (moved under ``quarantine/``, never silently deleted),
 counted, and treated as a miss — the artifact is recomputed and
-rewritten, never raised to the caller.  Pre-envelope (v0) entries are
-still readable through the store's migration shim.
+rewritten, never raised to the caller.  An entry without the envelope is
+bad bytes like any other.
 
 Enable by pointing ``REPRO_CACHE_DIR`` at a directory (created on
 demand); :class:`~repro.harness.context.ExperimentContext` then consults
@@ -36,7 +36,6 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
@@ -72,20 +71,6 @@ __all__ = [
 
 ENV_VAR = "REPRO_CACHE_DIR"
 QUOTA_ENV_VAR = store_mod.QUOTA_ENV_VAR
-
-
-def _fsync_dir(path: Path) -> None:
-    """Best-effort directory fsync (durability of the rename itself)."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 def _canon(obj: Any) -> Any:
@@ -304,38 +289,23 @@ class ArtifactCache:
     def _write(self, kind: str, key: str, ext: str, payload: bytes) -> bool:
         """Atomically publish one enveloped entry; returns whether it landed.
 
-        Ordering matters for crash safety: payload fsync'd → ``os.replace``
-        → directory fsync.  A failure at any point (including an injected
-        one) unlinks the temp file and is *counted*, not raised — the
-        caller's artifact is already computed and the campaign goes on.
-        A successful store updates the LRU index and, when a quota is
-        configured, immediately enforces it.
+        The write itself is :func:`repro.harness.store.atomic_write_bytes`
+        (payload fsync'd → ``os.replace`` → directory fsync, temp file
+        unlinked on failure).  A failure at any point (including an
+        injected one) is *counted*, not raised — the caller's artifact is
+        already computed and the campaign goes on.  A successful store
+        updates the LRU index and, when a quota is configured,
+        immediately enforces it.
         """
         from repro.harness.chaos import injector as chaos_injector
 
         path = self._path(kind, key, ext)
-        record = store_mod.pack_record(payload)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError:
-            self._count("store_errors")
-            return False
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(record)
-                fh.flush()
-                os.fsync(fh.fileno())
             if (ch := chaos_injector()) is not None:
                 ch.maybe_sleep("cache.write")
                 ch.check_io("cache.write")  # simulated crash before publish
-            os.replace(tmp, path)
-            _fsync_dir(path.parent)
+            store_mod.atomic_write_bytes(path, store_mod.pack_record(payload))
         except Exception:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             self._count("store_errors")
             return False
         self.index.touch(self._rel(path))

@@ -18,8 +18,7 @@ context caches every expensive artifact at two levels:
 (CI-sized), ``default``, or ``paper`` (closer to the paper's 1000-2000
 tests; slow).  ``REPRO_JOBS`` sets the worker count of the parallel
 campaign engine (:mod:`repro.nvct.parallel`): classification fans out
-within each campaign, and :meth:`ExperimentContext.prefetch_campaigns`
-runs independent per-application campaigns concurrently.
+within each campaign.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.nvct.campaign import (
     measure_run,
     run_campaign,
 )
-from repro.nvct.parallel import resolve_jobs, run_campaigns
+from repro.nvct.parallel import resolve_jobs
 from repro.nvct.plan import PersistencePlan
 from repro.perf.costmodel import CostModel
 
@@ -179,38 +178,6 @@ class ExperimentContext:
                     self.disk_cache.put_campaign(key[2], result)
             self._campaigns[key] = result
         return self._campaigns[key]
-
-    def prefetch_campaigns(
-        self,
-        requests: list[tuple[str, PersistencePlan, str]],
-        verified: bool = False,
-        n_tests: int | None = None,
-    ) -> list[CampaignResult]:
-        """Compute many independent ``(name, plan, label)`` campaigns at
-        once, fanning whole campaigns out over ``self.jobs`` workers
-        (application-level parallelism), and fill both cache levels.
-        Returns the campaigns in request order."""
-        missing: list[tuple[tuple[str, str, str], AppFactory, CampaignConfig]] = []
-        keys = []
-        for name, plan, label in requests:
-            cfg = self._campaign_config(plan, verified, n_tests)
-            key = (name, label, campaign_key(self.factory(name), cfg))
-            keys.append(key)
-            if key in self._campaigns or any(k == key for k, _, _ in missing):
-                continue
-            cached = self.disk_cache.get_campaign(key[2]) if self.disk_cache else None
-            if cached is not None:
-                self._campaigns[key] = cached
-            else:
-                missing.append((key, self.factory(name), cfg))
-        if missing:
-            results = run_campaigns([(f, c) for _, f, c in missing], jobs=self.jobs)
-            for (key, _, _), result in zip(missing, results):
-                self.campaign_computations += 1
-                if self.disk_cache:
-                    self.disk_cache.put_campaign(key[2], result)
-                self._campaigns[key] = result
-        return [self._campaigns[k] for k in keys]
 
     def measure(self, name: str, plan: PersistencePlan, label: str) -> RunStats:
         """Event counts of an instrumented production run under ``plan``."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import signal
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, TypeVar
 
@@ -46,25 +45,16 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff with seeded jitter and an optional per-attempt
-    deadline.
+    """Exponential backoff with seeded jitter.
 
     ``max_retries`` counts *re*-tries: an operation runs at most
-    ``max_retries + 1`` times.  ``attempt_deadline`` bounds one attempt's
-    wall time (enforced by the caller — e.g. the parallel engine uses it
-    as the per-chunk pool timeout).
+    ``max_retries + 1`` times.  The policy only *decides* (how many
+    attempts, how long to back off); each caller owns its retry loop.
     """
 
     max_retries: int = 2
     base_delay: float = 0.05
     max_delay: float = 2.0
-    attempt_deadline: float | None = None
-    #: Total elapsed-time budget across *all* attempts and backoffs of one
-    #: :meth:`run`.  Retrying stops — the last failure propagates — as soon
-    #: as the next backoff would overrun the budget, so a retry loop can
-    #: never stretch a campaign past its wall-clock allowance even when
-    #: ``max_retries`` alone would permit it.
-    max_elapsed_s: float | None = None
     seed: int = 0
 
     def delay(self, key: str, attempt: int) -> float:
@@ -77,48 +67,6 @@ class RetryPolicy:
         cap = min(self.max_delay, self.base_delay * (2.0**attempt))
         u = (derive_seed(self.seed, "retry", key, attempt) % 2**53) / 2**53
         return cap * (0.5 + 0.5 * u)
-
-    def run(
-        self,
-        fn: Callable[[], T],
-        key: str,
-        retryable: tuple[type[BaseException], ...] = (OSError, TimeoutError),
-        sleep: Callable[[float], None] = time.sleep,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> T:
-        """Call ``fn`` under this policy; re-raise the last failure.
-
-        Only ``retryable`` exception types are retried — anything else
-        propagates immediately (a deterministic bug does not become less
-        deterministic by running it three times).  When ``max_elapsed_s``
-        is set, the loop also gives up — re-raising the last failure —
-        once the elapsed time plus the next backoff would exceed the
-        budget.  ``clock`` exists so tests can drive a fake monotonic
-        clock alongside a fake ``sleep``.
-        """
-        attempt = 0
-        start = clock()
-        while True:
-            try:
-                return fn()
-            except retryable as exc:
-                if attempt >= self.max_retries:
-                    raise
-                delay = self.delay(key, attempt)
-                if (
-                    self.max_elapsed_s is not None
-                    and (clock() - start) + delay > self.max_elapsed_s
-                ):
-                    if (reg := obs_registry()) is not None:
-                        reg.counter(
-                            "resilience.budget_exhausted", unit="ops"
-                        ).inc()
-                    raise
-                if (reg := obs_registry()) is not None:
-                    reg.counter("resilience.retries", unit="retries").inc()
-                sleep(delay)
-                attempt += 1
-                last = exc  # noqa: F841  (kept for debugger visibility)
 
 
 class CircuitBreaker:

@@ -15,12 +15,10 @@ them:
   git_sha, created_at}``, then the raw payload bytes.  The CRC is
   verified on every read; a mismatch or an unreadable header raises the
   typed :class:`~repro.errors.SnapshotCorruptError`.
-* **Migration shims** (:data:`UPGRADERS`): artifacts written before the
-  envelope existed (*v0*: bare payload, no magic) are read through an
-  upgrader instead of being rejected, so a pre-existing cache or journal
-  keeps working across the format change.  Unknown (newer/foreign)
-  schema versions are refused as corrupt — a downgraded reader must
-  never guess at a format it does not understand.
+* **One readable format**: bytes without the envelope (no magic, no
+  ``crc``) and unknown (newer/foreign) schema versions are refused as
+  corrupt — a reader must never wave through state it cannot verify,
+  nor guess at a format it does not understand.
 * **Quarantine** (:func:`quarantine_file`, :func:`quarantine_bytes`): a
   record that fails its checksum is *moved* into a ``quarantine/``
   subdirectory — never silently deleted — and the ``store.quarantined``
@@ -33,7 +31,7 @@ them:
 * **Doctor** (:func:`preflight`, :func:`fsck_cache`, :func:`fsck_journal`,
   :func:`repair_cache`): the ``repro doctor`` CLI — environment
   preflight plus an fsck that classifies every stored entry as ``ok`` /
-  ``legacy-v0`` / ``corrupt`` / ``foreign-version`` / ``orphaned-tmp``
+  ``corrupt`` / ``foreign-version`` / ``orphaned-tmp``
   and, with ``--repair``, quarantines the bad ones and rebuilds the LRU
   index.
 
@@ -55,7 +53,7 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.errors import SnapshotCorruptError
 from repro.obs.metrics import bump
@@ -65,7 +63,6 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "QUOTA_ENV_VAR",
     "QUARANTINE_DIRNAME",
-    "UPGRADERS",
     "crc32",
     "created_at",
     "store_git_sha",
@@ -98,7 +95,7 @@ __all__ = [
 MAGIC = b"%REPRO-STORE%"
 
 #: Current envelope schema version.  Bump when the header or payload
-#: framing changes, and register an upgrader for the old version.
+#: framing changes.
 STORE_SCHEMA_VERSION = 1
 
 #: Cache disk quota in bytes (optional ``k``/``m``/``g`` suffix).
@@ -158,15 +155,6 @@ def is_enveloped(data: bytes) -> bool:
     return data.startswith(MAGIC)
 
 
-#: Schema-version migration shims.  ``UPGRADERS[v]`` turns a version-``v``
-#: payload into the current format.  ``0`` is the pre-envelope era: the
-#: whole file *is* the payload, unchecked — readable, but carrying no
-#: integrity guarantee (``store.legacy_reads`` counts these).
-UPGRADERS: dict[int, Callable[[bytes], bytes]] = {
-    0: lambda payload: payload,
-}
-
-
 def unpack_record(data: bytes) -> tuple[dict, bytes]:
     """Split and verify an enveloped record: ``(header, payload)``.
 
@@ -186,28 +174,25 @@ def unpack_record(data: bytes) -> tuple[dict, bytes]:
     except (ValueError, KeyError, TypeError) as exc:
         raise SnapshotCorruptError(f"store record header is unreadable ({exc!r})") from exc
     payload = data[newline + 1:]
-    if version != STORE_SCHEMA_VERSION and version not in UPGRADERS:
+    if version != STORE_SCHEMA_VERSION:
         raise SnapshotCorruptError(
             f"store record has foreign schema_version {version} "
-            f"(this build reads <= {STORE_SCHEMA_VERSION})"
+            f"(this build reads {STORE_SCHEMA_VERSION})"
         )
     if crc32(payload) != expected:
         bump("store.crc_failures", unit="records")
         raise SnapshotCorruptError(
             f"store record failed its checksum (crc32 {crc32(payload)} != {expected})"
         )
-    if version != STORE_SCHEMA_VERSION:
-        payload = UPGRADERS[version](payload)
     return header, payload
 
 
 def read_payload(data: bytes, site: str = "store.read") -> bytes:
-    """Envelope-aware read: verified payload of ``data``.
+    """Verified payload of the enveloped record ``data``.
 
-    v0 (pre-envelope) artifacts pass through the identity upgrader and
-    fire ``store.legacy_reads``.  The chaos injector is consulted at
-    ``site`` for the ``bitflip`` and ``stale_version`` kinds, so the
-    corruption-recovery path is testable deterministically.
+    The chaos injector is consulted at ``site`` for the ``bitflip`` and
+    ``stale_version`` kinds, so the corruption-recovery path is testable
+    deterministically.
     """
     from repro.harness.chaos import injector as chaos_injector
 
@@ -217,9 +202,6 @@ def read_payload(data: bytes, site: str = "store.read") -> bytes:
             raise SnapshotCorruptError(
                 "chaos: injected stale/foreign schema_version at " + site
             )
-    if not is_enveloped(data):
-        bump("store.legacy_reads", unit="records")
-        return UPGRADERS[0](data)
     _, payload = unpack_record(data)
     return payload
 
@@ -247,10 +229,9 @@ def seal_json_doc(payload: object) -> dict:
 
 
 def open_json_doc(doc: object) -> object:
-    """Verify and unwrap :func:`seal_json_doc`'s envelope (v0 passes through)."""
+    """Verify and unwrap :func:`seal_json_doc`'s envelope."""
     if not isinstance(doc, dict) or JSON_ENVELOPE_KEY not in doc:
-        bump("store.legacy_reads", unit="records")
-        return doc
+        raise SnapshotCorruptError("store document lacks the envelope")
     header = doc[JSON_ENVELOPE_KEY]
     try:
         version = int(header["schema_version"])
@@ -258,7 +239,7 @@ def open_json_doc(doc: object) -> object:
         payload = doc["payload"]
     except (KeyError, TypeError, ValueError) as exc:
         raise SnapshotCorruptError(f"store document header is unreadable ({exc!r})") from exc
-    if version != STORE_SCHEMA_VERSION and version not in UPGRADERS:
+    if version != STORE_SCHEMA_VERSION:
         raise SnapshotCorruptError(
             f"store document has foreign schema_version {version}"
         )
@@ -277,14 +258,15 @@ def seal_line(doc: dict) -> dict:
 
 
 def open_line(doc: dict) -> dict:
-    """Verify and strip a line CRC; a v0 line (no ``crc``) passes through.
+    """Verify and strip a line CRC.
 
-    Raises :class:`SnapshotCorruptError` (and fires ``store.crc_failures``)
-    when the CRC does not match — the caller treats the journal as ending
-    at the previous line, exactly like a torn tail.
+    Raises :class:`SnapshotCorruptError` when the CRC is absent or does
+    not match (the latter fires ``store.crc_failures``) — the caller
+    treats the journal as ending at the previous line, exactly like a
+    torn tail.
     """
     if "crc" not in doc:
-        return doc
+        raise SnapshotCorruptError("journal line lacks its checksum")
     body = {k: v for k, v in doc.items() if k != "crc"}
     if crc32(_canonical_json(body)) != doc["crc"]:
         bump("store.crc_failures", unit="records")
@@ -544,7 +526,7 @@ def run_gc(root: str | Path, quota: int, index: LRUIndex | None = None) -> GCRep
 # -- doctor: fsck --------------------------------------------------------------
 
 #: fsck verdicts, in decreasing order of health.
-VERDICTS = ("ok", "legacy-v0", "corrupt", "foreign-version", "orphaned-tmp")
+VERDICTS = ("ok", "corrupt", "foreign-version", "orphaned-tmp")
 
 
 @dataclass
@@ -567,15 +549,6 @@ def _classify_entry(path: Path) -> Verdict:
         data = path.read_bytes()
     except OSError as exc:
         return Verdict(path, "corrupt", f"unreadable: {exc}")
-    if not is_enveloped(data):
-        # v0 JSON entries can at least be parse-checked; pickles cannot be
-        # safely probed (loading executes code), so they stay unverified.
-        if path.suffix == ".json":
-            try:
-                json.loads(data.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError) as exc:
-                return Verdict(path, "corrupt", f"pre-envelope entry, unparseable: {exc}")
-        return Verdict(path, "legacy-v0", "pre-envelope entry (no checksum to verify)")
     try:
         header, _ = unpack_record(data)
     except SnapshotCorruptError as exc:
@@ -621,10 +594,6 @@ def fsck_journal(path: str | Path) -> tuple[list[Verdict], int]:
     verdicts: list[Verdict] = []
     if header is None:
         verdicts.append(Verdict(path, "corrupt", "no usable journal header"))
-    elif any("crc" not in doc for doc, _ in lines):
-        verdicts.append(
-            Verdict(path, "legacy-v0", f"{len(lines)} record(s), not all checksummed")
-        )
     else:
         verdicts.append(Verdict(path, "ok", f"{len(lines)} checksummed record(s)"))
     if valid < len(raw):
@@ -641,9 +610,8 @@ def fsck_journal(path: str | Path) -> tuple[list[Verdict], int]:
 def repair_cache(root: str | Path) -> list[Path]:
     """Quarantine every bad cache entry and rebuild the LRU index.
 
-    Returns the quarantine destinations.  ``legacy-v0`` entries are left
-    alone (they are readable); ``corrupt`` / ``foreign-version`` /
-    ``orphaned-tmp`` files are moved, never deleted.
+    Returns the quarantine destinations: ``corrupt`` / ``foreign-version``
+    / ``orphaned-tmp`` files are moved, never deleted.
     """
     root = Path(root)
     moved: list[Path] = []

@@ -33,7 +33,7 @@ from repro.nvct.campaign import (
     Response,
     run_campaign,
 )
-from repro.nvct.parallel import classify_snapshots, resolve_jobs, run_campaigns
+from repro.nvct.parallel import classify_snapshots, resolve_jobs
 
 __all__ = [
     "DataObject",
@@ -56,5 +56,4 @@ __all__ = [
     "run_campaign",
     "classify_snapshots",
     "resolve_jobs",
-    "run_campaigns",
 ]

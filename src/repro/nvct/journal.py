@@ -23,8 +23,6 @@ Either one ends the journal at the last intact line; the invalid tail is
 **quarantined** next to the journal (never silently discarded) and
 truncated away, and the missing trials are simply re-run — resuming
 still produces a report **bit-identical** to an uninterrupted run.
-Journals written before the CRC era (format 1, no ``crc`` fields) are
-read through the legacy shim rather than rejected.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ __all__ = [
     "load_journal",
 ]
 
-JOURNAL_FORMAT_VERSION = 2  # 2 = per-line CRCs; 1 (pre-CRC) still readable
+JOURNAL_FORMAT_VERSION = 2  # per-line CRCs
 
 
 def campaign_header(factory: "AppFactory", cfg: "CampaignConfig") -> dict:
@@ -114,7 +112,7 @@ def scan_journal(raw: bytes) -> tuple[dict | None, list[tuple[dict, int]], int]:
             doc = json.loads(line)
             if not isinstance(doc, dict):
                 break
-            open_line(doc)  # CRC check (legacy lines without one pass through)
+            open_line(doc)  # CRC check
             if header is None:
                 if doc.get("kind") != "header":
                     break
@@ -145,7 +143,7 @@ def load_journal(path: str | Path) -> tuple[dict | None, dict[int, "CrashTestRec
             try:
                 records[int(doc["index"])] = record_from_dict(doc["record"])
             except (ValueError, KeyError, TypeError):
-                break  # malformed (legacy, unchecksummed) record: ends here
+                break  # malformed record: the journal ends here
         valid = end
     if header is not None:
         header = {k: v for k, v in header.items() if k != "crc"}
@@ -185,7 +183,7 @@ class SealedJournal:
         journal = cls(path, header)
         journal.path.parent.mkdir(parents=True, exist_ok=True)
         journal._fh = open(journal.path, "wb")
-        journal._write_line(header)
+        journal._append(header)
         return journal
 
     @classmethod

@@ -4,17 +4,13 @@ A campaign's cost splits into one instrumented execution (inherently
 serial: the access counter is a single global clock) and ``n_tests``
 restart-and-classify runs that are embarrassingly parallel — each test
 restarts a fresh plain-mode application from one snapshot and never
-touches shared state.  This module exploits that shape at two levels:
-
-* :func:`classify_snapshots` — fan the classification phase of one
-  campaign out over ``jobs`` worker processes.  Snapshots are shipped as
-  packed payloads (:mod:`repro.nvct.serialize`) in deterministic,
-  crash-point-ordered chunks and the per-chunk records are merged back in
-  chunk order, so a parallel campaign is *bit-identical* to a serial one
-  under the same seed.
-* :func:`run_campaigns` — an application-level parallel map running whole
-  independent ``(factory, config)`` campaigns in separate workers (the 11
-  benchmark workloads of a harness session are independent).
+touches shared state.  :func:`classify_snapshots` exploits that shape:
+it fans the classification phase of one campaign out over ``jobs``
+worker processes.  Snapshots are shipped as packed payloads
+(:mod:`repro.nvct.serialize`) in deterministic, crash-point-ordered
+chunks and the per-chunk records are merged back in chunk order, so a
+parallel campaign is *bit-identical* to a serial one under the same
+seed.
 
 Workers are plain ``multiprocessing.Pool`` processes with
 ``maxtasksperchild`` recycling (long campaigns keep worker memory flat).
@@ -41,7 +37,6 @@ __all__ = [
     "chunk_indices",
     "classify_snapshots",
     "classify_pooled",
-    "run_campaigns",
     "DEFAULT_CHUNK_TIMEOUT",
 ]
 
@@ -51,14 +46,13 @@ if TYPE_CHECKING:  # avoid import cycles at runtime
     from repro.memsim.golden import GoldenSnapshotSource
     from repro.nvct.campaign import (
         CampaignConfig,
-        CampaignResult,
         CrashTestRecord,
         PreparedShard,
     )
     from repro.nvct.runtime import Snapshot
 
-#: Seconds one chunk (or one whole campaign, in :func:`run_campaigns`) may
-#: take before the engine abandons the pool and falls back to serial.
+#: Seconds one chunk may take before the engine abandons the pool and
+#: falls back to serial.
 DEFAULT_CHUNK_TIMEOUT = 600.0
 
 #: Tasks a worker serves before being replaced (bounds leaked memory).
@@ -304,69 +298,3 @@ def classify_pooled(
         jobs=jobs, chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT, retry=retry,
         record_sink=lambda local, rec: sink(indices[local], rec),
     )
-
-
-# -- application-level campaign map -------------------------------------------
-
-
-def _campaign_task(task):
-    from repro.nvct.campaign import run_campaign
-
-    index, factory, cfg = task
-    # jobs=1: pool workers are daemonic and must not nest their own pools.
-    return index, run_campaign(factory, cfg, jobs=1)
-
-
-def run_campaigns(
-    specs: Sequence[tuple["AppFactory", "CampaignConfig"]],
-    jobs: int | None = None,
-    timeout: float = DEFAULT_CHUNK_TIMEOUT,
-) -> list["CampaignResult"]:
-    """Run independent campaigns concurrently; results in ``specs`` order.
-
-    Each worker runs one whole campaign (instrumented execution +
-    serial classification) — the right granularity when a session needs
-    campaigns for many applications.  Campaigns that fail to come back
-    from the pool (timeout, unpicklable factory, worker crash) are rerun
-    serially in the parent.
-    """
-    from repro.nvct.campaign import run_campaign
-
-    jobs = resolve_jobs(jobs)
-    specs = list(specs)
-    if jobs <= 1 or len(specs) < 2:
-        return [run_campaign(f, c) for f, c in specs]
-
-    for factory, _ in specs:
-        factory.golden()
-    done: dict[int, "CampaignResult"] = {}
-    try:
-        with _pool_context().Pool(
-            processes=min(jobs, len(specs)),
-            maxtasksperchild=MAX_TASKS_PER_CHILD,
-        ) as pool:
-            pending = [
-                pool.apply_async(_campaign_task, ((i, f, c),))
-                for i, (f, c) in enumerate(specs)
-            ]
-            for res in pending:
-                # Per-campaign isolation: one failed/timed-out campaign is
-                # rerun serially below without discarding the others.
-                try:
-                    index, result = res.get(timeout=timeout)
-                except Exception:
-                    continue
-                done[index] = result
-    except Exception:
-        pass
-    if (reg := registry()) is not None:
-        reg.gauge("parallel.jobs", unit="workers").set(jobs)
-        reg.counter("parallel.campaigns_total", unit="campaigns").inc(len(specs))
-        reg.counter("parallel.campaigns_parallel", unit="campaigns").inc(len(done))
-        reg.counter("parallel.campaigns_serial_fallback", unit="campaigns").inc(
-            len(specs) - len(done)
-        )
-    return [
-        done[i] if i in done else run_campaign(f, c)
-        for i, (f, c) in enumerate(specs)
-    ]

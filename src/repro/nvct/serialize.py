@@ -277,10 +277,7 @@ def _unpack_array(d: dict) -> np.ndarray:
     from repro.harness.store import crc32
 
     data = d["data"]
-    # v0 payloads (packed before the checksum era) carry no "crc32" key
-    # and pass through unverified — the shape/dtype checks below are
-    # their only guard, as before this change.
-    if "crc32" in d and crc32(data) != d["crc32"]:
+    if crc32(data) != d.get("crc32"):
         raise SnapshotCorruptError(
             f"snapshot array failed its checksum ({len(data)} bytes, dtype {d['dtype']})"
         )

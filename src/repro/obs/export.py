@@ -1,44 +1,29 @@
-"""Machine-readable telemetry artifacts: bench.json, JSONL traces, diffs.
+"""Machine-readable telemetry artifacts: bench.json and JSONL traces.
 
-The exchange format is deliberately tiny — a ``bench.json`` file is a
-JSON array of flat records::
+The exchange format is deliberately tiny — a ``bench.json`` file is an
+enveloped JSON array of flat records::
 
     {"metric": "campaign.throughput", "value": 41.7, "unit": "tests/s",
      "scale": "quick", "git_sha": "d4b5b51"}
 
-Every figure/table driver, the ``repro campaign --stats`` CLI path and
-the benchmark session hook all emit this one schema, so a single checker
-(:func:`diff_bench`, wrapped by ``tools/check_bench_regression.py`` and
-``repro stats --diff``) gates them all.
-
-Gating semantics: only *rate* metrics (unit ending in ``/s``) are
-compared against the threshold — counters and gauges are informational
-(they are either deterministic, where any drift is a correctness matter
-for the test suite, or machine-dependent absolutes).  When both files
-carry the :data:`CALIBRATION_METRIC` record (a fixed NumPy workload
-timed at export), rates are normalized by the machines' calibration
-ratio first, which keeps a committed baseline meaningful across runner
-generations.
+``repro campaign --stats`` writes this schema and ``repro stats FILE``
+dumps it.  It is a telemetry dump of one process, not a performance
+yardstick: before/after comparisons are ``bench/run.py`` +
+``bench/compare.py`` (see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
 import json
 import subprocess
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from repro.obs.metrics import Histogram, MetricRegistry
 
 __all__ = [
     "SCHEMA_FIELDS",
-    "CALIBRATION_METRIC",
     "git_sha",
-    "calibration_ops_per_s",
     "bench_records",
     "validate_bench",
     "load_bench",
@@ -48,17 +33,9 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "render_bench",
-    "BenchDiff",
-    "diff_bench",
-    "render_diff",
 ]
 
 SCHEMA_FIELDS = ("metric", "value", "unit", "scale", "git_sha")
-
-#: Machine-speed yardstick included in every bench.json (see module doc).
-CALIBRATION_METRIC = "calibration.ops_per_s"
-
-_CALIBRATION_ELEMS = 1 << 18  # ~2 MB of float64: larger than L1/L2, cache-stable
 
 
 def git_sha(root: str | Path | None = None) -> str:
@@ -76,23 +53,6 @@ def git_sha(root: str | Path | None = None) -> str:
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def calibration_ops_per_s(repeats: int = 5) -> float:
-    """Element-updates per second of a fixed vector workload (~20 ms).
-
-    Deliberately simple and allocation-free in the timed region so the
-    number tracks the machine, not the allocator or the BLAS build.
-    """
-    a = np.arange(_CALIBRATION_ELEMS, dtype=np.float64)
-    b = np.ones(_CALIBRATION_ELEMS, dtype=np.float64)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        np.multiply(a, 1.0000001, out=a)
-        np.add(a, b, out=a)
-        best = min(best, time.perf_counter() - t0)
-    return 2 * _CALIBRATION_ELEMS / best
-
-
 # -- record assembly -----------------------------------------------------------
 
 
@@ -104,15 +64,13 @@ def bench_records(
     reg: MetricRegistry,
     scale: str = "default",
     sha: str | None = None,
-    calibrate: bool = True,
 ) -> list[dict[str, object]]:
     """Flatten a registry (metrics + span aggregates) into bench records.
 
     Derived rate metrics are appended where their ingredients exist:
     ``campaign.throughput`` (crash tests per second of ``campaign`` span
     time) and ``sim.throughput`` (simulated blocks per second of
-    ``instrumented_run`` span time) — the two rates the CI perf gate
-    compares against the committed baseline.
+    ``instrumented_run`` span time).
     """
     sha = sha if sha is not None else git_sha()
     records: list[dict[str, object]] = []
@@ -144,8 +102,6 @@ def bench_records(
         if n and elapsed > 0:
             unit = "tests/s" if rate.startswith("campaign") else "blocks/s"
             records.append(_record(rate, float(n) / elapsed, unit, scale, sha))
-    if calibrate:
-        records.append(_record(CALIBRATION_METRIC, calibration_ops_per_s(), "ops/s", scale, sha))
     return records
 
 
@@ -169,11 +125,9 @@ def validate_bench(records: object) -> list[dict[str, object]]:
 def load_bench(path: str | Path) -> list[dict[str, object]]:
     """Load a bench document, verifying its integrity envelope.
 
-    Enveloped documents (written by :func:`write_bench` since the store
-    era) have their payload CRC checked — a mismatch raises the typed
-    :class:`~repro.errors.SnapshotCorruptError`.  Pre-envelope (v0)
-    documents — bare JSON arrays, like the committed CI baseline — pass
-    through the legacy shim unverified.
+    The payload CRC written by :func:`write_bench` is checked — a
+    mismatch or a missing envelope raises the typed
+    :class:`~repro.errors.SnapshotCorruptError`.
     """
     from repro.harness.store import open_json_doc
 
@@ -238,98 +192,3 @@ def render_bench(records: Sequence[dict[str, object]]) -> str:
     return render_table(
         ["Metric", "Value", "Unit", "Scale", "Git"], rows, float_fmt="{:.6g}"
     )
-
-
-# -- regression diffing --------------------------------------------------------
-
-
-def _is_gated(metric: str, unit: str) -> bool:
-    return unit.endswith("/s") and metric != CALIBRATION_METRIC
-
-
-@dataclass
-class BenchDiff:
-    """Comparison of a current bench document against a baseline."""
-
-    threshold: float
-    calibration_ratio: float | None  # current speed / baseline speed, if known
-    # (metric, current, baseline, normalized current/baseline ratio, gated)
-    rows: list[tuple[str, float, float, float, bool]] = field(default_factory=list)
-    regressions: list[str] = field(default_factory=list)
-    missing: list[str] = field(default_factory=list)  # baseline metrics absent now
-
-    @property
-    def ok(self) -> bool:
-        return not self.regressions
-
-
-def diff_bench(
-    current: Sequence[dict[str, object]],
-    baseline: Sequence[dict[str, object]],
-    threshold: float = 0.15,
-) -> BenchDiff:
-    """Compare rate metrics (higher is better) against ``baseline``.
-
-    A gated metric regresses when its calibration-normalized value drops
-    more than ``threshold`` below the baseline.  Metrics present only on
-    one side never fail the gate (they are listed as ``missing`` when the
-    baseline had them), so adding instrumentation cannot break CI.
-
-    The calibration correction is one-sided: a machine slower than the
-    baseline's is fully forgiven (rates are scaled up by the speed
-    deficit), but a machine that merely *benchmarks* faster is not asked
-    for proportionally more throughput — the correction is capped at 1.0
-    there.  Calibration is a ~20 ms micro-measurement with around 10 %
-    jitter on shared runners; demanding extra throughput because it
-    spiked high would fail healthy builds, while the capped direction
-    only ever makes the gate more lenient than a raw comparison.
-    """
-    cur = {str(r["metric"]): (float(r["value"]), str(r["unit"])) for r in current}
-    base = {str(r["metric"]): (float(r["value"]), str(r["unit"])) for r in baseline}
-    cal = None
-    if CALIBRATION_METRIC in cur and CALIBRATION_METRIC in base:
-        base_cal = base[CALIBRATION_METRIC][0]
-        if base_cal > 0 and cur[CALIBRATION_METRIC][0] > 0:
-            cal = cur[CALIBRATION_METRIC][0] / base_cal
-    diff = BenchDiff(threshold=threshold, calibration_ratio=cal)
-    for metric in sorted(set(cur) & set(base)):
-        value, unit = cur[metric]
-        base_value = base[metric][0]
-        gated = _is_gated(metric, unit)
-        if base_value == 0:
-            ratio = float("inf") if value else 1.0
-        else:
-            ratio = value / base_value
-            if gated and cal:
-                # Discount machine-speed differences, one-sided (see doc).
-                ratio /= min(cal, 1.0)
-        diff.rows.append((metric, value, base_value, ratio, gated))
-        if gated and ratio < 1.0 - threshold:
-            diff.regressions.append(
-                f"{metric}: {value:.6g} vs baseline {base_value:.6g} "
-                f"(normalized x{ratio:.3f} < {1.0 - threshold:.2f})"
-            )
-    diff.missing = sorted(set(base) - set(cur))
-    return diff
-
-
-def render_diff(diff: BenchDiff) -> str:
-    from repro.util.tables import render_table
-
-    rows = [
-        [m, c, b, f"x{r:.3f}", "gate" if g else ""]
-        for m, c, b, r, g in diff.rows
-    ]
-    out = render_table(
-        ["Metric", "Current", "Baseline", "Ratio*", "Gated"],
-        rows,
-        title="bench diff (*rate ratios are calibration-normalized; gate fails below "
-        f"x{1.0 - diff.threshold:.2f})",
-        float_fmt="{:.6g}",
-    )
-    if diff.calibration_ratio is not None:
-        out += f"\n(machine calibration: current is x{diff.calibration_ratio:.3f} of baseline)"
-    if diff.missing:
-        out += "\n(baseline metrics not measured here: " + ", ".join(diff.missing) + ")"
-    out += "\n" + ("OK" if diff.ok else "REGRESSION:\n  " + "\n  ".join(diff.regressions))
-    return out

@@ -228,8 +228,8 @@ def bump(name: str, unit: str = "", n: int = 1) -> None:
 
     The one-line guard used by sites that only ever count (the artifact
     store's ``store.crc_failures`` / ``store.quarantined`` /
-    ``store.legacy_reads`` / ``store.gc_*`` family); sites that also set
-    gauges or record histograms keep the explicit ``registry()`` guard.
+    ``store.gc_*`` family); sites that also set gauges or record
+    histograms keep the explicit ``registry()`` guard.
     """
     if (reg := registry()) is not None:
         reg.counter(name, unit=unit).inc(n)

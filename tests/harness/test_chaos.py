@@ -199,7 +199,7 @@ def test_os_error_read_is_transient_and_never_quarantines(tmp_path):
     assert cache.get_campaign(key) is not None  # entry survived untouched
 
 
-def test_os_error_write_abandons_store_cleanly(tmp_path):
+def test_os_error_write_abandons_store_cleanly(tmp_path, monkeypatch):
     from repro.apps.registry import get_factory
     from repro.harness.cache import ArtifactCache, campaign_key
     from repro.nvct.campaign import CampaignConfig, run_campaign
@@ -214,6 +214,16 @@ def test_os_error_write_abandons_store_cleanly(tmp_path):
     assert cache.stats()["store_errors"] == 1
     assert not list((tmp_path / "store").rglob("*.tmp"))  # temp unlinked
     assert not list((tmp_path / "store").rglob("*.json"))  # nothing published
+
+    # the same holds when the one atomic writer itself fails at publish time
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(store.os, "replace", refuse)
+    cache.put_campaign(campaign_key(factory, cfg), result)
+    assert cache.stats()["store_errors"] == 2 and cache.stats()["stores"] == 0
+    assert not list((tmp_path / "store").rglob("*.tmp"))
+    assert not list((tmp_path / "store").rglob("*.json"))
 
 
 def test_torn_writeback_helper():

@@ -20,48 +20,6 @@ def test_backoff_is_exponential_capped_and_seeded():
     assert delays[5] <= 1.0  # max_delay caps the tail
 
 
-def test_run_retries_then_succeeds():
-    p = RetryPolicy(max_retries=3, base_delay=0.01, seed=1)
-    slept: list[float] = []
-    calls = {"n": 0}
-
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise OSError("transient")
-        return "ok"
-
-    assert p.run(flaky, key="k", sleep=slept.append) == "ok"
-    assert calls["n"] == 3
-    assert slept == [p.delay("k", 0), p.delay("k", 1)]
-
-
-def test_run_exhaustion_reraises_last_error():
-    p = RetryPolicy(max_retries=2, base_delay=0.01, seed=1)
-    calls = {"n": 0}
-
-    def always_fails():
-        calls["n"] += 1
-        raise OSError(f"boom {calls['n']}")
-
-    with pytest.raises(OSError, match="boom 3"):
-        p.run(always_fails, key="k", sleep=lambda _: None)
-    assert calls["n"] == 3  # 1 initial + 2 retries
-
-
-def test_run_non_retryable_propagates_immediately():
-    p = RetryPolicy(max_retries=5, base_delay=0.01, seed=1)
-    calls = {"n": 0}
-
-    def typo():
-        calls["n"] += 1
-        raise KeyError("not transient")
-
-    with pytest.raises(KeyError):
-        p.run(typo, key="k", retryable=(OSError,), sleep=lambda _: None)
-    assert calls["n"] == 1
-
-
 def test_circuit_breaker_trips_on_consecutive_failures():
     br = CircuitBreaker(threshold=3)
     assert br.allow()
@@ -84,70 +42,3 @@ def test_call_with_deadline_passthrough_and_timeout():
         call_with_deadline(lambda: time.sleep(10), 0.05)
     # the timer is disarmed afterwards: a later slow-ish call survives
     assert call_with_deadline(lambda: time.sleep(0.01) or "ok", 5.0) == "ok"
-
-
-def _fake_time():
-    """A coupled fake (clock, sleep) pair driven by slept delays."""
-    state = {"now": 0.0}
-
-    def clock() -> float:
-        return state["now"]
-
-    def sleep(delay: float) -> None:
-        state["now"] += delay
-
-    return state, clock, sleep
-
-
-def test_max_elapsed_budget_stops_retrying_early():
-    p = RetryPolicy(max_retries=50, base_delay=0.4, max_delay=0.4, seed=1,
-                    max_elapsed_s=1.0)
-    state, clock, sleep = _fake_time()
-    calls = {"n": 0}
-
-    def always_fails():
-        calls["n"] += 1
-        state["now"] += 0.1  # each attempt costs wall time too
-        raise OSError("boom")
-
-    with pytest.raises(OSError, match="boom"):
-        p.run(always_fails, key="k", sleep=sleep, clock=clock)
-    # delays are in [0.2, 0.4]: far fewer than the 51 permitted attempts fit
-    assert calls["n"] < 6
-    # the loop never slept past the budget
-    assert state["now"] - 0.1 * calls["n"] <= 1.0
-
-
-def test_max_elapsed_budget_unset_or_generous_changes_nothing():
-    state, clock, sleep = _fake_time()
-    calls = {"n": 0}
-
-    def flaky():
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise OSError("transient")
-        return "ok"
-
-    p = RetryPolicy(max_retries=5, base_delay=0.01, seed=1, max_elapsed_s=60.0)
-    assert p.run(flaky, key="k", sleep=sleep, clock=clock) == "ok"
-    assert calls["n"] == 3
-    # and with no budget at all, exhaustion is still governed by max_retries
-    calls["n"] = 0
-    unbudgeted = RetryPolicy(max_retries=1, base_delay=0.01, seed=1)
-    with pytest.raises(OSError):
-        unbudgeted.run(lambda: (_ for _ in ()).throw(OSError("x")), key="k",
-                       sleep=sleep, clock=clock)
-
-
-def test_max_elapsed_budget_exhaustion_is_counted(tmp_path):
-    from repro.obs import metrics
-
-    p = RetryPolicy(max_retries=10, base_delay=1.0, max_delay=1.0, seed=2,
-                    max_elapsed_s=0.1)
-    state, clock, sleep = _fake_time()
-    with metrics.enabled() as reg:
-        with pytest.raises(OSError):
-            p.run(lambda: (_ for _ in ()).throw(OSError("x")), key="k",
-                  sleep=sleep, clock=clock)
-        assert reg.counter("resilience.budget_exhausted").value == 1
-        assert reg.counter("resilience.retries").value == 0  # no retry fit

@@ -1,4 +1,4 @@
-"""Integrity store: envelopes, migration shims, quarantine, quota GC, doctor.
+"""Integrity store: envelopes, strict readers, quarantine, quota GC, doctor.
 
 The acceptance property for this layer is at the bottom: a campaign over
 a deliberately corrupted artifact store (flipped bytes in cached entries
@@ -49,6 +49,14 @@ def _quiet_gates():
     metrics.reset()
 
 
+@pytest.fixture
+def no_chaos():
+    """Tests that count the faults they plant themselves cannot share the
+    store with an ambient ``REPRO_CHAOS`` injector (``_quiet_gates``
+    restores it afterwards)."""
+    chaos.disable()
+
+
 # -- record envelope -----------------------------------------------------------
 
 
@@ -81,12 +89,10 @@ def test_damaged_header_is_corrupt_not_a_crash():
         unpack_record(store.MAGIC + b"x" * (store._HEADER_LIMIT + 10))
 
 
-def test_v0_payload_reads_through_legacy_shim():
+def test_unenveloped_payload_is_refused(no_chaos):
     bare = b'{"plain": "pre-envelope artifact"}'
-    with metrics.enabled() as reg:
-        assert read_payload(bare) == bare
-        assert reg.counter("store.legacy_reads").value == 1
-        assert reg.counter("store.crc_failures").value == 0
+    with pytest.raises(SnapshotCorruptError, match="magic"):
+        read_payload(bare)
 
 
 def test_foreign_schema_version_is_refused():
@@ -95,14 +101,32 @@ def test_foreign_schema_version_is_refused():
         unpack_record(record)
 
 
-def test_registered_upgrader_is_applied():
-    record = pack_record(b"old-format", schema_version=-1)
-    store.UPGRADERS[-1] = lambda payload: b"new:" + payload
-    try:
-        _, payload = unpack_record(record)
-        assert payload == b"new:old-format"
-    finally:
-        del store.UPGRADERS[-1]
+def test_unenveloped_cache_entry_is_quarantined_and_recomputed(tmp_path, no_chaos):
+    """A file without the envelope dropped into the cache is bad bytes
+    like any other: a miss, moved to ``quarantine/``, and the recompute
+    re-stores an enveloped entry."""
+    from repro.apps.registry import get_factory
+    from repro.harness.cache import ArtifactCache, campaign_key
+    from repro.nvct.campaign import CampaignConfig, run_campaign
+    from repro.nvct.serialize import campaign_to_dict
+
+    factory = get_factory("EP")
+    cfg = CampaignConfig(n_tests=3, seed=4)
+    result = run_campaign(factory, cfg)
+    key = campaign_key(factory, cfg)
+    cache = ArtifactCache(tmp_path / "store")
+    cache.put_campaign(key, result)
+    (entry,) = (p for p in (tmp_path / "store" / "campaign").rglob("*.json"))
+    bare = json.dumps(campaign_to_dict(result)).encode()
+    entry.write_bytes(bare)
+
+    assert cache.get_campaign(key) is None
+    assert cache.stats()["quarantined"] == 1 and cache.stats()["misses"] == 1
+    (evidence,) = (tmp_path / "store" / "quarantine").iterdir()
+    assert evidence.read_bytes() == bare
+    cache.put_campaign(key, result)  # the recompute's re-store
+    assert store.is_enveloped(entry.read_bytes())
+    assert cache.get_campaign(key).records == result.records
 
 
 # -- JSON-document and JSONL-line envelopes ------------------------------------
@@ -120,10 +144,10 @@ def test_json_doc_envelope_round_trip_and_tamper():
         open_json_doc(tampered)
 
 
-def test_json_doc_v0_passes_through():
-    with metrics.enabled() as reg:
-        assert open_json_doc([{"metric": "x"}]) == [{"metric": "x"}]
-        assert reg.counter("store.legacy_reads").value == 1
+def test_json_doc_without_envelope_is_refused():
+    for bare in ([{"metric": "x"}], {"payload": [{"metric": "x"}]}):
+        with pytest.raises(SnapshotCorruptError, match="envelope"):
+            open_json_doc(bare)
 
 
 def test_line_envelope_round_trip_tamper_and_legacy():
@@ -134,7 +158,8 @@ def test_line_envelope_round_trip_tamper_and_legacy():
     rotted["index"] = 4  # bit-rot that still parses as JSON
     with pytest.raises(SnapshotCorruptError):
         open_line(rotted)
-    assert open_line(doc) == doc  # v0 line: no crc, passes through
+    with pytest.raises(SnapshotCorruptError):
+        open_line(doc)  # legacy line: no crc, nothing to verify
 
 
 # -- quarantine ----------------------------------------------------------------
@@ -207,7 +232,7 @@ def test_run_gc_evicts_lru_first_and_respects_quota(tmp_path):
     assert run_gc(tmp_path, quota=2200, index=index).evicted == []
 
 
-def test_cache_quota_eviction_end_to_end(tmp_path, monkeypatch):
+def test_cache_quota_eviction_end_to_end(tmp_path, monkeypatch, no_chaos):
     """Writing past REPRO_CACHE_QUOTA evicts in LRU order, post-GC <= quota."""
     from repro.apps.registry import get_factory
     from repro.harness.cache import ArtifactCache, campaign_key
@@ -244,9 +269,6 @@ def _populate_cache_root(root):
     ok = root / "campaign" / "aa" / "ok.json"
     atomic_write_bytes(ok, pack_record(b'{"fine": true}'))
     paths["ok"] = ok
-    legacy = root / "campaign" / "bb" / "legacy.json"
-    atomic_write_bytes(legacy, b'{"bare": "v0"}')
-    paths["legacy-v0"] = legacy
     corrupt = root / "campaign" / "cc" / "corrupt.json"
     damaged = bytearray(pack_record(b'{"fine": false}'))
     damaged[-3] ^= 0xFF
@@ -266,17 +288,21 @@ def test_fsck_cache_classifies_every_verdict(tmp_path):
     paths = _populate_cache_root(tmp_path)
     verdicts = {v.path: v.verdict for v in fsck_cache(tmp_path)}
     assert verdicts == {path: verdict for verdict, path in paths.items()}
+    assert set(paths) == set(store.VERDICTS)
 
 
 def test_repair_cache_quarantines_bad_and_rebuilds_index(tmp_path):
     paths = _populate_cache_root(tmp_path)
+    bare = tmp_path / "campaign" / "bb" / "bare.json"
+    atomic_write_bytes(bare, b'{"bare": "no envelope"}')
+    assert {v.verdict for v in fsck_cache(tmp_path) if v.path == bare} == {"corrupt"}
     moved = repair_cache(tmp_path)
-    assert len(moved) == 3  # corrupt + foreign-version + orphaned-tmp
+    assert len(moved) == 4  # corrupt + un-enveloped + foreign-version + orphaned-tmp
     assert all(target.exists() for target in moved)
-    assert paths["ok"].exists() and paths["legacy-v0"].exists()
-    assert not paths["corrupt"].exists()
+    assert paths["ok"].exists()
+    assert not paths["corrupt"].exists() and not bare.exists()
     remaining = {v.verdict for v in fsck_cache(tmp_path)}
-    assert remaining == {"ok", "legacy-v0"}
+    assert remaining == {"ok"}
     index = LRUIndex(tmp_path)
     assert index.atime("campaign/aa/ok.json") > 0
 
@@ -382,7 +408,7 @@ def _canon_campaign(result) -> str:
     return json.dumps(campaign_to_dict(result), sort_keys=True)
 
 
-def test_corrupted_store_campaign_is_bit_identical_to_clean_run(tmp_path):
+def test_corrupted_store_campaign_is_bit_identical_to_clean_run(tmp_path, no_chaos):
     """Flip bytes in 3 cached campaign entries and bit-rot the journal's
     tail record; the re-run must produce reports bit-identical to the
     clean-store run, quarantine (not delete) every damaged record, and

@@ -275,26 +275,51 @@ def test_bit_rotted_tail_record_is_quarantined_on_resume(tmp_path):
     assert json.loads(tails[0].read_bytes())["record"]["counter"] == rotted["record"]["counter"]
 
 
-def test_v0_journal_without_crcs_loads_through_shim(tmp_path):
+def test_journal_line_without_crc_ends_the_journal(tmp_path):
+    """A line nobody can verify is a bad line: the journal ends at the
+    last sealed one and everything after it goes to ``<name>.tail``."""
     from repro.nvct.serialize import record_to_dict
 
     path = tmp_path / "j.jsonl"
-    docs = [
-        _header(),
-        {"kind": "trial", "index": 0, "record": record_to_dict(_record(0))},
-        {"kind": "trial", "index": 1, "record": record_to_dict(_record(1))},
-    ]
-    path.write_bytes(
-        b"".join(json.dumps(d, sort_keys=True).encode() + b"\n" for d in docs)
-    )
-    header, records, valid = load_journal(path)
-    assert header is not None and header["key"] == _header()["key"]
-    assert sorted(records) == [0, 1]
-    assert valid == path.stat().st_size
-    # resuming a v0 journal keeps working, and new appends are checksummed
+    with CampaignJournal.create(path, _header()) as j:
+        for i in range(3):
+            j.append(i, _record(i))
+    lines = path.read_bytes().splitlines(keepends=True)
+    unsealed = {"kind": "trial", "index": 1, "record": record_to_dict(_record(1))}
+    lines[2] = json.dumps(unsealed, sort_keys=True).encode() + b"\n"
+    path.write_bytes(b"".join(lines))
+
     j, completed = CampaignJournal.open_or_resume(path, _header())
-    with j:
-        j.append(2, _record(2))
-    assert sorted(completed) == [0, 1]
-    last = json.loads(path.read_bytes().splitlines()[-1])
-    assert "crc" in last
+    j.close()
+    assert sorted(completed) == [0]
+    assert path.read_bytes() == b"".join(lines[:2])
+    (tail,) = (tmp_path / "quarantine").iterdir()
+    assert tail.name == "j.jsonl.tail" and tail.read_bytes() == b"".join(lines[2:])
+
+
+def test_header_write_rides_the_append_retry(tmp_path, monkeypatch):
+    """One transient ``OSError`` on the very first line must not kill
+    ``create``: the header gets the same bounded retry as every trial."""
+    from repro.harness import chaos
+    from repro.harness.store import open_line
+
+    chaos.disable()  # the one fault here is the planted one
+    real_write_line = CampaignJournal._write_line
+    attempts = []
+
+    def flaky(self, doc):
+        attempts.append(doc["kind"])
+        if len(attempts) == 1:
+            raise OSError("transient")
+        real_write_line(self, doc)
+
+    monkeypatch.setattr(CampaignJournal, "_write_line", flaky)
+    path = tmp_path / "j.jsonl"
+    header = _header()
+    try:
+        CampaignJournal.create(path, header).close()
+    finally:
+        chaos.reset()
+    assert attempts == ["header", "header"]
+    (line,) = path.read_bytes().splitlines()
+    assert open_line(json.loads(line)) == header

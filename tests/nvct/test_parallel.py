@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.apps.base import AppFactory, Application
 from repro.apps.registry import get_factory
 from repro.nvct.campaign import CampaignConfig, run_campaign
 from repro.nvct.parallel import (
     chunk_indices,
     classify_snapshots,
     resolve_jobs,
-    run_campaigns,
 )
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.runtime import CountingRuntime, Runtime
@@ -150,61 +148,3 @@ def test_worker_death_chaos_never_changes_records():
     finally:
         chaos.reset()
     assert survived.records == serial.records
-
-
-def test_run_campaigns_matches_serial_order():
-    specs = [
-        (get_factory("EP"), CampaignConfig(n_tests=6, seed=1)),
-        (get_factory("kmeans"), CampaignConfig(n_tests=6, seed=1)),
-    ]
-    parallel = run_campaigns(specs, jobs=2)
-    serial = [run_campaign(f, c, jobs=1) for f, c in specs]
-    assert [r.app for r in parallel] == ["EP", "kmeans"]
-    for p, s in zip(parallel, serial):
-        assert p.records == s.records
-
-
-class _LocalApp(Application):
-    """Defined at module scope but subclassed locally below to exercise the
-    unpicklable-factory fallback of run_campaigns."""
-
-    NAME = "local"
-    REGIONS = ("R",)
-    DEFAULT_MAX_FACTOR = 1.0
-
-    def __init__(self, runtime=None, nit: int = 4, **kw):
-        super().__init__(runtime, nit=nit, **kw)
-        self.nit = nit
-
-    def nominal_iterations(self):
-        return self.nit
-
-    def _allocate(self):
-        self.acc = self.ws.array("acc", (64,), candidate=True)
-
-    def _initialize(self):
-        self.acc.np[...] = 0.0
-
-    def _iterate(self, it):
-        with self.ws.region("R"):
-            self.acc.update(slice(None), lambda a: np.add(a, 1.0, out=a))
-        return False
-
-    def reference_outcome(self):
-        return {"sum": float(self.acc.np.sum())}
-
-    def verify(self):
-        return self.golden is None or self.reference_outcome()["sum"] == self.golden["sum"]
-
-
-def test_run_campaigns_unpicklable_factory_falls_back():
-    class Hidden(_LocalApp):  # not importable from a worker: forces fallback
-        NAME = "hidden"
-
-    factory = AppFactory(Hidden, nit=4)
-    cfg = CampaignConfig(n_tests=5, seed=2)
-    # two specs so the pool path (not the single-spec serial shortcut) runs
-    results = run_campaigns([(factory, cfg), (factory, cfg)], jobs=2)
-    expected = run_campaign(AppFactory(Hidden, nit=4), cfg, jobs=1)
-    for r in results:
-        assert r.records == expected.records

@@ -193,15 +193,12 @@ def test_packed_array_crc_detects_silent_corruption():
         unpack_snapshot(packed)
 
 
-def test_v0_packed_array_without_crc_still_unpacks():
+def test_packed_array_without_crc_is_refused():
     import numpy as np
 
-    rng = np.random.default_rng(8)
-    snap = _random_snapshot(rng, 0)
-    packed = pack_snapshot(snap)
-    for group in (packed["nvm_state"], packed["consistent_state"] or {}):
-        for entry in group.values():
-            entry.pop("crc32")
-    out = unpack_snapshot(packed)  # the pre-checksum shim: reads unverified
-    for name, arr in snap.nvm_state.items():
-        assert (out.nvm_state[name] == arr).all()
+    from repro.nvct.serialize import _pack_array, _unpack_array
+
+    entry = _pack_array(np.arange(16.0))
+    entry.pop("crc32")
+    with pytest.raises(SnapshotCorruptError, match="checksum"):
+        _unpack_array(entry)

@@ -1,20 +1,17 @@
-"""bench.json schema, the shared artifact writer, and regression diffing."""
+"""bench.json schema and the shared artifact writer."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.obs import metrics
 from repro.obs.export import (
-    CALIBRATION_METRIC,
     SCHEMA_FIELDS,
-    BenchDiff,
     bench_records,
-    diff_bench,
     load_bench,
     read_jsonl,
     render_bench,
-    render_diff,
     validate_bench,
     write_bench,
     write_jsonl,
@@ -38,7 +35,7 @@ def test_bench_records_cover_all_metric_kinds():
     h.observe(6)
     with reg.tracer.span("phase"):
         pass
-    records = validate_bench(bench_records(reg, scale="quick", sha="abc", calibrate=False))
+    records = validate_bench(bench_records(reg, scale="quick", sha="abc"))
     by_name = {r["metric"]: r for r in records}
     assert by_name["c"]["value"] == 7
     assert by_name["g"]["value"] == 0.5
@@ -56,19 +53,11 @@ def test_bench_records_derive_throughputs():
     reg.counter("runtime.accesses", unit="blocks").inc(1000)
     reg.tracer.record("campaign", 0.0, 2.0)
     reg.tracer.record("instrumented_run", 0.0, 4.0)
-    by_name = {r["metric"]: r for r in bench_records(reg, calibrate=False)}
+    by_name = {r["metric"]: r for r in bench_records(reg)}
     assert by_name["campaign.throughput"]["value"] == pytest.approx(20.0)
     assert by_name["campaign.throughput"]["unit"] == "tests/s"
     assert by_name["sim.throughput"]["value"] == pytest.approx(250.0)
     assert by_name["sim.throughput"]["unit"] == "blocks/s"
-
-
-def test_bench_records_calibration_record():
-    reg = metrics.MetricRegistry()
-    records = bench_records(reg, calibrate=True)
-    (cal,) = [r for r in records if r["metric"] == CALIBRATION_METRIC]
-    assert cal["unit"] == "ops/s"
-    assert cal["value"] > 0
 
 
 # -- schema validation ---------------------------------------------------------
@@ -130,88 +119,18 @@ def test_render_bench_lists_every_metric():
     assert "alpha" in out and "beta" in out
 
 
-# -- regression diffing --------------------------------------------------------
+# -- one yardstick -------------------------------------------------------------
 
 
-def test_identical_documents_pass():
-    doc = [rec("campaign.throughput", 40.0), rec("n", 7, unit="tests")]
-    diff = diff_bench(doc, doc)
-    assert diff.ok
-    assert diff.regressions == []
-    assert diff.missing == []
-
-
-def test_rate_below_threshold_regresses():
-    base = [rec("campaign.throughput", 100.0)]
-    cur = [rec("campaign.throughput", 80.0)]
-    diff = diff_bench(cur, base, threshold=0.15)
-    assert not diff.ok
-    assert "campaign.throughput" in diff.regressions[0]
-
-
-def test_rate_within_threshold_passes():
-    base = [rec("campaign.throughput", 100.0)]
-    cur = [rec("campaign.throughput", 90.0)]
-    assert diff_bench(cur, base, threshold=0.15).ok
-
-
-def test_counters_are_not_gated():
-    base = [rec("campaign.tests", 100, unit="tests")]
-    cur = [rec("campaign.tests", 1, unit="tests")]
-    diff = diff_bench(cur, base)
-    assert diff.ok
-    assert diff.rows[0][4] is False  # gated flag
-
-
-def test_calibration_normalizes_rates():
-    # Baseline machine was 2x faster; raw throughput halved — but so did
-    # the calibration, so the normalized ratio is 1.0 and the gate passes.
-    base = [rec("campaign.throughput", 100.0), rec(CALIBRATION_METRIC, 2e9, unit="ops/s")]
-    cur = [rec("campaign.throughput", 50.0), rec(CALIBRATION_METRIC, 1e9, unit="ops/s")]
-    diff = diff_bench(cur, base)
-    assert diff.calibration_ratio == pytest.approx(0.5)
-    assert diff.ok
-    (row,) = [r for r in diff.rows if r[0] == "campaign.throughput"]
-    assert row[3] == pytest.approx(1.0)
-
-
-def test_calibration_correction_is_one_sided():
-    # Current machine benchmarks 2x *faster*: the gate must not demand 2x
-    # throughput (calibration jitter would fail healthy builds) — the
-    # correction caps at 1.0 and the comparison falls back to raw ratios.
-    base = [rec("campaign.throughput", 100.0), rec(CALIBRATION_METRIC, 1e9, unit="ops/s")]
-    cur = [rec("campaign.throughput", 95.0), rec(CALIBRATION_METRIC, 2e9, unit="ops/s")]
-    diff = diff_bench(cur, base)
-    assert diff.calibration_ratio == pytest.approx(2.0)  # reported raw
-    assert diff.ok
-    (row,) = [r for r in diff.rows if r[0] == "campaign.throughput"]
-    assert row[3] == pytest.approx(0.95)
-
-
-def test_calibration_metric_itself_is_not_gated():
-    base = [rec(CALIBRATION_METRIC, 2e9, unit="ops/s")]
-    cur = [rec(CALIBRATION_METRIC, 1e9, unit="ops/s")]
-    assert diff_bench(cur, base).ok
-
-
-def test_baseline_metrics_absent_now_are_reported_not_failed():
-    base = [rec("campaign.throughput", 100.0), rec("sim.throughput", 5.0, unit="blocks/s")]
-    cur = [rec("campaign.throughput", 100.0)]
-    diff = diff_bench(cur, base)
-    assert diff.ok
-    assert diff.missing == ["sim.throughput"]
-
-
-def test_render_diff_states_the_verdict():
-    ok = diff_bench([rec("x", 1.0)], [rec("x", 1.0)])
-    assert "OK" in render_diff(ok)
-    bad = diff_bench([rec("x", 1.0)], [rec("x", 100.0)])
-    assert "REGRESSION" in render_diff(bad)
-
-
-def test_benchdiff_ok_property():
-    assert BenchDiff(threshold=0.15, calibration_ratio=None).ok
-    assert not BenchDiff(threshold=0.15, calibration_ratio=None, regressions=["x"]).ok
+def test_root_bench_files_are_bench_run_documents():
+    """A committed ``BENCH_<sha>.json`` is a ``bench/run.py --out``
+    document — no second performance schema at the repo root."""
+    root = Path(__file__).resolve().parents[2]
+    for path in sorted(root.glob("BENCH_*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert set(doc) == {"runs", "claim"}, path.name
+        for run in doc["runs"]:
+            assert "workload" in run and "metrics" in run, path.name
 
 
 def test_schema_fields_constant():

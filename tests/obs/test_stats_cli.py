@@ -1,18 +1,10 @@
-"""``repro campaign --stats``, ``repro stats``, and the CI regression gate."""
-
-import json
-import subprocess
-import sys
-from pathlib import Path
+"""``repro campaign --stats`` and ``repro stats``."""
 
 import pytest
 
 from repro.cli import main
 from repro.obs import metrics
-from repro.obs.export import SCHEMA_FIELDS, load_bench, read_jsonl, write_bench
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
-CHECKER = REPO_ROOT / "tools" / "check_bench_regression.py"
+from repro.obs.export import SCHEMA_FIELDS, load_bench, read_jsonl
 
 
 def run_cli(capsys, *argv):
@@ -89,35 +81,6 @@ def test_stats_dump(bench_file, capsys):
     assert "campaign.throughput" in out
 
 
-def test_stats_diff_self_is_ok(bench_file, capsys):
-    code, out = run_cli(capsys, "stats", str(bench_file), str(bench_file), "--diff")
-    assert code == 0
-    assert "OK" in out
-
-
-def test_stats_diff_regression_exits_1(tmp_path, capsys):
-    base = write_bench(tmp_path / "base.json", [rec("campaign.throughput", 100.0)])
-    cur = write_bench(tmp_path / "cur.json", [rec("campaign.throughput", 10.0)])
-    code, out = run_cli(capsys, "stats", str(cur), str(base), "--diff")
-    assert code == 1
-    assert "REGRESSION" in out
-
-
-def test_stats_diff_threshold_flag(tmp_path, capsys):
-    base = write_bench(tmp_path / "base.json", [rec("campaign.throughput", 100.0)])
-    cur = write_bench(tmp_path / "cur.json", [rec("campaign.throughput", 80.0)])
-    code, _ = run_cli(capsys, "stats", str(cur), str(base), "--diff")
-    assert code == 1  # 20% drop fails the default 15% gate
-    code, _ = run_cli(capsys, "stats", str(cur), str(base), "--diff", "--threshold", "0.25")
-    assert code == 0
-
-
-def test_stats_diff_needs_exactly_two_files(tmp_path, capsys):
-    path = write_bench(tmp_path / "one.json", [rec("x", 1.0)])
-    code, _ = run_cli(capsys, "stats", str(path), "--diff")
-    assert code == 2
-
-
 def test_stats_unreadable_file_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")
@@ -125,54 +88,3 @@ def test_stats_unreadable_file_exits_2(tmp_path, capsys):
     assert code == 2
     code, _ = run_cli(capsys, "stats", str(tmp_path / "absent.json"))
     assert code == 2
-
-
-# -- tools/check_bench_regression.py -------------------------------------------
-
-
-def run_checker(*argv):
-    return subprocess.run(
-        [sys.executable, str(CHECKER), *map(str, argv)],
-        capture_output=True, text=True, timeout=120,
-    )
-
-
-def test_checker_ok_exit_0(tmp_path):
-    doc = [rec("campaign.throughput", 100.0)]
-    base = write_bench(tmp_path / "base.json", doc)
-    cur = write_bench(tmp_path / "cur.json", doc)
-    proc = run_checker(cur, base)
-    assert proc.returncode == 0, proc.stderr
-    assert "OK" in proc.stdout
-
-
-def test_checker_regression_exit_1(tmp_path):
-    base = write_bench(tmp_path / "base.json", [rec("campaign.throughput", 100.0)])
-    cur = write_bench(tmp_path / "cur.json", [rec("campaign.throughput", 10.0)])
-    proc = run_checker(cur, base)
-    assert proc.returncode == 1
-    assert "REGRESSION" in proc.stdout
-
-
-def test_checker_bad_input_exit_2(tmp_path):
-    base = write_bench(tmp_path / "base.json", [rec("x", 1.0)])
-    proc = run_checker(tmp_path / "absent.json", base)
-    assert proc.returncode == 2
-
-
-def test_checker_threshold_flag(tmp_path):
-    base = write_bench(tmp_path / "base.json", [rec("campaign.throughput", 100.0)])
-    cur = write_bench(tmp_path / "cur.json", [rec("campaign.throughput", 80.0)])
-    assert run_checker(cur, base).returncode == 1
-    assert run_checker(cur, base, "--threshold", "0.25").returncode == 0
-
-
-def test_committed_baseline_is_valid():
-    baseline = REPO_ROOT / "benchmarks" / "baseline" / "bench.json"
-    records = load_bench(baseline)
-    by_name = {r["metric"] for r in records}
-    assert "campaign.throughput" in by_name
-    assert "calibration.ops_per_s" in by_name
-    raw = baseline.read_text(encoding="utf-8")
-    assert json.loads(raw)  # plain JSON, no trailing junk
-    assert raw.endswith("\n") and not raw.endswith("\n\n")

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ServiceError
 from repro.nvct.campaign import CampaignConfig
 from repro.nvct.plan import PersistencePlan
+from repro.obs import metrics
 from repro.service.protocol import (
     LineReader,
     config_from_doc,
@@ -29,10 +30,11 @@ def test_corrupt_line_is_swallowed_not_fatal():
     assert decode_line(flipped) is None
     assert decode_line(b"not json at all") is None
     assert decode_line(json.dumps([1, 2, 3]).encode()) is None  # not an object
-    # an unsealed object passes through (v0 journal-line compatibility)...
-    assert decode_line(json.dumps({"op": "ack"}).encode()) == {"op": "ack"}
-    # ...but a sealed object with a wrong crc is corruption, full stop
-    assert decode_line(json.dumps({"op": "ack", "crc": 1}).encode()) is None
+    # an unsealed object is as unverifiable as one with a wrong crc
+    with metrics.enabled() as reg:
+        assert decode_line(json.dumps({"op": "ack"}).encode()) is None
+        assert decode_line(json.dumps({"op": "ack", "crc": 1}).encode()) is None
+        assert reg.counter("service.bad_lines").value == 2
 
 
 def test_line_reader_reassembles_partial_feeds():

@@ -361,10 +361,13 @@ def test_stats_corrupt_bench_exits_3(tmp_path, capsys):
     doc = json.loads(path.read_text())
     doc["payload"][0]["value"] = 9.9  # tampered: CRC is now stale
     path.write_text(json.dumps(doc))
-    code = main(["stats", str(path)])
-    err = capsys.readouterr().err
-    assert code == 3
-    assert "corrupt" in err and "doctor fsck" in err
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc["payload"]))  # no envelope: nothing to verify
+    for damaged in (path, bare):
+        code = main(["stats", str(damaged)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "corrupt" in err and "doctor fsck" in err
 
 
 def test_stats_unreadable_file_still_exits_2(tmp_path, capsys):
@@ -390,15 +393,20 @@ def test_doctor_fsck_detects_then_repairs_truncated_entry(capsys, tmp_path, monk
     entry = root / "campaign" / "aa" / "aabbcc.json"
     atomic_write_bytes(entry, pack_record(b'{"fine": true}'))
     entry.write_bytes(entry.read_bytes()[:-4])  # truncated payload
+    bare = root / "campaign" / "bb" / "bbccdd.json"
+    atomic_write_bytes(bare, b'{"fine": true}')  # no envelope
     monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
 
     code, out = run_cli(capsys, "doctor", "fsck")
-    assert code == 1 and "corrupt" in out
+    assert code == 1
+    for path in (entry, bare):
+        (line,) = (ln for ln in out.splitlines() if str(path) in ln)
+        assert line.split()[0] == "corrupt"
 
     code, out = run_cli(capsys, "doctor", "fsck", "--repair")
-    assert code == 0 and "quarantined ->" in out
-    assert not entry.exists()
-    assert list((root / "quarantine").iterdir())  # moved, not deleted
+    assert code == 0 and out.count("quarantined ->") == 2
+    assert not entry.exists() and not bare.exists()
+    assert len(list((root / "quarantine").iterdir())) == 2  # moved, not deleted
 
     code, out = run_cli(capsys, "doctor", "fsck")
     assert code == 0 and "fsck: OK" in out

@@ -7,10 +7,8 @@ Run after ``pytest benchmarks/ --benchmark-only``:
 Each section pairs the paper's reported numbers with the regenerated
 table/figure from ``benchmarks/results/`` and states the shape criteria
 the benchmark suite asserts.  Sections carry a provenance line from
-their machine-readable JSON twin when one exists, and a closing
-"Performance tracking" section diffs the newest top-level
-``BENCH_<sha>.json`` trajectory file against the committed perf baseline
-(``benchmarks/baseline/bench.json``).
+their machine-readable JSON twin when one exists.  Performance is not
+tracked here: that is ``bench/run.py`` + ``bench/compare.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 RESULTS = ROOT / "benchmarks" / "results"
-BASELINE = ROOT / "benchmarks" / "baseline" / "bench.json"
 TARGET = ROOT / "EXPERIMENTS.md"
 
 SECTIONS: list[tuple[str, str, str]] = [
@@ -237,83 +234,15 @@ def _twin_note(stem: str) -> str | None:
     )
 
 
-def _golden_section() -> str:
-    """Before/after snapshot-production throughput from the bench trajectory."""
-    from repro.obs.export import load_bench
+GOLDEN_NOTE = """## Golden-pass snapshot production
 
-    lines = ["## Golden-pass snapshot production\n"]
-    lines.append(
-        "One instrumented execution now feeds every crash test by replaying\n"
-        "recorded write-back deltas (`repro.memsim.golden`) instead of\n"
-        "full-copying and full-diffing the heap at each crash point.  The\n"
-        "numbers below are `benchmarks/test_campaign_throughput.py`'s\n"
-        "snapshot-production benchmarks (a 3 MB streaming candidate heap,\n"
-        ">= 100 crash points; `test_golden_snapshot_speedup` asserts >= 5x);\n"
-        "both paths produce bit-identical campaign records\n"
-        "(`tests/nvct/test_golden.py`).\n"
-    )
-    legacy = golden = None
-    for path in sorted(
-        ROOT.glob("BENCH_*.json"), key=lambda p: p.stat().st_mtime, reverse=True
-    ):
-        try:
-            records = load_bench(path)
-        except (OSError, ValueError):
-            continue
-        by_metric = {r["metric"]: r for r in records}
-        legacy = by_metric.get("benchmark.test_snapshot_production_legacy.mean_s")
-        golden = by_metric.get("benchmark.test_snapshot_production_golden.mean_s")
-        if legacy and golden:
-            lines.append(f"Current run: `{path.name}` (scale `{legacy['scale']}`).\n")
-            break
-    if not (legacy and golden):
-        lines.append(
-            "*(no snapshot-production records yet — run "
-            "`pytest benchmarks/test_campaign_throughput.py`)*\n"
-        )
-        return "\n".join(lines)
-    t_l, t_g = float(legacy["value"]), float(golden["value"])
-    lines.append(
-        "| snapshot production | mean wall time | speedup |\n"
-        "|---|---|---|\n"
-        f"| legacy (per-point copy + diff) | {t_l:.3f} s | 1.0x |\n"
-        f"| golden pass (delta replay) | {t_g:.3f} s | **{t_l / t_g:.1f}x** |\n"
-    )
-    return "\n".join(lines)
-
-
-def _perf_section() -> str:
-    """Current-vs-baseline performance deltas from the bench trajectory."""
-    from repro.obs.export import diff_bench, load_bench, render_bench, render_diff
-
-    lines = ["## Performance tracking\n"]
-    lines.append(
-        "Rate metrics (unit `*/s`) from the newest `BENCH_<sha>.json` against\n"
-        "the committed baseline `benchmarks/baseline/bench.json`; the same diff\n"
-        "gates CI (`tools/check_bench_regression.py`, threshold 15%).\n"
-    )
-    try:
-        baseline = load_bench(BASELINE)
-    except (OSError, ValueError):
-        lines.append("*(no committed baseline — run the perf gate once to create it)*\n")
-        return "\n".join(lines)
-    trajectory = sorted(
-        ROOT.glob("BENCH_*.json"), key=lambda p: p.stat().st_mtime, reverse=True
-    )
-    current = None
-    for path in trajectory:
-        try:
-            current = load_bench(path)
-        except (OSError, ValueError):
-            continue
-        lines.append(f"Current run: `{path.name}`.\n")
-        break
-    if current is None:
-        lines.append("*(no BENCH_<sha>.json yet — baseline shown as-is)*\n")
-        lines.append("```\n" + render_bench(baseline) + "\n```\n")
-        return "\n".join(lines)
-    lines.append("```\n" + render_diff(diff_bench(current, baseline)) + "\n```\n")
-    return "\n".join(lines)
+One instrumented execution feeds every crash test by replaying recorded
+write-back deltas (`repro.memsim.golden`) instead of full-copying and
+full-diffing the heap at each crash point; its cost is the
+`memsim.golden.*` rows of the benchmark (`bench/README.md`), and
+`benchmarks/test_campaign_throughput.py::test_golden_snapshot_speedup`
+asserts >= 5x over legacy snapshot production.
+"""
 
 
 def _chaos_section() -> str:
@@ -438,8 +367,8 @@ configurations the test suite uses):
 def _render_sections(missing: list[str]) -> list[str]:
     """HEADER plus the artifact-derived section blocks — the part of the
     document that is a pure function of the committed ``benchmarks/results/``
-    artifacts (the live/perf sections below it depend on local BENCH files
-    and runtime state and are excluded from the drift check)."""
+    artifacts (the static recipes and the live equivalence table below it
+    are excluded from the drift check)."""
     parts = [HEADER]
     for stem, title, commentary in SECTIONS:
         path = RESULTS / f"{stem}.txt"
@@ -500,9 +429,8 @@ def main() -> int:
     parts = _render_sections(missing)
     parts.append(_chaos_section())
     parts.append(_service_section())
-    parts.append(_golden_section())
+    parts.append(GOLDEN_NOTE)
     parts.append(_equivalence_section())
-    parts.append(_perf_section())
     TARGET.write_text("\n".join(parts), encoding="utf-8")
     print(f"wrote {TARGET} ({len(SECTIONS) - len(missing)}/{len(SECTIONS)} sections)")
     if missing:
