@@ -7,8 +7,9 @@ simulator) is measured by ``bench/run.py`` and compared by
 ``tests/nvct/test_parallel.py`` and ``test_execution_matrix.py``.
 
 The snapshot-production phase pays O(n_points x heap) in full-image
-copies and diffs on the legacy path, O(heap + writeback_traffic) via
-delta replay on the golden pass.  A streaming app whose per-iteration
+copies and diffs on the copy-and-diff path (now only the test-tree
+oracle, ``tests/nvct/legacy_oracle.py``), O(heap + writeback_traffic)
+via delta replay on the golden pass.  A streaming app whose per-iteration
 working set is a quarter of a 3 MB candidate array reproduces the regime
 the paper's mini-apps live in (heap larger than the per-point mutation
 set), where the asymptotic gap is visible at realistic point counts.
@@ -23,6 +24,7 @@ import pytest
 from repro.apps.base import AppFactory, Application
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.runtime import CountingRuntime, Runtime
+from tests.nvct.legacy_oracle import LegacyRuntime
 
 _STREAM_SIZE = 384 * 1024  # doubles: 3 MB candidate heap
 _GOLDEN_SCALE = {"quick": (2, 160), "default": (2, 256), "paper": (3, 384)}
@@ -85,7 +87,7 @@ def stream_setup():
 
 def _produce_images(factory, points, golden: bool) -> int:
     """One instrumented run + materialization of every crash image."""
-    rt = Runtime(plan=PersistencePlan.none(), crash_points=points, golden=golden)
+    rt = (Runtime if golden else LegacyRuntime)(plan=PersistencePlan.none(), crash_points=points)
     factory.make(runtime=rt).run()
     if golden:
         return sum(1 for _ in rt.golden_store().snapshots())

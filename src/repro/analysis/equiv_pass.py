@@ -315,10 +315,7 @@ def build_crash_plan(
     from repro.nvct.campaign import PreparedShard, plan_shards
 
     if cfg.n_cores > 1 or cfg.verified_mode:
-        raise UsageError(
-            "crash plans require the golden-pass engine "
-            "(single-core, non-verified campaigns)"
-        )
+        raise UsageError("crash plans require a single-core, non-verified campaign")
     key = crash_plan_key(factory, cfg)
     if cache is not None:
         cached = cache.get_crash_plan(key)
@@ -327,8 +324,6 @@ def build_crash_plan(
 
     (shard,), _ = plan_shards(factory, cfg)
     store = PreparedShard.record(factory, shard).store
-    if store is None:
-        raise RuntimeError(f"{factory.name}: golden recording lost crash points")
     plan = plan_from_store(
         factory, cfg, shard.window, shard.points.tolist(), shard.weights.tolist(),
         store, tail=tail,

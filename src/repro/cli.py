@@ -119,13 +119,6 @@ def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
         "loop, Unix only; default: unbounded)",
     )
     sub.add_argument(
-        "--no-golden",
-        action="store_true",
-        help="disable the golden-pass batched snapshot engine and take "
-        "full per-crash-point snapshots instead (the bit-identical legacy "
-        "oracle)",
-    )
-    sub.add_argument(
         "--crash-plan",
         metavar="FILE",
         default=None,
@@ -550,7 +543,7 @@ def _run_local(factory, cfg, args: argparse.Namespace, **kwargs):
     """Run (or, for ``serve``, replay from the complete journals) through
     the local executors: the inline loop, the pool at ``--jobs``, and for
     a cluster topology the same single-shard path once per emulated node."""
-    kwargs.update(trial_timeout=args.trial_timeout, golden=not args.no_golden)
+    kwargs.update(trial_timeout=args.trial_timeout)
     if cfg.clustered:
         from repro.cluster import run_cluster_campaign
 
@@ -621,7 +614,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         deadline_s=args.heartbeat_deadline,
         resume=args.resume,
         crash_plan=args.crash_plan,
-        golden=not args.no_golden,
         trial_timeout=args.trial_timeout,
     )
     scheduler.prepare()

@@ -280,7 +280,6 @@ def run_cluster_campaign(
     journal: "str | Path | None" = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
-    golden: bool = True,
     checkpoint: "MultiLevelCheckpointModel | None" = None,
 ) -> ClusterResult:
     """Run one multi-node crash campaign: a sharding of the campaign plan.
@@ -291,14 +290,14 @@ def run_cluster_campaign(
     hierarchy, golden engine and crash-model overlay) under a
     :class:`NodeLease`; the recovery orchestrator then replays the burst
     schedule over the measured records.  ``jobs`` / ``chunk_timeout`` /
-    ``retry`` / ``trial_timeout`` / ``golden`` mean what they mean for
+    ``retry`` / ``trial_timeout`` mean what they mean for
     :func:`~repro.nvct.campaign.run_campaign`, per shard.
     """
     from repro.harness.resilience import NODE_LEASE_RETRY, new_breaker
     from repro.memsim.crashmodel import get_model
     from repro.nvct.campaign import phase_span, plan_shards, run_shard
 
-    shards, bursts = plan_shards(factory, cfg, golden=golden, journal=journal, cluster=True)
+    shards, bursts = plan_shards(factory, cfg, journal=journal, cluster=True)
     assert bursts is not None
     breaker = new_breaker()
     node_results: dict[int, "CampaignResult"] = {}

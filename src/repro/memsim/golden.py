@@ -1,12 +1,10 @@
 """Golden-pass crash simulation: one execution, N crash images.
 
-The legacy campaign path materializes a full copy of every restart-relevant
-object's NVM image — plus a full-heap architectural-vs-NVM diff — at each
-of the N crash points of the single instrumented execution, so snapshot
-production costs ``O(N x heap_bytes)`` even though the execution itself
-runs only once.
-
-This module replaces that with a *golden pass*:
+Copying every restart-relevant object's NVM image — plus a full-heap
+architectural-vs-NVM diff — at each of the N crash points of the single
+instrumented execution would cost ``O(N x heap_bytes)`` even though the
+execution itself runs only once.  The *golden pass* is the engine's only
+source of crash images instead:
 
 * :class:`GoldenRecorder` rides the instrumented run.  It captures one
   base NVM image per object at the start of the crash window, then logs
@@ -26,10 +24,17 @@ This module replaces that with a *golden pass*:
   or request stable copies (parallel classification, which ships packed
   payloads anyway).
 
-The reconstructed snapshots are bit-identical to the legacy path's — the
-same bytes land in NVM in the same event order, and the incremental rate
-bookkeeping counts exactly the bytes a full diff would — which is proven
-by the equivalence suite in ``tests/nvct/test_golden.py``.
+* The verified methodology (restart from crash-time *architectural*
+  copies) rides the same recorder: with ``capture_consistent`` each crash
+  point also keeps one read-only copy of the architectural bytes, yielded
+  as ``Snapshot.consistent_state``.
+
+The reconstructed snapshots are bit-identical to a copy-and-diff snapshot
+at every point — the same bytes land in NVM in the same event order, and
+the incremental rate bookkeeping counts exactly the bytes a full diff
+would.  That copy-and-diff oracle lives in the test tree
+(``tests/nvct/legacy_oracle.py``); ``tests/nvct/test_golden.py`` and the
+execution matrix compare every engine path against it.
 
 Telemetry: ``golden.deltas_recorded`` / ``golden.delta_bytes`` (recording,
 published by the runtime), ``golden.images_materialized`` /
@@ -88,15 +93,20 @@ class GoldenRecorder:
     called at the first ``main_loop_begin`` (right after the init-phase
     ``sync_nvm``), ``take`` at every crash point, and ``build_store`` after
     the run.  Recording stops by itself once all expected images are taken.
+    ``capture_consistent`` also keeps each crash point's architectural
+    bytes (the verified methodology restarts from those).
     """
 
-    def __init__(self, heap: "PersistentHeap", n_images: int) -> None:
+    def __init__(
+        self, heap: "PersistentHeap", n_images: int, capture_consistent: bool = False
+    ) -> None:
         self.heap = heap
         self.n_images = int(n_images)
         self._tracked: dict[str, _Tracked] = {}
         self._rate_order: list[_Tracked] = []
         self._metas: list[_ImageMeta] = []
         self._extras: dict[int, dict[str, tuple[np.ndarray, np.ndarray]]] | None = None
+        self._consistent: list[dict[str, np.ndarray]] | None = [] if capture_consistent else None
         self._active = False
         self.deltas_recorded = 0
         self.delta_bytes = 0
@@ -127,6 +137,8 @@ class GoldenRecorder:
             self._tracked[o.name] = t
         self._metas = []
         self._extras = None
+        if self._consistent is not None:
+            self._consistent = []
         self._active = True
 
     def on_writeback(
@@ -211,6 +223,11 @@ class GoldenRecorder:
                 name: (idx, vals) for name, (idx, vals, _fixed) in extras.items()
                 if name in self._tracked
             }
+        if self._consistent is not None:
+            state = self.heap.snapshot_consistent()
+            for a in state.values():
+                a.flags.writeable = False
+            self._consistent.append(state)
         self._metas.append(_ImageMeta(counter, iteration, region, rates))
         if len(self._metas) >= self.n_images:
             self._active = False  # past the last crash point: stop recording
@@ -262,7 +279,7 @@ class GoldenRecorder:
                 bounds[name] = np.zeros(n + 1, dtype=np.int64)
         return GoldenStore(
             metas=list(self._metas), base=base, idx=idx, vals=vals, bounds=bounds,
-            extras=self._extras,
+            extras=self._extras, consistent=self._consistent,
         )
 
 
@@ -277,6 +294,7 @@ class GoldenStore:
         vals: dict[str, np.ndarray],
         bounds: dict[str, np.ndarray],
         extras: dict[int, dict[str, tuple[np.ndarray, np.ndarray]]] | None = None,
+        consistent: list[dict[str, np.ndarray]] | None = None,
     ) -> None:
         self._metas = metas
         self._base = base
@@ -287,6 +305,8 @@ class GoldenStore:
         # whole-cache-loss model): applied on top of the delta prefix when
         # an image is materialized, undone before advancing to the next.
         self._extras = extras
+        # Per-image read-only architectural copies (verified mode only).
+        self._consistent = consistent
         self._names = list(base)
         self.images_materialized = 0
         self.bytes_copied = 0
@@ -357,6 +377,7 @@ class GoldenStore:
         zero-copy contract for in-process, one-at-a-time consumption.
         ``copy=True`` yields stable read-only copies (counted in
         ``golden.bytes_copied``) for consumers that retain or ship them.
+        A recorded ``consistent_state`` is stable and read-only either way.
         """
         from repro.nvct.runtime import Snapshot
 
@@ -421,7 +442,9 @@ class GoldenStore:
                     region=m.region,
                     nvm_state=state,
                     rates=dict(m.rates),
-                    consistent_state=None,
+                    consistent_state=(
+                        None if self._consistent is None else dict(self._consistent[k])
+                    ),
                 )
                 spent += time.perf_counter() - t0
                 # Count before yielding: the image exists by now, and a

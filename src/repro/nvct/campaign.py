@@ -18,14 +18,13 @@ snapshot is restarted in fast plain mode.  This is statistically identical
 to independent crashes under the uniform crash distribution and makes
 thousand-test campaigns tractable.
 
-By default the snapshots themselves come from the *golden pass*
-(:mod:`repro.memsim.golden`): the single instrumented run records NVM
-write-back deltas per crash-point segment, and all N crash images are
-reconstructed afterwards by vectorized delta replay — ``O(heap +
-writeback_traffic)`` instead of the legacy ``O(N x heap)`` copy-and-diff
-per point.  The legacy path (``--no-golden`` / ``run_campaign(...,
-golden=False)``) is retained as the bit-identical oracle and still
-serves verified-mode and multi-core campaigns.
+The snapshots themselves come from the *golden pass*
+(:mod:`repro.memsim.golden`) for every campaign — single- or multi-core,
+verified or not: the single instrumented run records NVM write-back
+deltas per crash-point segment, and all N crash images are reconstructed
+afterwards by vectorized delta replay — ``O(heap + writeback_traffic)``
+instead of an ``O(N x heap)`` copy-and-diff per point.  That
+copy-and-diff path survives only as the test tree's oracle.
 
 Every way of running a campaign — serial, ``--jobs``, ``--nodes``,
 ``repro serve`` + ``repro work`` — goes through one pipeline defined
@@ -421,7 +420,6 @@ def _instrumented_run(
     factory: AppFactory,
     cfg: CampaignConfig,
     crash_points: np.ndarray | None,
-    golden: bool = False,
 ) -> tuple[Runtime, int]:
     if cfg.n_cores > 1:
         from repro.nvct.multicore_runtime import MulticoreRuntime
@@ -438,7 +436,6 @@ def _instrumented_run(
             plan=cfg.plan,
             crash_points=crash_points,
             capture_consistent=cfg.verified_mode,
-            golden=golden,
             crash_model=cfg.crash_model,
             crash_seed=cfg.seed,
         )
@@ -580,7 +577,6 @@ class ShardPlan:
     window: tuple[int, int]
     points: np.ndarray
     weights: np.ndarray
-    use_golden: bool
     to_run: "Sequence[int]"
     crash_plan: "CrashPlan | None"
     journal: "str | Path | None"
@@ -595,7 +591,6 @@ def plan_shards(
     cfg: CampaignConfig,
     crash_plan: "CrashPlan | str | Path | None" = None,
     *,
-    golden: bool = True,
     journal: "str | Path | None" = None,
     cluster: bool = False,
 ) -> "tuple[list[ShardPlan], list[Burst] | None]":
@@ -606,31 +601,30 @@ def plan_shards(
     ``cluster=True`` cuts it across ``cfg.nodes`` emulated nodes by the
     correlated burst schedule, each shard journaling to its per-node
     sibling of ``journal``.  Per shard: profile + sample the crash
-    points, check a pruned crash plan against them, and choose the
-    golden-pass or the legacy snapshot engine.  Returns the shards and
-    the burst schedule that cut them (``None`` without ``cluster``).
+    points and check a pruned crash plan against them.  Returns the
+    shards and the burst schedule that cut them (``None`` without
+    ``cluster``).
     """
     from repro.errors import UsageError
     from repro.memsim.crashmodel import get_model
 
-    batched = cfg.n_cores == 1 and not cfg.verified_mode
+    simple = cfg.n_cores == 1 and not cfg.verified_mode
     if crash_plan is not None:
         from repro.analysis.equiv_pass import CrashPlan
 
         if not isinstance(crash_plan, CrashPlan):
             crash_plan = CrashPlan.load(crash_plan)
         crash_plan.validate_for(factory, cfg)
-        if not (batched and golden):
+        if not simple:
             raise UsageError(
-                "a pruned crash plan requires the golden-pass engine: "
-                "single-core, non-verified, and not --no-golden"
+                "a pruned crash plan requires a single-core, non-verified campaign"
             )
     crash_model = get_model(cfg.crash_model)
-    if not crash_model.is_default and not batched:
+    if not crash_model.is_default and not simple:
         raise UsageError(
             f"crash model {crash_model.spec!r} requires a single-core, "
-            "non-verified campaign (whole-cache-loss is the only model the "
-            "multi-core and verified paths support)"
+            "non-verified campaign (whole-cache-loss is the only model "
+            "multi-core and verified campaigns support)"
         )
     bursts, node_cfgs = None, [cfg]
     if cluster:
@@ -651,14 +645,8 @@ def plan_shards(
                 "`repro analyze --emit-plan`"
             )
         path = node_journal_path(journal, node_cfg.node) if cluster and journal else journal
-        if crash_plan is not None:
-            use_golden, to_run = True, crash_plan.executed_indices()
-        else:
-            use_golden = golden and batched and points.size > 0
-            to_run = range(points.size)
-        shards.append(
-            ShardPlan(node_cfg, window, points, weights, use_golden, to_run, crash_plan, path)
-        )
+        to_run = crash_plan.executed_indices() if crash_plan is not None else range(points.size)
+        shards.append(ShardPlan(node_cfg, window, points, weights, to_run, crash_plan, path))
     return shards, bursts
 
 
@@ -678,16 +666,17 @@ def _classify_each(
 @dataclass
 class PreparedShard:
     """The expensive half of one shard: its golden run and its single
-    instrumented execution, snapshotted at every crash point.  Owns the
-    in-process trial loop and the result assembly; the executors (inline,
-    process pool, socket worker) are functions over this object."""
+    instrumented execution, recorded into a golden store holding every
+    crash image.  Owns the in-process trial loop and the result assembly;
+    the executors (inline, process pool, socket worker) are functions
+    over this object."""
 
     factory: AppFactory
     plan: ShardPlan
     golden_iterations: int
     runtime: Runtime
     iterations: int
-    store: "GoldenStore | None"  # None on the legacy snapshot path
+    store: "GoldenStore"
 
     @property
     def cfg(self) -> CampaignConfig:
@@ -698,19 +687,15 @@ class PreparedShard:
         with phase_span("golden", factory):
             golden_result, _ = factory.golden()
         with phase_span("instrumented_run", factory):
-            rt, iterations = _instrumented_run(
-                factory, plan.cfg, plan.points, golden=plan.use_golden
-            )
-        store = rt.golden_store() if plan.use_golden else None
-        n_snaps = store.n_images if store is not None else len(rt.snapshots)
-        if n_snaps != plan.n_snaps:
+            rt, iterations = _instrumented_run(factory, plan.cfg, plan.points)
+        store = rt.golden_store()
+        if store.n_images != plan.n_snaps:
             raise RuntimeError(
-                f"{factory.name}: {plan.n_snaps} crash points but {n_snaps} snapshots"
+                f"{factory.name}: {plan.n_snaps} crash points but {store.n_images} snapshots"
             )
         if plan.crash_plan is not None:
             from repro.analysis.equiv_pass import partition_signatures
 
-            assert store is not None
             if partition_signatures(store.image_signatures()) != plan.crash_plan.class_ids:
                 raise RuntimeError(
                     "crash plan is stale: the recorded write-back partition "
@@ -724,13 +709,9 @@ class PreparedShard:
     ) -> "Iterator[tuple[int, CrashTestRecord]]":
         """Classify trials ``indices`` (ascending) in process.  Golden
         snapshots are *borrowed* zero-copy views, one trial at a time."""
-        snaps = (
-            self.store.snapshots(indices)
-            if self.store is not None
-            else (self.runtime.snapshots[i] for i in indices)
-        )
         return zip(indices, _classify_each(
-            self.factory, snaps, self.golden_iterations, self.cfg, trial_timeout
+            self.factory, self.store.snapshots(indices), self.golden_iterations,
+            self.cfg, trial_timeout,
         ))
 
     def result(self, completed: "Mapping[int, CrashTestRecord]") -> CampaignResult:
@@ -809,7 +790,6 @@ def run_campaign(
     journal: "str | Path | None" = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
-    golden: bool = True,
     plan: "CrashPlan | str | Path | None" = None,
 ) -> CampaignResult:
     """Run a full crash-test campaign for one application and plan.
@@ -828,16 +808,6 @@ def run_campaign(
     exceeds its deadline as a ``FAILED`` record (wall-clock dependent, so
     off by default).
 
-    ``golden`` selects the golden-pass batched snapshot engine
-    (:mod:`repro.memsim.golden`): the instrumented run records write-back
-    deltas and all N crash images are reconstructed by vectorized replay
-    instead of N full heap copies + diffs.  ``golden=False`` (the CLI's
-    ``--no-golden``) selects the legacy serial snapshot path — retained
-    as the bit-identical oracle.  It is an execution strategy, not a
-    campaign parameter: results, journal headers and artifact-cache
-    content keys are unchanged either way.  Verified mode and multi-core
-    simulation always use the legacy path.
-
     ``plan`` is a pruned crash plan (a :class:`repro.analysis.equiv_pass.
     CrashPlan` or a path to one emitted by ``repro analyze --emit-plan``):
     only one representative crash point per NVM-image equivalence class —
@@ -847,7 +817,7 @@ def run_campaign(
     (same sampled points, same coordinates, deterministically identical
     responses); the plan must have been emitted for exactly this campaign
     (app, params, config, versions) or a :class:`~repro.errors.UsageError`
-    is raised.  Requires the golden-pass engine.
+    is raised.  Requires a single-core, non-verified campaign.
     """
     if cfg.nodes > 1:
         from repro.errors import UsageError
@@ -858,5 +828,5 @@ def run_campaign(
             "--nodes`), which shards the campaign and orchestrates recovery"
         )
     with phase_span("campaign", factory, tests=cfg.n_tests):
-        (shard,), _ = plan_shards(factory, cfg, plan, golden=golden, journal=journal)
+        (shard,), _ = plan_shards(factory, cfg, plan, journal=journal)
         return run_shard(factory, shard, jobs, chunk_timeout, retry, trial_timeout)

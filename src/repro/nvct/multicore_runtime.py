@@ -12,6 +12,8 @@ The simulation serializes the cores' accesses in program order (a legal
 interleaving of a fork-join data-parallel execution); the crash-point
 counter spans all cores, so a crash can strike any core's shard mid-way —
 and, as on real hardware, loses *every* core's unflushed dirty lines.
+Crash images come from the same golden-pass recorder as the single-core
+runtime's.
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ class MulticoreRuntime(Runtime):
 
     # -- wiring -----------------------------------------------------------------
 
-    def attach_heap(self, heap: PersistentHeap) -> None:
-        self.heap = heap
-        self.hierarchy = MulticoreHierarchy(  # type: ignore[assignment]
+    def _build_hierarchy(self, heap: PersistentHeap) -> MulticoreHierarchy:  # type: ignore[override]
+        # Runtime.attach_heap wires the golden recorder on top, exactly as
+        # for the single-core hierarchy.
+        return MulticoreHierarchy(
             self.n_cores, self._l1_cfg, self._llc_cfg, writeback_sink=heap.writeback_blocks
         )
 

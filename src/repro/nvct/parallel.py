@@ -287,14 +287,11 @@ def classify_pooled(
     ``indices`` through :func:`classify_snapshots` (packed, *copied*
     payloads — a shipped image must not alias the replay buffers) and
     hand each ``(index, record)`` to ``sink`` as its chunk lands."""
-    if shard.store is not None:
-        from repro.memsim.golden import GoldenSnapshotSource
+    from repro.memsim.golden import GoldenSnapshotSource
 
-        batch: object = GoldenSnapshotSource(shard.store, indices)
-    else:
-        batch = [shard.runtime.snapshots[i] for i in indices]
     classify_snapshots(
-        shard.factory, batch, shard.golden_iterations, shard.cfg,  # type: ignore[arg-type]
+        shard.factory, GoldenSnapshotSource(shard.store, indices),
+        shard.golden_iterations, shard.cfg,
         jobs=jobs, chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT, retry=retry,
         record_sink=lambda local, rec: sink(indices[local], rec),
     )

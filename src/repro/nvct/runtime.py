@@ -9,15 +9,19 @@ managed arrays), the cache hierarchy, and the crash-test campaign:
   distribution;
 * when the counter crosses a scheduled crash point *inside* a bulk store,
   the store is split at the exact block boundary: only the prefix is
-  applied to architectural state and simulated, then the NVM image is
-  snapshotted, then the remainder proceeds — so a snapshot is exactly the
+  applied to architectural state and simulated, then the crash image is
+  recorded, then the remainder proceeds — so a crash image is exactly the
   machine state after a prefix of the access stream;
 * persistence plans are executed at region/iteration boundaries by
   flushing the critical objects' cache blocks (CLWB/CLFLUSHOPT semantics).
 
-A single simulated execution therefore yields every crash test of a
-campaign (snapshots at all sorted crash points) plus the no-crash event
-counts used by the performance model.
+Crash images are recorded by the golden pass
+(:class:`~repro.memsim.golden.GoldenRecorder`): write-back deltas plus
+per-point metadata, never a full copy per point.  After the run,
+:meth:`Runtime.golden_store` replays them into every image.  A single
+simulated execution therefore yields every crash test of a campaign —
+single- or multi-core, verified or not — plus the no-crash event counts
+used by the performance model.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ if TYPE_CHECKING:
 
 from repro.memsim.blocks import BLOCK_SIZE
 from repro.memsim.config import HierarchyConfig
+from repro.memsim.golden import GoldenRecorder, GoldenStore
 from repro.memsim.hierarchy import CacheHierarchy
 from repro.nvct.heap import DataObject, PersistentHeap
 from repro.nvct.plan import PersistencePlan
@@ -254,7 +259,10 @@ class CountingRuntime:
 
 
 class Runtime(CountingRuntime):
-    """Full instrumented runtime with cache simulation and crash snapshots."""
+    """Full instrumented runtime with cache simulation and crash images.
+
+    ``capture_consistent`` also records each crash point's architectural
+    bytes (the verified methodology's restart state)."""
 
     simulate = True
 
@@ -264,10 +272,15 @@ class Runtime(CountingRuntime):
         plan: PersistencePlan | None = None,
         crash_points: np.ndarray | list[int] | None = None,
         capture_consistent: bool = False,
-        golden: bool = False,
+        golden: bool = True,
         crash_model: "str | None" = None,
         crash_seed: int = 0,
     ) -> None:
+        # ``golden=True`` is accepted only because the frozen benchmark
+        # (bench/layers.py) still passes it; the next benchmark revision
+        # drops it.  The golden pass is the only snapshot engine.
+        if golden is not True:
+            raise ValueError("the golden pass is the only snapshot engine: golden must be True")
         super().__init__()
         self.hierarchy_config = hierarchy or HierarchyConfig.scaled_llc()
         self.plan = plan or PersistencePlan.none()
@@ -276,7 +289,7 @@ class Runtime(CountingRuntime):
         self._cp_i = 0
         self.capture_consistent = capture_consistent
         # Crash model (repro.memsim.crashmodel): None / the default keeps
-        # the legacy whole-cache-loss path bit-identical and free — store
+        # the paper's whole-cache-loss path bit-identical and free — store
         # sequence numbers are only tracked for a non-default model with
         # crash points scheduled.
         self.crash_seed = int(crash_seed)
@@ -289,13 +302,8 @@ class Runtime(CountingRuntime):
                 self._crash_model = model
         self._store_seq_arr: np.ndarray | None = None
         self._store_seq = 0
-        # Golden mode: record write-back deltas instead of materializing a
-        # full snapshot at every crash point (repro.memsim.golden).  The
-        # verified methodology needs crash-time *architectural* copies,
-        # which only full snapshots provide.
-        self.golden = bool(golden) and pts.size > 0 and not capture_consistent
-        self._golden_recorder = None
-        self.snapshots: list[Snapshot] = []
+        # Installed at attach_heap when crash points are scheduled.
+        self._golden_recorder: GoldenRecorder | None = None
         self.persist_events: list[PersistEvent] = []
         self.heap: PersistentHeap | None = None
         self.hierarchy: CacheHierarchy | None = None
@@ -305,12 +313,15 @@ class Runtime(CountingRuntime):
 
     def attach_heap(self, heap: PersistentHeap) -> None:
         self.heap = heap
-        self.hierarchy = CacheHierarchy(self.hierarchy_config, writeback_sink=heap.writeback_blocks)
-        if self.golden:
-            from repro.memsim.golden import GoldenRecorder
-
-            self._golden_recorder = GoldenRecorder(heap, n_images=int(self.crash_points.size))
+        self.hierarchy = self._build_hierarchy(heap)
+        if self.crash_points.size:
+            self._golden_recorder = GoldenRecorder(
+                heap, int(self.crash_points.size), self.capture_consistent
+            )
             heap.set_delta_sink(self._golden_recorder.on_writeback)
+
+    def _build_hierarchy(self, heap: PersistentHeap) -> CacheHierarchy:
+        return CacheHierarchy(self.hierarchy_config, writeback_sink=heap.writeback_blocks)
 
     def _require(self) -> tuple[PersistentHeap, CacheHierarchy]:
         if self.heap is None or self.hierarchy is None:
@@ -485,43 +496,12 @@ class Runtime(CountingRuntime):
         return out
 
     def _take_snapshot(self) -> None:
-        heap, _ = self._require()
-        extras = self._model_survivors()
-        if self._golden_recorder is not None:
-            # Golden pass: metadata + incrementally maintained rates only;
-            # the NVM image is reconstructed later from write-back deltas
-            # (plus the crash model's survivor overlay, if any).
-            self._golden_recorder.take(
-                self.counter, self.iteration, self.current_region, extras=extras
-            )
-            self._cp_i += 1
-            return
-        nvm_state = heap.snapshot_nvm()
-        if extras is not None:
-            for name, (idx, vals, _fixed) in extras.items():
-                state = nvm_state.get(name)
-                if state is not None:
-                    state[idx] = vals
-            rates = {
-                o.name: (
-                    float(np.count_nonzero(o.data_bytes != nvm_state[o.name]) / o.nbytes)
-                    if o.nbytes
-                    else 0.0
-                )
-                for o in heap.candidates()
-            }
-        else:
-            rates = heap.inconsistent_rates()
-        snap = Snapshot(
-            index=len(self.snapshots),
-            counter=self.counter,
-            iteration=self.iteration,
-            region=self.current_region,
-            nvm_state=nvm_state,
-            rates=rates,
-            consistent_state=heap.snapshot_consistent() if self.capture_consistent else None,
-        )
-        self.snapshots.append(snap)
+        # Metadata + incrementally maintained rates only; the NVM image is
+        # reconstructed later from write-back deltas (plus the crash
+        # model's survivor overlay, if any).
+        rec = self._golden_recorder
+        assert rec is not None, "crash point reached before attach_heap"
+        rec.take(self.counter, self.iteration, self.current_region, extras=self._model_survivors())
         self._cp_i += 1
 
     def _tick_region(self, nblocks: int) -> None:
@@ -676,16 +656,14 @@ class Runtime(CountingRuntime):
         if (grec := self._golden_recorder) is not None:
             reg.counter("golden.deltas_recorded", unit="events").inc(grec.deltas_recorded)
             reg.counter("golden.delta_bytes", unit="bytes").inc(grec.delta_bytes)
-            reg.counter("runtime.snapshots", unit="snapshots").inc(grec.n_taken)
-        else:
-            reg.counter("runtime.snapshots", unit="snapshots").inc(len(self.snapshots))
+        reg.counter("runtime.snapshots", unit="snapshots").inc(grec.n_taken if grec else 0)
 
-    def golden_store(self):
+    def golden_store(self) -> GoldenStore:
         """Freeze the golden-pass delta log into a replayable
-        :class:`~repro.memsim.golden.GoldenStore` (after the run)."""
-        if self._golden_recorder is None:
-            raise RuntimeError("runtime was not created with golden=True")
-        return self._golden_recorder.build_store()
+        :class:`~repro.memsim.golden.GoldenStore` (after the run); a run
+        without crash points yields an empty store."""
+        heap, _ = self._require()
+        return (self._golden_recorder or GoldenRecorder(heap, 0)).build_store()
 
     def finalize(self) -> None:
         """Called after a completed run; remaining scheduled crash points

@@ -85,7 +85,6 @@ class CampaignScheduler:
         deadline_s: float = DEFAULT_DEADLINE_S,
         resume: bool = False,
         crash_plan: "CrashPlan | str | Path | None" = None,
-        golden: bool = True,
         trial_timeout: float | None = None,
     ):
         if chunk_size < 1:
@@ -109,7 +108,6 @@ class CampaignScheduler:
         self.deadline_s = float(deadline_s)
         self.resume = bool(resume)
         self.crash_plan = crash_plan
-        self.golden = golden
         self.trial_timeout = trial_timeout
         self.shards: dict[int, _Shard] = {}
         self.table: LeaseTable | None = None
@@ -128,7 +126,7 @@ class CampaignScheduler:
         from repro.nvct.journal import campaign_header
 
         shards, _ = plan_shards(
-            self.factory, self.cfg, self.crash_plan, golden=self.golden,
+            self.factory, self.cfg, self.crash_plan,
             journal=self.journal_path, cluster=self.cfg.clustered,
         )
         chunks: list[Chunk] = []
@@ -140,7 +138,6 @@ class CampaignScheduler:
                 "app": self.factory.name,
                 "key": shard_header["key"],
                 "cfg": config_to_doc(shard.cfg),
-                "golden": shard.use_golden,
             }
             if self.trial_timeout is not None:
                 spec["trial_timeout"] = self.trial_timeout

@@ -81,9 +81,8 @@ class ChunkExecutor(PreparedShard):
                 f"{str(spec.get('key'))[:12]}…, this worker derives "
                 f"{key[:12]}… — mixed package versions? refusing the lease"
             )
-        # The shipped cfg is one shard as it stands (no cluster cut), and
-        # the scheduler already chose the engine.
-        (plan,), _ = plan_shards(factory, cfg, golden=bool(spec.get("golden")))
+        # The shipped cfg is one shard as it stands (no cluster cut).
+        (plan,), _ = plan_shards(factory, cfg)
         executor = cls.record(factory, plan)
         executor.trial_timeout = spec.get("trial_timeout")
         return executor

@@ -7,6 +7,8 @@ every aggregate (recomputability, per-object inconsistent rates) exactly
 equal, not approximately.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.equiv_pass import (
@@ -139,8 +141,11 @@ def test_plan_rejects_incompatible_engine_modes():
     factory = small_factory("EP")
     cfg = loop_cfg(factory, 60)
     plan = build_crash_plan(factory, cfg)
-    with pytest.raises(UsageError, match="golden"):
-        run_campaign(factory, cfg, plan=plan, golden=False)
+    # A plan whose fingerprint claims a verified campaign still is refused.
+    verified = dataclasses.replace(cfg, verified_mode=True)
+    forged = dataclasses.replace(plan, campaign_fingerprint=crash_plan_key(factory, verified))
+    with pytest.raises(UsageError, match="single-core, non-verified"):
+        run_campaign(factory, verified, plan=forged)
     multicore = CampaignConfig(
         n_tests=60, seed=3, plan=cfg.plan, n_cores=2
     )

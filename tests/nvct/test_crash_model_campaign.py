@@ -1,5 +1,6 @@
-"""Campaign-level crash-model semantics: golden/legacy agreement, content
-keys, monotonicity, journal resume and crash-plan equivalence per model."""
+"""Campaign-level crash-model semantics: agreement with the legacy oracle,
+content keys, monotonicity, journal resume and crash-plan equivalence per
+model."""
 
 import json
 
@@ -12,6 +13,7 @@ from repro.harness.cache import campaign_config_doc, campaign_key
 from repro.nvct.campaign import CampaignConfig, run_campaign
 from repro.nvct.journal import campaign_header
 from repro.nvct.serialize import campaign_from_dict, campaign_to_dict
+from tests.nvct.legacy_oracle import legacy_campaign
 
 FACTORY = get_factory("EP")
 MODELS = ["whole-cache-loss", "adr", "eadr", "torn"]
@@ -25,12 +27,21 @@ def _cfg(model="whole-cache-loss", **kw):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_golden_matches_legacy_per_model(model):
-    """The golden-pass overlay machinery and the legacy per-point path
+    """The golden-pass overlay machinery and the copy-and-diff oracle
     must produce bit-identical reports under every crash model."""
-    golden = run_campaign(FACTORY, _cfg(model), golden=True)
-    legacy = run_campaign(FACTORY, _cfg(model), golden=False)
+    golden = run_campaign(FACTORY, _cfg(model))
+    legacy = legacy_campaign(FACTORY, _cfg(model))
     assert golden.records == legacy.records
     assert golden.crash_model == legacy.crash_model
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_pooled_golden_matches_legacy_per_model(model):
+    """The same agreement through the ``jobs=2`` pool (packed copies of
+    overlaid images) on a second application."""
+    factory = get_factory("kmeans")
+    pooled = run_campaign(factory, _cfg(model, n_tests=10), jobs=2)
+    assert pooled.records == legacy_campaign(factory, _cfg(model, n_tests=10)).records
 
 
 def test_default_is_whole_cache_loss_bit_identical():

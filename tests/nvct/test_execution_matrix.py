@@ -1,11 +1,15 @@
 """Differential execution matrix: every way of running a campaign, byte-compared.
 
 {inline, ``jobs=2`` pool, ``nodes=1`` cluster, scripted socket worker}
-x {whole-cache-loss, eadr} x {golden, legacy} x {fresh, resumed from a
-journal truncated to half its trials} — each cell's ``campaign_to_dict``
-must equal the serial golden run's, as canonical JSON.  The scripted
-worker drives ``CampaignScheduler.handle`` + ``ChunkExecutor`` in process
-(no socket, injected clock), the pattern of ``tests/service/test_scheduler.py``.
+x {whole-cache-loss, adr, eadr, torn} x {golden, legacy} x {fresh,
+resumed from a journal truncated to half its trials} — each cell's
+``campaign_to_dict`` must equal, as canonical JSON, its reference: the
+serial in-process run (``golden``) or the copy-and-diff oracle
+(``legacy``, :mod:`tests.nvct.legacy_oracle`).  Verified-mode and two-core campaigns get the same
+treatment through every executor that runs them; the ``nodes=1`` cluster
+refuses them.  The scripted worker drives ``CampaignScheduler.handle`` +
+``ChunkExecutor`` in process (no socket, injected clock), the pattern of
+``tests/service/test_scheduler.py``.
 """
 
 import json
@@ -15,28 +19,29 @@ import pytest
 
 from repro.apps.registry import get_factory
 from repro.cluster import run_cluster_campaign
+from repro.errors import UsageError
 from repro.nvct.campaign import CampaignConfig, run_campaign
 from repro.nvct.serialize import campaign_to_dict
 from repro.service import CampaignScheduler, ChunkExecutor
+from tests.nvct.legacy_oracle import legacy_campaign
 
 FACTORY = get_factory("EP")  # three candidate objects, the cheapest registry app
 N_TESTS = 8
-MODELS = ("whole-cache-loss", "eadr")
+MODELS = ("whole-cache-loss", "adr", "eadr", "torn")
+ENGINE_CONFIGS = {"verified": {"verified_mode": True}, "cores2": {"n_cores": 2}}
 
 
 def _canonical(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _config(model: str) -> CampaignConfig:
-    return CampaignConfig(n_tests=N_TESTS, seed=2, crash_model=model)
+def _config(model: str, **kw) -> CampaignConfig:
+    return CampaignConfig(n_tests=N_TESTS, seed=2, crash_model=model, **kw)
 
 
-def _serve_scripted(cfg, journal, golden):
+def _serve_scripted(cfg, journal):
     """Drain the campaign through one scripted lease -> record -> commit worker."""
-    sched = CampaignScheduler(
-        FACTORY, cfg, journal=journal, chunk_size=3, golden=golden
-    )
+    sched = CampaignScheduler(FACTORY, cfg, journal=journal, chunk_size=3)
     sched.prepare()
     executors: dict[int, ChunkExecutor] = {}
     try:
@@ -57,26 +62,24 @@ def _serve_scripted(cfg, journal, golden):
         sched.close()
 
 
-def _inline(cfg, journal, golden):
-    return run_campaign(FACTORY, cfg, jobs=1, journal=journal, golden=golden)
+def _inline(cfg, journal):
+    return run_campaign(FACTORY, cfg, jobs=1, journal=journal)
 
 
-def _pool(cfg, journal, golden):
-    return run_campaign(FACTORY, cfg, jobs=2, journal=journal, golden=golden)
+def _pool(cfg, journal):
+    return run_campaign(FACTORY, cfg, jobs=2, journal=journal)
 
 
-def _cluster_n1(cfg, journal, golden):
-    result = run_cluster_campaign(
-        FACTORY, replace(cfg, nodes=1), jobs=1, journal=journal, golden=golden
-    )
+def _cluster_n1(cfg, journal):
+    result = run_cluster_campaign(FACTORY, replace(cfg, nodes=1), jobs=1, journal=journal)
     assert list(result.node_results) == [0]
     return result.node_results[0]
 
 
-def _scripted_worker(cfg, journal, golden):
-    _serve_scripted(cfg, journal, golden)
+def _scripted_worker(cfg, journal):
+    _serve_scripted(cfg, journal)
     # the service assembles its result by replaying the complete journal
-    return run_campaign(FACTORY, cfg, journal=journal, golden=golden)
+    return run_campaign(FACTORY, cfg, journal=journal)
 
 
 EXECUTORS = {
@@ -89,39 +92,66 @@ EXECUTORS = {
 
 @pytest.fixture(scope="module")
 def oracle(tmp_path_factory):
-    """Per crash model: the serial golden run and a complete journal of it."""
+    """Per campaign: the two reference documents, ``golden`` (a serial
+    in-process run over the golden store) and ``legacy`` (the copy-and-diff
+    oracle), and the journal lines of the serial run.  The two are kept
+    apart so that a cell failing only against ``golden`` points at its
+    executor and one failing only against ``legacy`` at the engine."""
     out = {}
-    for model in MODELS:
+    campaigns = {model: _config(model) for model in MODELS}
+    campaigns.update({name: _config("whole-cache-loss", **kw) for name, kw in ENGINE_CONFIGS.items()})
+    for name, cfg in campaigns.items():
         path = tmp_path_factory.mktemp("oracle") / "j.jsonl"
-        result = run_campaign(FACTORY, _config(model), jobs=1, journal=path, golden=True)
+        result = run_campaign(FACTORY, cfg, jobs=1, journal=path)
         lines = path.read_bytes().splitlines(keepends=True)
         assert len(lines) == 1 + len(result.records)
-        out[model] = (_canonical(campaign_to_dict(result)), lines)
+        refs = {
+            "golden": _canonical(campaign_to_dict(result)),
+            "legacy": _canonical(campaign_to_dict(legacy_campaign(FACTORY, cfg))),
+        }
+        out[name] = (refs, lines)
     return out
 
 
-@pytest.mark.parametrize("state", ["fresh", "resumed"])
-@pytest.mark.parametrize("engine", ["golden", "legacy"])
-@pytest.mark.parametrize("model", MODELS)
-@pytest.mark.parametrize("executor", list(EXECUTORS))
-def test_every_cell_matches_the_serial_golden_run(
-    tmp_path, oracle, executor, model, engine, state
-):
-    expected, lines = oracle[model]
+def _run_cell(tmp_path, oracle, executor, cfg, name, reference, state):
+    refs, lines = oracle[name]
     journal = tmp_path / "j.jsonl"
     if state == "resumed":
         # header + the first half of the trials survive the "crash"
         journal.write_bytes(b"".join(lines[: 1 + (len(lines) - 1) // 2]))
-    result = EXECUTORS[executor](_config(model), journal, engine == "golden")
-    assert _canonical(campaign_to_dict(result)) == expected
+    result = EXECUTORS[executor](cfg, journal)
+    assert _canonical(campaign_to_dict(result)) == refs[reference]
     # exactly one journal line per trial, whoever wrote it
     assert journal.read_bytes().count(b"\n") == len(lines)
+
+
+@pytest.mark.parametrize("state", ["fresh", "resumed"])
+@pytest.mark.parametrize("reference", ["golden", "legacy"])
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("executor", list(EXECUTORS))
+def test_every_cell_matches_the_serial_golden_run(
+    tmp_path, oracle, executor, model, reference, state
+):
+    _run_cell(tmp_path, oracle, executor, _config(model), model, reference, state)
+
+
+@pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+@pytest.mark.parametrize("executor", ["inline", "jobs2", "scripted-worker"])
+def test_verified_and_multicore_cells_match_the_oracle(tmp_path, oracle, executor, config):
+    cfg = _config("whole-cache-loss", **ENGINE_CONFIGS[config])
+    _run_cell(tmp_path, oracle, executor, cfg, config, "legacy", "fresh")
+
+
+@pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+def test_cluster_refuses_verified_and_multicore(tmp_path, config):
+    with pytest.raises(UsageError, match="single-core, non-verified"):
+        _cluster_n1(_config("whole-cache-loss", **ENGINE_CONFIGS[config]), tmp_path / "j.jsonl")
 
 
 def test_three_node_cluster_inline_equals_scripted_workers(tmp_path):
     cfg = CampaignConfig(n_tests=10, seed=2, nodes=3, correlation=0.4)
     inline = run_cluster_campaign(FACTORY, cfg, jobs=1)
-    _serve_scripted(cfg, tmp_path / "j.jsonl", True)
+    _serve_scripted(cfg, tmp_path / "j.jsonl")
     served = run_cluster_campaign(FACTORY, cfg, journal=tmp_path / "j.jsonl")
     assert len(inline.node_results) > 1
     assert _canonical(served.to_dict()) == _canonical(inline.to_dict())

@@ -2,11 +2,12 @@
 
 The golden pass (:mod:`repro.memsim.golden`) reconstructs every crash-time
 NVM image from the write-back delta log of one instrumented execution.
-The legacy per-point snapshot path (``golden=False``) is retained as the
-oracle; every test here asserts the two produce *bit-identical* records —
-same responses, same counters, same per-object inconsistent-rate floats —
-across applications with different store patterns, hierarchy depths,
-parallel fan-out and journal resume.
+The copy-and-diff snapshot path lives on only as the test-tree oracle
+(:mod:`tests.nvct.legacy_oracle`); every test here asserts the engine
+produces records *bit-identical* to it — same responses, same counters,
+same per-object inconsistent-rate floats — across applications with
+different store patterns, hierarchy depths, verified mode, multi-core
+simulation, parallel fan-out and journal resume.
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro.apps.base import AppFactory, Application
+from repro.apps.registry import get_factory
 from repro.memsim.config import HierarchyConfig
 from repro.nvct.campaign import (
     CampaignConfig,
@@ -27,6 +29,7 @@ from repro.nvct.campaign import (
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.serialize import pack_snapshot, record_from_dict, record_to_dict
 from repro.obs import metrics
+from tests.nvct.legacy_oracle import legacy_campaign
 
 
 # -- applications with distinct store patterns --------------------------------
@@ -175,8 +178,8 @@ def _records_json(result: CampaignResult) -> list[str]:
 
 
 def _assert_equivalent(fac: AppFactory, cfg: CampaignConfig, **kw) -> CampaignResult:
-    legacy = run_campaign(fac, cfg, golden=False, **kw)
-    golden = run_campaign(fac, cfg, golden=True, **kw)
+    legacy = legacy_campaign(fac, cfg)
+    golden = run_campaign(fac, cfg, **kw)
     assert _records_json(golden) == _records_json(legacy)
     assert golden.records == legacy.records
     return golden
@@ -212,18 +215,72 @@ def test_golden_matches_legacy_under_skewed_distribution():
 
 def test_parallel_golden_matches_serial_legacy():
     cfg = CampaignConfig(n_tests=12, seed=13)
-    legacy = run_campaign(APPS["scatter"](), cfg, jobs=1, golden=False)
-    golden = run_campaign(APPS["scatter"](), cfg, jobs=2, golden=True)
+    legacy = legacy_campaign(APPS["scatter"](), cfg)
+    golden = run_campaign(APPS["scatter"](), cfg, jobs=2)
     assert _records_json(golden) == _records_json(legacy)
 
 
-def test_verified_mode_ignores_golden_request():
-    """Verified mode needs mid-run architectural copies, which the delta
-    log does not carry: asking for golden must transparently use legacy."""
-    cfg = CampaignConfig(n_tests=8, seed=3, verified_mode=True)
-    a = run_campaign(APPS["contig"](), cfg, golden=True)
-    b = run_campaign(APPS["contig"](), cfg, golden=False)
-    assert _records_json(a) == _records_json(b)
+# -- verified mode and multi-core simulation ----------------------------------
+
+ENGINE_CONFIGS = {
+    "verified": {"verified_mode": True},
+    "cores2": {"n_cores": 2},
+    "cores4": {"n_cores": 4},
+    "verified-cores2": {"verified_mode": True, "n_cores": 2},
+}
+
+
+@pytest.mark.parametrize("config", list(ENGINE_CONFIGS))
+@pytest.mark.parametrize("app", ["EP", "IS", "kmeans", "MG", "kmeans-mt"])
+def test_verified_and_multicore_match_legacy_oracle(app, config):
+    """Verified mode restarts from the recorder's architectural copies and
+    the multi-core runtime rides the same recorder: both must reproduce
+    the copy-and-diff oracle, serially and through the pool."""
+    cfg = CampaignConfig(n_tests=5, seed=5, **ENGINE_CONFIGS[config])
+    legacy = _records_json(legacy_campaign(get_factory(app), cfg))
+    for jobs in (1, 2):
+        assert _records_json(run_campaign(get_factory(app), cfg, jobs=jobs)) == legacy
+
+
+def test_verified_mode_with_flush_plan_matches_legacy_oracle():
+    cfg = CampaignConfig(
+        n_tests=8, seed=3, verified_mode=True,
+        plan=PersistencePlan.at_loop_end(PLAN_OBJECTS["contig"]),
+    )
+    _assert_equivalent(APPS["contig"](), cfg)
+
+
+def test_verified_and_multicore_campaigns_use_the_store():
+    """Exact counters: every image of a verified and of a two-core
+    campaign is recorded by the golden recorder and materialized once
+    from its store."""
+    for kw in ({"verified_mode": True}, {"n_cores": 2}):
+        metrics.reset()
+        with metrics.enabled() as reg:
+            run_campaign(APPS["contig"](), CampaignConfig(n_tests=7, seed=8, **kw), jobs=1)
+            assert reg.counter("golden.images_materialized", unit="images").value == 7
+            assert reg.counter("runtime.snapshots", unit="snapshots").value == 7
+        metrics.reset()
+
+
+# -- zero-trial campaigns -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kw", [{}, {"verified_mode": True}, {"n_cores": 2}, {"nodes": 1}],
+    ids=["default", "verified", "cores2", "nodes1"],
+)
+def test_zero_trial_campaign_is_empty(kw):
+    """No crash points means a zero-image store, not an error."""
+    from repro.cluster import run_cluster_campaign
+
+    cfg = CampaignConfig(n_tests=0, **kw)
+    if kw.get("nodes"):
+        assert run_cluster_campaign(APPS["contig"](), cfg).node_results == {}
+        return
+    result = run_campaign(APPS["contig"](), cfg)
+    assert result.records == [] and result.executed_trials == 0
+    assert result.run_stats.total_accesses > 0  # the instrumented run still ran
 
 
 # -- journal resume mid-batch -------------------------------------------------
@@ -232,16 +289,16 @@ def test_verified_mode_ignores_golden_request():
 def test_golden_resume_from_journal_mid_batch(tmp_path):
     fac = APPS["contig"]()
     cfg = CampaignConfig(n_tests=10, seed=17)
-    baseline = run_campaign(fac, cfg, golden=False)
+    baseline = legacy_campaign(fac, cfg)
 
     path = tmp_path / "j.jsonl"
-    run_campaign(fac, cfg, golden=True, journal=path)
+    run_campaign(fac, cfg, journal=path)
     # Simulate a crash mid-campaign: keep the header + 4 journaled trials.
     lines = path.read_bytes().splitlines(keepends=True)
     assert len(lines) == 1 + cfg.n_tests
     path.write_bytes(b"".join(lines[:5]))
 
-    resumed = run_campaign(fac, cfg, golden=True, journal=path)
+    resumed = run_campaign(fac, cfg, journal=path)
     assert resumed.records == baseline.records
     assert _records_json(resumed) == _records_json(baseline)
 
@@ -305,8 +362,7 @@ def test_serial_golden_path_copies_no_snapshot_bytes():
     full-array copies, no stable-copy materialization."""
     metrics.reset()
     with metrics.enabled() as reg:
-        res = run_campaign(APPS["contig"](), CampaignConfig(n_tests=10, seed=8),
-                           jobs=1, golden=True)
+        res = run_campaign(APPS["contig"](), CampaignConfig(n_tests=10, seed=8), jobs=1)
         assert reg.counter("serialize.bytes_copied", unit="bytes").value == 0
         assert reg.counter("golden.bytes_copied", unit="bytes").value == 0
         assert reg.counter("golden.images_materialized", unit="images").value == 10
@@ -319,8 +375,7 @@ def test_serial_golden_path_copies_no_snapshot_bytes():
 def test_parallel_golden_path_packs_stable_copies():
     metrics.reset()
     with metrics.enabled() as reg:
-        run_campaign(APPS["contig"](), CampaignConfig(n_tests=10, seed=8),
-                     jobs=2, golden=True)
+        run_campaign(APPS["contig"](), CampaignConfig(n_tests=10, seed=8), jobs=2)
         assert reg.counter("serialize.bytes_copied", unit="bytes").value > 0
         assert reg.counter("golden.bytes_copied", unit="bytes").value > 0
     metrics.reset()
@@ -341,7 +396,7 @@ def test_unpacked_snapshot_arrays_are_zero_copy_views():
 
 def test_borrowed_golden_views_are_read_only():
     fac = APPS["contig"]()
-    cfg = CampaignConfig(n_tests=6, seed=4)
+    cfg = CampaignConfig(n_tests=6, seed=4, verified_mode=True)
     from repro.nvct.campaign import _instrumented_run, _sample_crash_points
     from repro.nvct.runtime import CountingRuntime
 
@@ -352,8 +407,9 @@ def test_borrowed_golden_views_are_read_only():
         fac.name,
     )
     points, _ = _dedupe_crash_points(points)
-    rt, _ = _instrumented_run(fac, cfg, points, golden=True)
+    rt, _ = _instrumented_run(fac, cfg, points)
     store = rt.golden_store()
     for snap in store.snapshots(range(store.n_images)):
-        for arr in snap.nvm_state.values():
+        assert snap.consistent_state is not None  # verified mode
+        for arr in (*snap.nvm_state.values(), *snap.consistent_state.values()):
             assert arr.flags.writeable is False

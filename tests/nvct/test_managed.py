@@ -15,6 +15,10 @@ def tiny_runtime(crash_points=None, sets=8, ways=2):
     return Runtime(hierarchy=cfg, crash_points=crash_points)
 
 
+def crash_images(rt):
+    return list(rt.golden_store().snapshots(copy=True))
+
+
 def test_plain_mode_passthrough():
     ws = Workspace(None)
     a = ws.array("a", (16,))
@@ -60,8 +64,7 @@ def test_crash_split_store_is_prefix_exact():
     a = ws.array("a", (32,))
     rt.main_loop_begin()
     a.write(slice(None), 7.0)
-    assert len(rt.snapshots) == 1
-    snap = rt.snapshots[0]
+    (snap,) = crash_images(rt)
     # At the snapshot the store's tail had NOT executed architecturally.
     arch = snap.consistent_state  # not captured by default
     # The architectural array now (after the op) is fully 7.0 ...
@@ -79,7 +82,7 @@ def test_crash_split_with_eviction_sees_only_prefix_values():
     a = ws.array("a", (32,))  # 4 blocks
     rt.main_loop_begin()
     a.write(slice(None), 7.0)
-    snap = rt.snapshots[0].nvm_state["a"].view(np.float64)
+    snap = crash_images(rt)[0].nvm_state["a"].view(np.float64)
     assert np.all(snap[:8] == 7.0)  # block 0 evicted by block 1
     assert np.all(snap[8:] == 0.0)  # blocks 1-3: cached or not yet stored
 
@@ -92,7 +95,7 @@ def test_update_crash_split_uses_old_values_for_tail():
     rt.main_loop_begin()
     a.obj.sync_nvm()
     a.update(slice(None), lambda v: np.multiply(v, 3.0, out=v))
-    snap = rt.snapshots[0].nvm_state["a"].view(np.float64)
+    snap = crash_images(rt)[0].nvm_state["a"].view(np.float64)
     # Crash after block 0's store: block 0 still cached (1-block cache
     # holds it; nothing evicted it yet) -> NVM shows old values.
     assert np.all(snap == 1.0)

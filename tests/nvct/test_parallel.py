@@ -25,6 +25,12 @@ def no_chaos():
     chaos.reset()
 
 
+def _crash_images(factory, rt):
+    """Run ``factory``'s app under ``rt`` and return stable copies of every crash image."""
+    factory.make(runtime=rt).run()
+    return list(rt.golden_store().snapshots(copy=True))
+
+
 def test_resolve_jobs_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
     assert resolve_jobs(None) == 1
@@ -77,12 +83,9 @@ def test_classify_snapshots_matches_inline_classification():
         (counting.window_begin or 0) + 1, counting.counter, 6, dtype=np.int64
     )
     cfg = CampaignConfig(plan=PersistencePlan.none())
-    rt = Runtime(plan=cfg.plan, crash_points=points)
-    factory.make(runtime=rt).run()
-    inline = [_classify(factory, s, golden.iterations, cfg) for s in rt.snapshots]
-    fanned = classify_snapshots(
-        factory, rt.snapshots, golden.iterations, cfg, jobs=2
-    )
+    snaps = _crash_images(factory, Runtime(plan=cfg.plan, crash_points=points))
+    inline = [_classify(factory, s, golden.iterations, cfg) for s in snaps]
+    fanned = classify_snapshots(factory, snaps, golden.iterations, cfg, jobs=2)
     assert inline == fanned
 
 
@@ -91,8 +94,7 @@ def test_snapshot_pack_roundtrip(no_chaos):
     counting = CountingRuntime()
     factory.make(runtime=counting).run()
     rt = Runtime(crash_points=[counting.window_begin + 5], capture_consistent=True)
-    factory.make(runtime=rt).run()
-    snap = rt.snapshots[0]
+    (snap,) = _crash_images(factory, rt)
     back = unpack_snapshot(pack_snapshot(snap))
     assert back.counter == snap.counter and back.region == snap.region
     assert back.rates == snap.rates
@@ -113,8 +115,7 @@ def test_record_sink_sees_every_record_exactly_once():
         (counting.window_begin or 0) + 1, counting.counter, 8, dtype=np.int64
     )
     cfg = CampaignConfig(plan=PersistencePlan.none())
-    rt = Runtime(plan=cfg.plan, crash_points=points)
-    factory.make(runtime=rt).run()
+    snaps = _crash_images(factory, Runtime(plan=cfg.plan, crash_points=points))
     sunk: dict[int, object] = {}
 
     def sink(index, record):
@@ -122,13 +123,11 @@ def test_record_sink_sees_every_record_exactly_once():
         sunk[index] = record
 
     fanned = classify_snapshots(
-        factory, rt.snapshots, golden.iterations, cfg, jobs=2, record_sink=sink
+        factory, snaps, golden.iterations, cfg, jobs=2, record_sink=sink
     )
-    assert sorted(sunk) == list(range(len(rt.snapshots)))
-    assert [sunk[i] for i in range(len(rt.snapshots))] == fanned
-    assert fanned == [
-        _classify(factory, s, golden.iterations, cfg) for s in rt.snapshots
-    ]
+    assert sorted(sunk) == list(range(len(snaps)))
+    assert [sunk[i] for i in range(len(snaps))] == fanned
+    assert fanned == [_classify(factory, s, golden.iterations, cfg) for s in snaps]
 
 
 def test_worker_death_chaos_never_changes_records():

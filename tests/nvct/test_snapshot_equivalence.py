@@ -16,7 +16,7 @@ def snapshots_for(points, plan):
     app = Counterloop(runtime=rt, size=256, nit=6)
     app.setup()
     app.run()
-    return rt.snapshots
+    return list(rt.golden_store().snapshots(copy=True))
 
 
 @pytest.mark.parametrize(

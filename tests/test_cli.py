@@ -180,6 +180,24 @@ def test_campaign_multinode_flag_conflicts_exit_2(capsys, tmp_path):
         assert "--nodes" in err
 
 
+def test_campaign_zero_tests_prints_an_empty_report(capsys):
+    code, out = run_cli(capsys, "campaign", "EP", "--tests", "0")
+    assert code == 0
+    assert "(0 crash tests" in out
+
+
+def test_campaign_crash_model_on_multicore_exits_2(capsys):
+    code = main(["campaign", "EP", "--tests", "4", "--cores", "2", "--crash-model", "eadr"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "crash model" in err and "golden" not in err
+
+
+def test_campaign_has_one_snapshot_engine():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["campaign", "EP", "--no-golden"])
+
+
 def test_campaign_multinode_bad_correlation_exits_2(capsys):
     code = main(["campaign", "MG", "--tests", "4", "--correlation", "1.5"])
     err = capsys.readouterr().err

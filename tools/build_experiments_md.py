@@ -241,7 +241,8 @@ write-back deltas (`repro.memsim.golden`) instead of full-copying and
 full-diffing the heap at each crash point; its cost is the
 `memsim.golden.*` rows of the benchmark (`bench/README.md`), and
 `benchmarks/test_campaign_throughput.py::test_golden_snapshot_speedup`
-asserts >= 5x over legacy snapshot production.
+asserts >= 5x over the test tree's copy-and-diff oracle
+(`tests/nvct/legacy_oracle.py`), the only other snapshot path left.
 """
 
 
