@@ -63,27 +63,13 @@ def crash_plan_key(factory: "AppFactory", cfg: "CampaignConfig") -> str:
     """Campaign content fingerprint a crash plan is bound to.
 
     Same ingredients as :func:`repro.harness.cache.campaign_key` (app,
-    factory params, persistence plan, full config, package versions):
-    any change that could alter the sampled points or the write-back
-    schedule invalidates the plan.
+    factory params, campaign document, package versions): any change
+    that could alter the sampled points or the write-back schedule
+    invalidates the plan.
     """
-    from repro.harness.cache import (
-        _versions,
-        campaign_config_doc,
-        fingerprint,
-        plan_to_dict,
-    )
+    from repro.harness.cache import content_key
 
-    return fingerprint(
-        {
-            "kind": "crash-plan",
-            "versions": _versions(),
-            "app": factory.name,
-            "params": factory.params,
-            "plan": plan_to_dict(cfg.plan),
-            "config": campaign_config_doc(cfg),
-        }
-    )
+    return content_key("crash-plan", factory, cfg)
 
 
 def partition_signatures(signatures: list[tuple[int, ...]]) -> list[int]:

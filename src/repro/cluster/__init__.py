@@ -25,7 +25,7 @@ from repro.cluster.recovery import (
     RecoveryLog,
     RecoveryOrchestrator,
 )
-from repro.cluster.topology import ClusterTopology, node_journal_path, topology_fingerprint
+from repro.cluster.topology import ClusterTopology, node_journal_path
 
 __all__ = [
     "BURST_MTBF_S",
@@ -42,6 +42,5 @@ __all__ = [
     "burst_schedule",
     "node_journal_path",
     "run_cluster_campaign",
-    "topology_fingerprint",
     "trials_per_node",
 ]

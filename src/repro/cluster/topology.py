@@ -8,13 +8,11 @@ cache hierarchy and crash-model survivor overlay, with a correlated
 failure process whose bursts can crash several nodes at the same instant.
 
 The topology rides on :class:`~repro.nvct.campaign.CampaignConfig`
-(``nodes`` / ``correlation`` / ``burst_window_s`` / ``node``) so it flows
-through content keys and journal headers like every other campaign axis.
-All four fields are dropped from keys at their defaults, keeping
-single-node keys byte-identical to the pre-cluster era; a non-default
-topology is additionally fingerprinted into the journal header so
-``--resume`` can refuse a journal recorded under a different layout
-(see :func:`repro.nvct.journal.campaign_header`).
+(``nodes`` / ``correlation`` / ``burst_window_s`` / ``node``), so it is
+part of the campaign document like every other campaign axis: it flows
+into content keys and journal headers, and ``--resume`` under a
+different layout is refused with the changed fields named (see
+:func:`repro.nvct.journal.campaign_header`).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ClusterTopology",
-    "topology_fingerprint",
     "node_journal_path",
 ]
 
@@ -56,30 +53,6 @@ class ClusterTopology:
             correlation=cfg.correlation,
             burst_window_s=cfg.burst_window_s,
         )
-
-
-def topology_fingerprint(cfg: "CampaignConfig") -> dict | None:
-    """Journal-header fingerprint of a config's cluster topology.
-
-    ``None`` for the historical single-node default (so pre-cluster
-    journals, which carry no ``topology`` field, stay resumable byte for
-    byte).  Otherwise a canonical dict pinning every input that shapes
-    the shard layout — node count, correlation, burst window, which
-    shard this journal belongs to, and the parsed crash model — so a
-    resume under any different ``--nodes``/``--correlation``/crash-model
-    combination is refused instead of silently mixing shard layouts.
-    """
-    if cfg.nodes == 1 and cfg.correlation == 0.0 and cfg.node == 0:
-        return None
-    from repro.memsim.crashmodel import get_model
-
-    return {
-        "nodes": cfg.nodes,
-        "correlation": cfg.correlation,
-        "burst_window_s": cfg.burst_window_s,
-        "node": cfg.node,
-        "crash_model": get_model(cfg.crash_model).fingerprint(),
-    }
 
 
 def node_journal_path(base: str | Path, node: int) -> Path:

@@ -41,7 +41,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro import __version__
-from repro.errors import SnapshotCorruptError
 from repro.harness import store as store_mod
 from repro.harness.store import GCReport, LRUIndex, parse_quota
 from repro.obs import registry as obs_registry
@@ -63,7 +62,7 @@ __all__ = [
     "ArtifactCache",
     "fingerprint",
     "plan_fingerprint",
-    "campaign_config_doc",
+    "content_key",
     "campaign_key",
     "measure_key",
     "plan_report_key",
@@ -101,63 +100,29 @@ def _versions() -> list:
     return [__version__, FORMAT_VERSION]
 
 
-def campaign_config_doc(cfg: "CampaignConfig") -> dict:
-    """Canonical ``config`` ingredient for content keys.
-
-    The crash model is dropped at its default (keys stay byte-identical
-    to the pre-crash-model era) and replaced by the *parsed* model's
-    fingerprint otherwise — so keys change iff the model changes, not
-    when its spelling does (``"adr"`` == ``"adr:wpq=64"``).  The cluster
-    topology fields (``nodes``/``correlation``/``burst_window_s``/
-    ``node``) follow the same discipline: dropped at their single-node
-    defaults so pre-cluster keys are unchanged, kept otherwise so every
-    shard of every topology gets its own key.
-    """
-    doc = asdict(cfg)
-    spec = doc.pop("crash_model", None)
-    if spec is not None:
-        from repro.memsim.crashmodel import get_model
-
-        model = get_model(spec)
-        if not model.is_default:
-            doc["crash_model"] = model.fingerprint()
-    for name, default in (
-        ("nodes", 1),
-        ("correlation", 0.0),
-        ("burst_window_s", 600.0),
-        ("node", 0),
-    ):
-        if doc.get(name) == default:
-            doc.pop(name, None)
-    return doc
+def content_key(kind: str, factory: "AppFactory", cfg: "CampaignConfig") -> str:
+    """Content key of one ``kind`` of artifact computed from ``cfg``: the
+    app, its factory parameters, the package versions and the whole
+    campaign document (:meth:`CampaignConfig.to_doc`)."""
+    return fingerprint(
+        {
+            "kind": kind,
+            "versions": _versions(),
+            "app": factory.name,
+            "params": factory.params,
+            "config": cfg.to_doc(),
+        }
+    )
 
 
 def campaign_key(factory: "AppFactory", cfg: "CampaignConfig") -> str:
     """Content key of ``run_campaign(factory, cfg)``."""
-    return fingerprint(
-        {
-            "kind": "campaign",
-            "versions": _versions(),
-            "app": factory.name,
-            "params": factory.params,
-            "plan": plan_to_dict(cfg.plan),
-            "config": campaign_config_doc(cfg),
-        }
-    )
+    return content_key("campaign", factory, cfg)
 
 
 def measure_key(factory: "AppFactory", cfg: "CampaignConfig") -> str:
     """Content key of ``measure_run(factory, cfg)``."""
-    return fingerprint(
-        {
-            "kind": "measure",
-            "versions": _versions(),
-            "app": factory.name,
-            "params": factory.params,
-            "plan": plan_to_dict(cfg.plan),
-            "config": campaign_config_doc(cfg),
-        }
-    )
+    return content_key("measure", factory, cfg)
 
 
 def plan_report_key(factory: "AppFactory", cfg: "EasyCrashConfig") -> str:

@@ -107,8 +107,8 @@ class CrashModel:
     """A crash model: which dirty cache bytes survive a failure.
 
     Subclasses implement :meth:`survivor_plan`; everything else —
-    overlay construction, fingerprinting, the high-level :meth:`apply` —
-    is shared.
+    overlay construction, the canonical :attr:`spec`, the high-level
+    :meth:`apply` — is shared.
     """
 
     name: str = ""
@@ -125,12 +125,6 @@ class CrashModel:
             return self.name
         args = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
         return f"{self.name}:{args}"
-
-    def fingerprint(self) -> dict[str, object]:
-        """Canonical content-key payload: name plus explicit parameters,
-        so two spellings of the same model hash identically and any
-        parameter change invalidates cached artifacts."""
-        return {"name": self.name, **self.params()}
 
     @property
     def is_default(self) -> bool:

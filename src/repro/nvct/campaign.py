@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.memsim.config import HierarchyConfig
+from repro.memsim.config import CacheLevelConfig, HierarchyConfig
 from repro.memsim.stats import MemoryStats
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.runtime import CountingRuntime, PersistEvent, RegionProfile, Runtime, Snapshot
@@ -136,22 +136,62 @@ class CampaignConfig:
     # process, and the burst window grouping correlated arrivals.  A
     # topology other than the single uncorrelated node must run through
     # repro.cluster.run_cluster_campaign, which fans out one shard
-    # campaign per node; all four fields are dropped from content keys
-    # at their defaults (repro.harness.cache.campaign_config_doc), so
-    # single-node keys stay byte-identical to the pre-cluster era.
+    # campaign per node.
     nodes: int = 1
     correlation: float = 0.0
     burst_window_s: float = 600.0
     # Which shard this config executes.  Set by the shard cut
     # (plan_shards(cluster=True)); node 0 samples crash points with the
-    # historical single-node key, so a one-node cluster is
-    # record-for-record identical to a plain campaign.
+    # single-node key, so a one-node cluster is record-for-record
+    # identical to a plain campaign.
     node: int = 0
 
     @property
     def clustered(self) -> bool:
         """A topology other than the single uncorrelated node."""
         return self.nodes > 1 or self.correlation > 0.0
+
+    def to_doc(self) -> dict:
+        """The campaign document: every field, as plain JSON.
+
+        The one serialisation of a config — content keys hash it, journal
+        headers carry it, and the service ships it to workers.  The plan
+        goes in as its file-format dict, the hierarchy as its list of
+        levels, and the crash model in its canonical spelling (``"adr"``
+        and ``"adr:wpq=64"`` give one document).
+        """
+        from repro.memsim.crashmodel import get_model
+        from repro.nvct.serialize import plan_to_dict
+
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["hierarchy"] = (
+            None if self.hierarchy is None else [asdict(lv) for lv in self.hierarchy.levels]
+        )
+        doc["plan"] = plan_to_dict(self.plan)
+        doc["crash_model"] = get_model(self.crash_model).spec
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc: "Mapping") -> "CampaignConfig":
+        """Rebuild a config from :meth:`to_doc`'s document.
+
+        Raises ``ValueError`` unless ``doc`` names exactly the config's
+        fields, and ``KeyError``/``TypeError``/``ValueError`` on a
+        malformed value.
+        """
+        from repro.nvct.serialize import plan_from_dict
+
+        names = {f.name for f in fields(cls)}
+        if set(doc) != names:
+            raise ValueError(f"campaign document fields differ: {sorted(set(doc) ^ names)}")
+        levels = doc["hierarchy"]
+        return cls(**{
+            **doc,
+            "hierarchy": None if levels is None else HierarchyConfig(
+                tuple(CacheLevelConfig(**lv) for lv in levels)
+            ),
+            "plan": plan_from_dict(doc["plan"]),
+        })
 
 
 @dataclass

@@ -6,10 +6,12 @@ campaign engine the same property the paper demands of applications —
 recomputability under failures — by journaling every completed trial to
 an append-only JSONL file with fsync'd writes:
 
-* line 1 is a **header** carrying the campaign's content key (the same
-  SHA-256 the artifact cache uses, covering app + factory parameters +
-  full config + plan + package version), so a journal can never be
-  resumed against a different campaign;
+* line 1 is a **header** carrying the campaign document
+  (:meth:`~repro.nvct.campaign.CampaignConfig.to_doc`, every config
+  field) and the content key hashed from it (the same SHA-256 the
+  artifact cache uses, adding app + factory parameters + package
+  version), so a journal can never be resumed against a different
+  campaign — the refusal names each config field that changed;
 * every following line is one completed ``{"kind": "trial", "index": i,
   "record": {...}, "crc": ...}`` entry, flushed and ``fsync``'d before
   the engine moves on — the write-ahead discipline: a trial is either
@@ -58,34 +60,16 @@ def campaign_header(factory: "AppFactory", cfg: "CampaignConfig") -> dict:
     """The header line identifying one campaign's journal."""
     from repro.harness.cache import campaign_key  # lazy: avoids a package cycle
     from repro.harness.store import created_at, store_git_sha
-    from repro.memsim.crashmodel import get_model
 
-    header = {
+    return {
         "kind": "header",
         "format": JOURNAL_FORMAT_VERSION,
         "app": factory.name,
         "key": campaign_key(factory, cfg),
-        "n_tests": cfg.n_tests,
-        "seed": cfg.seed,
+        "config": cfg.to_doc(),
         "git_sha": store_git_sha(),
         "created_at": created_at(),
     }
-    model = get_model(cfg.crash_model)
-    if not model.is_default:
-        # Informational (the key above already pins the model); omitted at
-        # the default so historical journals stay resumable byte for byte.
-        header["crash_model"] = model.spec
-    from repro.cluster.topology import topology_fingerprint  # lazy: package cycle
-
-    topology = topology_fingerprint(cfg)
-    if topology is not None:
-        # Pins the shard layout (nodes/correlation/burst window/shard
-        # index/crash model) so a resume under a different topology is
-        # refused with a topology-specific error instead of the generic
-        # key mismatch.  Omitted for the single-node default, keeping
-        # pre-cluster journals resumable byte for byte.
-        header["topology"] = topology
-    return header
 
 
 def scan_journal(raw: bytes) -> tuple[dict | None, list[tuple[dict, int]], int]:
@@ -157,7 +141,7 @@ class SealedJournal:
     lease journal (:class:`repro.service.leases.LeaseJournal`) share: a
     line is either durably on disk or it never happened; the torn tail a
     SIGKILL can leave is quarantined and truncated on resume; a journal
-    of a different campaign or cluster topology is refused.
+    of a different campaign is refused.
     """
 
     #: how refusal messages name this kind of journal
@@ -189,15 +173,23 @@ class SealedJournal:
     @classmethod
     def _refuse_foreign(cls, path: Path, found: dict, header: dict) -> None:
         """Raise unless the on-disk header ``found`` journals ``header``'s campaign."""
-        if found.get("topology") != header.get("topology"):
-            # Checked before the key so the operator sees the real cause:
-            # same campaign, replayed under a different cluster topology
-            # (--nodes/--correlation/crash model), would interleave shard
-            # records that belong to different burst schedules.
+        old = found.get("config")
+        if not isinstance(old, dict):
             raise JournalError(
-                f"{path}: {cls.WHAT} was recorded under a different cluster "
-                f"topology (found {found.get('topology')!r}, campaign has "
-                f"{header.get('topology')!r}); refusing to resume"
+                f"{path}: {cls.WHAT} header carries no campaign document "
+                "(written by an older version); refusing to resume"
+            )
+        new = header["config"]
+        changed = [
+            f"{name}: {json.dumps(old.get(name))} -> {json.dumps(new.get(name))}"
+            for name in {**old, **new}
+            if old.get(name) != new.get(name)
+        ]
+        if changed:
+            # Checked before the key so the operator sees the real cause.
+            raise JournalError(
+                f"{path}: {cls.WHAT} was recorded for a different campaign "
+                f"config ({', '.join(changed)}); refusing to resume"
             )
         if found.get("key") != header.get("key"):
             raise JournalError(

@@ -23,7 +23,7 @@ from repro.errors import SnapshotCorruptError
 from repro.memsim.stats import CacheStats, MemoryStats
 from repro.nvct.campaign import CampaignResult, CrashTestRecord, Response, RunStats
 from repro.nvct.plan import PersistencePlan
-from repro.nvct.runtime import ObjectProfile, PersistEvent, RegionProfile, Snapshot
+from repro.nvct.runtime import PersistEvent, RegionProfile, Snapshot
 
 __all__ = [
     "save_campaign",
@@ -44,7 +44,8 @@ __all__ = [
 FORMAT_VERSION = 1
 
 
-def _plan_to_dict(plan: PersistencePlan) -> dict:
+def plan_to_dict(plan: PersistencePlan) -> dict:
+    """The plan's dict in the campaign file and the campaign document."""
     return {
         "objects": list(plan.objects),
         "region_frequency": dict(plan.region_frequency),
@@ -55,7 +56,7 @@ def _plan_to_dict(plan: PersistencePlan) -> dict:
     }
 
 
-def _plan_from_dict(d: dict) -> PersistencePlan:
+def plan_from_dict(d: dict) -> PersistencePlan:
     return PersistencePlan(
         objects=tuple(d["objects"]),
         region_frequency={k: int(v) for k, v in d["region_frequency"].items()},
@@ -163,7 +164,7 @@ def campaign_to_dict(result: CampaignResult) -> dict:
         "format": FORMAT_VERSION,
         "app": result.app,
         "golden_iterations": result.golden_iterations,
-        "plan": _plan_to_dict(result.plan),
+        "plan": plan_to_dict(result.plan),
         "records": [record_to_dict(r) for r in result.records],
         "run_stats": run_stats_to_dict(result.run_stats),
     }
@@ -181,7 +182,7 @@ def campaign_from_dict(doc: dict) -> CampaignResult:
     records = [record_from_dict(r) for r in doc["records"]]
     return CampaignResult(
         app=doc["app"],
-        plan=_plan_from_dict(doc["plan"]),
+        plan=plan_from_dict(doc["plan"]),
         records=records,
         run_stats=run_stats_from_dict(doc["run_stats"]),
         golden_iterations=int(doc["golden_iterations"]),
@@ -232,16 +233,6 @@ def load_campaign(path: str | Path) -> CampaignResult:
         return campaign_from_dict(doc)
     except (KeyError, TypeError, AttributeError) as exc:
         raise SnapshotCorruptError(f"{path}: malformed campaign document ({exc!r})") from exc
-
-
-# Public aliases of the plan round-trip (the artifact cache fingerprints
-# plans through the exact dict the file format uses).
-def plan_to_dict(plan: PersistencePlan) -> dict:
-    return _plan_to_dict(plan)
-
-
-def plan_from_dict(d: dict) -> PersistencePlan:
-    return _plan_from_dict(d)
 
 
 # -- snapshot transport (parallel classification workers) ---------------------

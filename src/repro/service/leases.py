@@ -19,7 +19,7 @@ the engine's own :class:`repro.nvct.journal.TrialLedger`):
   are journaled *before* their effect is exposed (a grant is durable
   before the worker sees it), so ``repro serve --resume`` rebuilds the
   table by pure replay; foreign journals are refused through the same
-  campaign-key + topology-fingerprint checks as campaign journals.
+  campaign-document + content-key checks as campaign journals.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def lease_header(
     """Header line of a lease journal.
 
     Rides on :func:`repro.nvct.journal.campaign_header` — same campaign
-    content key, same optional topology fingerprint — plus the service
+    document, same content key — plus the service
     parameters that shape the chunk layout, so a resume under a different
     ``--chunk-size`` is refused instead of replaying events against a
     differently numbered queue.  ``journal: "leases"`` keeps a campaign
@@ -229,10 +229,10 @@ class LeaseJournal(SealedJournal):
         """Resume ``path`` if it journals this queue, else start fresh.
 
         Returns the journal and every intact replayable event, in append
-        order.  Refusal rules are the campaign journal's (topology first,
-        then the content key), plus the service-shape check: a journal
-        written under a different chunk size describes a different queue
-        and cannot be replayed onto this one.
+        order.  Refusal rules are the campaign journal's (changed config
+        fields first, then the content key), plus the service-shape
+        check: a journal written under a different chunk size describes
+        a different queue and cannot be replayed onto this one.
         """
         path = Path(path)
         if not path.exists() or path.stat().st_size == 0:

@@ -33,32 +33,27 @@ connected stream — they cannot be silently lost.  ``record`` and
 (``retry``) closes the dropped-record hole, and the missed-heartbeat
 reaper plus fencing closes the dropped-heartbeat one.
 
-The ``spec`` makes workers stateless: ``app`` + the full campaign config
-document lets a worker re-derive the golden run, the crash points, and
-every snapshot from nothing, and the embedded content ``key`` (the same
-SHA-256 the artifact cache and journal headers use) is re-computed and
-checked worker-side, so a worker running skewed code refuses the work
-instead of producing records that merely look compatible.
+The ``spec`` makes workers stateless: ``app`` + the shard's campaign
+document (``config``, :meth:`~repro.nvct.campaign.CampaignConfig.to_doc`
+— every field, the very document its journal header carries) lets a
+worker re-derive the golden run, the crash points, and every snapshot
+from nothing, and the embedded content ``key`` (the same SHA-256 the
+artifact cache and journal headers use) is re-computed and checked
+worker-side, so a worker running skewed code refuses the work instead
+of producing records that merely look compatible.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
-from typing import TYPE_CHECKING
 
-from repro.errors import ServiceError, SnapshotCorruptError
+from repro.errors import SnapshotCorruptError
 from repro.obs.metrics import bump
-
-if TYPE_CHECKING:
-    from repro.nvct.campaign import CampaignConfig
 
 __all__ = [
     "encode",
     "decode_line",
     "LineReader",
-    "config_to_doc",
-    "config_from_doc",
 ]
 
 
@@ -102,62 +97,3 @@ class LineReader:
                 out.append(doc)
         return out
 
-
-# -- campaign-config transport -------------------------------------------------
-
-
-def config_to_doc(cfg: "CampaignConfig") -> dict:
-    """Ship a campaign config to a stateless worker, losslessly.
-
-    Unlike the content-key document (which drops defaults for key
-    stability) this carries *every* field explicitly — the worker must
-    reconstruct the exact config, not just fingerprint it.  A custom
-    ``hierarchy`` is refused: the service CLI never sets one, and
-    shipping arbitrary hierarchy objects is not worth the surface.
-    """
-    from repro.nvct.serialize import plan_to_dict
-
-    if cfg.hierarchy is not None:
-        raise ServiceError(
-            "the orchestration service cannot ship a custom memory "
-            "hierarchy to workers; run this campaign with `repro campaign`"
-        )
-    return {
-        "n_tests": cfg.n_tests,
-        "seed": cfg.seed,
-        "plan": plan_to_dict(cfg.plan),
-        "verified_mode": cfg.verified_mode,
-        "max_iter_factor": cfg.max_iter_factor,
-        "distribution": cfg.distribution,
-        "n_cores": cfg.n_cores,
-        "crash_model": cfg.crash_model,
-        "nodes": cfg.nodes,
-        "correlation": cfg.correlation,
-        "burst_window_s": cfg.burst_window_s,
-        "node": cfg.node,
-    }
-
-
-def config_from_doc(doc: dict) -> "CampaignConfig":
-    """Rebuild the exact :class:`CampaignConfig` a scheduler shipped."""
-    from repro.nvct.campaign import CampaignConfig
-    from repro.nvct.serialize import plan_from_dict
-
-    try:
-        return replace(
-            CampaignConfig(),
-            n_tests=int(doc["n_tests"]),
-            seed=int(doc["seed"]),
-            plan=plan_from_dict(doc["plan"]),
-            verified_mode=bool(doc["verified_mode"]),
-            max_iter_factor=float(doc["max_iter_factor"]),
-            distribution=str(doc["distribution"]),
-            n_cores=int(doc["n_cores"]),
-            crash_model=str(doc["crash_model"]),
-            nodes=int(doc["nodes"]),
-            correlation=float(doc["correlation"]),
-            burst_window_s=float(doc["burst_window_s"]),
-            node=int(doc["node"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServiceError(f"malformed campaign spec from scheduler: {exc!r}") from exc

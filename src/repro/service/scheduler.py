@@ -16,8 +16,8 @@ therefore rebuilds the queue purely from the two journals: replay the
 lease events, auto-commit chunks the campaign journal already covers,
 and expire whatever was leased when the scheduler died (those workers'
 tokens are stale the moment a chunk is re-granted — fencing handles the
-zombies).  Foreign journals are refused through the campaign content key
-and the cluster topology fingerprint, exactly like ``repro campaign
+zombies).  Foreign journals are refused through the campaign document
+and content key in their headers, exactly like ``repro campaign
 --resume``.
 """
 
@@ -33,7 +33,7 @@ from repro.errors import JournalError, UsageError
 from repro.obs.metrics import bump
 from repro.nvct.journal import TrialLedger
 from repro.service.leases import Chunk, LeaseJournal, LeaseTable, lease_header
-from repro.service.protocol import config_to_doc, encode
+from repro.service.protocol import encode
 
 if TYPE_CHECKING:
     from repro.apps.base import AppFactory
@@ -89,11 +89,6 @@ class CampaignScheduler:
     ):
         if chunk_size < 1:
             raise UsageError(f"chunk size must be >= 1, got {chunk_size}")
-        if cfg.hierarchy is not None:
-            raise UsageError(
-                "the orchestration service cannot ship a custom hierarchy "
-                "to workers; use repro campaign"
-            )
         if crash_plan is not None and cfg.nodes > 1:
             raise UsageError("a pruned crash plan cannot be combined with --nodes")
         self.factory = factory
@@ -137,7 +132,7 @@ class CampaignScheduler:
             spec = {
                 "app": self.factory.name,
                 "key": shard_header["key"],
-                "cfg": config_to_doc(shard.cfg),
+                "config": shard_header["config"],
             }
             if self.trial_timeout is not None:
                 spec["trial_timeout"] = self.trial_timeout

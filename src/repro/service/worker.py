@@ -33,9 +33,9 @@ import time
 from typing import Callable, Iterator
 
 from repro.errors import ServiceError
-from repro.nvct.campaign import PreparedShard, plan_shards
+from repro.nvct.campaign import CampaignConfig, PreparedShard, plan_shards
 from repro.obs.metrics import bump
-from repro.service.protocol import LineReader, config_from_doc, encode
+from repro.service.protocol import LineReader, encode
 
 __all__ = ["ChunkExecutor", "run_worker"]
 
@@ -70,7 +70,10 @@ class ChunkExecutor(PreparedShard):
             factory = get_factory(str(spec["app"]))
         except KeyError as exc:
             raise ServiceError(f"scheduler leased an unknown app: {exc}") from exc
-        cfg = config_from_doc(spec["cfg"])
+        try:
+            cfg = CampaignConfig.from_doc(spec["config"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ServiceError(f"malformed campaign spec from scheduler: {exc!r}") from exc
         key = campaign_key(factory, cfg)
         if key != spec.get("key"):
             # Version skew: this worker's code would sample or classify

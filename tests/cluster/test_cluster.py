@@ -3,7 +3,6 @@ recovery orchestration, leases/chaos, and journal topology pinning."""
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.apps.registry import get_factory
@@ -16,7 +15,6 @@ from repro.cluster import (
     RecoveryOrchestrator,
     burst_schedule,
     run_cluster_campaign,
-    topology_fingerprint,
     trials_per_node,
 )
 from repro.cluster.emulator import _slot_records
@@ -191,14 +189,17 @@ def test_measured_mix_feeds_the_efficiency_model():
 # -- journals: per-node paths, resume, topology pinning ------------------------
 
 
-def test_node_journal_paths_and_topology_fingerprint(tmp_path):
+def test_node_journal_paths_and_header_topology(tmp_path):
+    from repro.nvct.journal import campaign_header
+
     base = tmp_path / "j.jsonl"
     assert node_journal_path(base, 0) == base
     assert node_journal_path(base, 2).name == "j.jsonl.node2"
-    assert topology_fingerprint(CampaignConfig(n_tests=1, seed=0)) is None
-    fp = topology_fingerprint(CampaignConfig(n_tests=1, seed=0, nodes=4, node=2))
-    assert fp is not None and fp["nodes"] == 4 and fp["node"] == 2
-    assert fp["crash_model"] == {"name": "whole-cache-loss"}
+    single = campaign_header(EP, CampaignConfig(n_tests=1, seed=0))["config"]
+    assert (single["nodes"], single["correlation"], single["node"]) == (1, 0.0, 0)
+    shard = campaign_header(EP, CampaignConfig(n_tests=1, seed=0, nodes=4, node=2))["config"]
+    assert shard["nodes"] == 4 and shard["node"] == 2
+    assert shard["crash_model"] == "whole-cache-loss"
 
 
 def test_journaled_cluster_resume_is_bit_identical(tmp_path):
@@ -217,24 +218,16 @@ def test_resume_refuses_a_different_topology(tmp_path):
     run_cluster_campaign(MG, MIXED_CFG, journal=journal)
     from dataclasses import replace
 
-    with pytest.raises(JournalError, match="topology"):
+    with pytest.raises(JournalError, match="nodes: 4 -> 2"):
         run_cluster_campaign(MG, replace(MIXED_CFG, nodes=2), journal=journal)
-    with pytest.raises(JournalError, match="topology"):
+    with pytest.raises(JournalError, match="correlation: 0.3 -> 0.6"):
         run_cluster_campaign(
             MG, replace(MIXED_CFG, correlation=0.6), journal=journal
         )
-    with pytest.raises(JournalError, match="topology"):
+    with pytest.raises(JournalError, match='crash_model: "whole-cache-loss" -> "adr:wpq=64"'):
         run_cluster_campaign(
             MG, replace(MIXED_CFG, crash_model="adr"), journal=journal
         )
-
-
-def test_single_node_journal_has_no_topology_field(tmp_path):
-    """N=1 journals stay byte-compatible with the pre-cluster format."""
-    journal = tmp_path / "j.jsonl"
-    run_campaign(EP, CampaignConfig(n_tests=4, seed=3), journal=journal)
-    header = json.loads(journal.read_text().splitlines()[0])
-    assert "topology" not in header
 
 
 # -- node leases, chaos, resilience --------------------------------------------

@@ -235,14 +235,9 @@ def test_get_model_canonical_specs():
     assert get_model("whole-cache-loss").spec == DEFAULT_CRASH_MODEL
     assert get_model("adr").spec == f"adr:wpq={ADR_WPQ_DEPTH}"
     assert get_model("adr:wpq=64").spec == get_model("adr").spec
+    assert get_model("adr:wpq=32").spec != get_model("adr").spec
     assert get_model("eadr").spec == f"eadr:granularity={TEAR_GRANULARITY}"
     assert get_model("torn:granularity=16").spec == "torn:granularity=16"
-
-
-def test_get_model_fingerprint_canonicalizes():
-    assert get_model("adr").fingerprint() == get_model("adr:wpq=64").fingerprint()
-    assert get_model("adr:wpq=32").fingerprint() != get_model("adr").fingerprint()
-    assert get_model("adr").fingerprint() == {"name": "adr", "wpq": 64}
 
 
 def test_get_model_passthrough_and_default_flag():

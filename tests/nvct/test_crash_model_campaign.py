@@ -9,7 +9,7 @@ import pytest
 from repro.analysis.equiv_pass import build_crash_plan, crash_plan_key
 from repro.apps.registry import get_factory
 from repro.errors import UsageError
-from repro.harness.cache import campaign_config_doc, campaign_key
+from repro.harness.cache import campaign_key
 from repro.nvct.campaign import CampaignConfig, run_campaign
 from repro.nvct.journal import campaign_header
 from repro.nvct.serialize import campaign_from_dict, campaign_to_dict
@@ -75,10 +75,11 @@ def test_campaign_deterministic_per_model(model):
 
 
 def test_campaign_key_stable_at_default():
-    """Default configs must produce the exact pre-crash-model key doc:
-    no ``crash_model`` entry at all (cache compatibility)."""
-    doc = campaign_config_doc(CampaignConfig(n_tests=12, seed=3))
-    assert "crash_model" not in doc
+    """The default model is spelled out in the campaign document like any
+    other, and leaving it implicit gives the same document and key."""
+    header = campaign_header(FACTORY, CampaignConfig(n_tests=12, seed=3))
+    assert header["config"]["crash_model"] == "whole-cache-loss"
+    assert header["config"] == campaign_header(FACTORY, _cfg("whole-cache-loss"))["config"]
     assert campaign_key(FACTORY, CampaignConfig(n_tests=12, seed=3)) == campaign_key(
         FACTORY, _cfg("whole-cache-loss")
     )
@@ -120,9 +121,10 @@ def test_serialize_omits_model_at_default():
     assert campaign_from_dict(doc).crash_model == "whole-cache-loss"
 
 
-def test_journal_header_carries_model_only_when_non_default():
-    assert "crash_model" not in campaign_header(FACTORY, _cfg())
-    assert campaign_header(FACTORY, _cfg("adr"))["crash_model"] == "adr:wpq=64"
+def test_journal_header_carries_the_canonical_model():
+    assert campaign_header(FACTORY, _cfg())["config"]["crash_model"] == "whole-cache-loss"
+    assert campaign_header(FACTORY, _cfg("adr"))["config"]["crash_model"] == "adr:wpq=64"
+    assert "crash_model" not in campaign_header(FACTORY, _cfg("adr"))  # only inside config
 
 
 def test_journal_resume_under_adr(tmp_path):

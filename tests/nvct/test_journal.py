@@ -94,12 +94,34 @@ def test_refuses_foreign_and_garbage_journals(tmp_path):
     other = campaign_header(FACTORY, CampaignConfig(n_tests=8, seed=99))
     with CampaignJournal.create(path, other):
         pass
-    with pytest.raises(JournalError, match="different campaign"):
+    with pytest.raises(JournalError, match="different campaign config [(]seed: 99 -> 3[)]"):
         CampaignJournal.open_or_resume(path, _header())
     garbage = tmp_path / "garbage.jsonl"
     garbage.write_text("this is not a journal\n")
     with pytest.raises(JournalError, match="not a campaign journal"):
         CampaignJournal.open_or_resume(garbage, _header())
+
+
+def _write_header_without_config(path):
+    """A sealed header line in the shape older versions wrote: ``n_tests``
+    and ``seed`` at the top level, no campaign document."""
+    from repro.harness.store import seal_line
+
+    header = {k: v for k, v in _header().items() if k != "config"}
+    header.update(n_tests=CFG.n_tests, seed=CFG.seed)
+    path.write_text(json.dumps(seal_line(header), sort_keys=True) + "\n")
+
+
+def test_refuses_a_header_without_campaign_document(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "old.jsonl"
+    _write_header_without_config(path)
+    with pytest.raises(JournalError, match="no campaign document"):
+        run_campaign(FACTORY, CFG, journal=path)
+    code = main(["campaign", "EP", "--tests", "8", "--seed", "3", "--resume", str(path)])
+    assert code == 2
+    assert "no campaign document" in capsys.readouterr().err
 
 
 def test_missing_or_empty_file_starts_fresh(tmp_path):

@@ -167,7 +167,7 @@ def test_journal_refuses_different_topology(tmp_path):
     clustered = CampaignConfig(n_tests=8, seed=1, nodes=4, correlation=0.3)
     LeaseJournal.create(path, _header(cfg=clustered)).close()
     other = CampaignConfig(n_tests=8, seed=1, nodes=2, correlation=0.3)
-    with pytest.raises(JournalError, match="topology"):
+    with pytest.raises(JournalError, match="nodes: 4 -> 2"):
         LeaseJournal.open_or_resume(path, _header(cfg=other))
 
 

@@ -1,20 +1,12 @@
-"""Wire format: sealed lines, corruption handling, config transport."""
+"""Wire format: sealed lines, corruption handling, malformed specs."""
 
 import json
 
 import pytest
 
 from repro.errors import ServiceError
-from repro.nvct.campaign import CampaignConfig
-from repro.nvct.plan import PersistencePlan
 from repro.obs import metrics
-from repro.service.protocol import (
-    LineReader,
-    config_from_doc,
-    config_to_doc,
-    decode_line,
-    encode,
-)
+from repro.service.protocol import LineReader, decode_line, encode
 
 
 def test_encode_decode_roundtrip():
@@ -54,35 +46,10 @@ def test_line_reader_drops_only_the_bad_line():
     assert [d["op"] for d in out] == ["ack"]
 
 
-def test_config_transport_is_lossless():
-    cfg = CampaignConfig(
-        n_tests=17,
-        seed=9,
-        plan=PersistencePlan.at_loop_end(("x", "y"), frequency=2),
-        verified_mode=True,
-        max_iter_factor=1.5,
-        distribution="early",
-        crash_model="eadr",
-        nodes=3,
-        correlation=0.4,
-        burst_window_s=120.0,
-        node=2,
-    )
-    doc = config_to_doc(cfg)
-    json.dumps(doc)  # must be plain JSON, no numpy or dataclass leakage
-    assert config_from_doc(doc) == cfg
-    assert config_from_doc(config_to_doc(CampaignConfig())) == CampaignConfig()
-
-
-def test_config_transport_refuses_custom_hierarchy():
-    class FakeHierarchy:
-        pass
-
-    cfg = CampaignConfig(n_tests=4, hierarchy=FakeHierarchy())
-    with pytest.raises(ServiceError, match="hierarchy"):
-        config_to_doc(cfg)
-
-
 def test_malformed_spec_raises_service_error():
+    from repro.service import ChunkExecutor
+
     with pytest.raises(ServiceError, match="malformed"):
-        config_from_doc({"n_tests": 4})  # everything else missing
+        ChunkExecutor.from_spec({"app": "EP", "config": {"n_tests": 4}})  # the rest missing
+    with pytest.raises(ServiceError, match="malformed"):
+        ChunkExecutor.from_spec({"app": "EP"})  # no campaign document at all

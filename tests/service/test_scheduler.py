@@ -215,7 +215,10 @@ def test_multinode_shards_mirror_the_cluster_cut(tmp_path):
                 for i in st.chunk.indices
             }
             assert covered == set(range(shard.n_snaps))
-            assert shard.spec["cfg"]["node"] == node
+            # Worker spec, journal header and content key: one document.
+            header, _, _ = scan_journal(node_journal_path(tmp_path / "j.jsonl", node).read_bytes())
+            assert shard.spec["config"] == header["config"] == shard.plan.cfg.to_doc()
+            assert shard.spec["config"]["node"] == node
     finally:
         sched.close()
 
@@ -228,3 +231,20 @@ def test_usage_guards():
         CampaignScheduler(
             FACTORY, clustered, journal="j.jsonl", crash_plan=object()
         )
+
+
+def test_spec_ships_a_custom_hierarchy(tmp_path):
+    """The campaign document carries the hierarchy, so a worker rebuilds
+    the exact campaign a scheduler with a custom hierarchy planned."""
+    from repro.memsim.config import HierarchyConfig
+    from repro.nvct.campaign import run_campaign
+
+    cfg = CampaignConfig(n_tests=4, seed=2, hierarchy=HierarchyConfig.scaled_three_level())
+    sched = CampaignScheduler(FACTORY, cfg, journal=tmp_path / "j.jsonl")
+    sched.prepare()
+    spec, n_snaps = sched.shards[0].spec, sched.shards[0].n_snaps
+    sched.close()
+    executor = ChunkExecutor.from_spec(spec)
+    assert executor.cfg == cfg
+    records = [rec for _, rec in executor.classify(list(range(n_snaps)))]
+    assert records == run_campaign(FACTORY, cfg).records

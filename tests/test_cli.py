@@ -218,7 +218,7 @@ def test_campaign_multinode_resume_topology_mismatch_exits_2(capsys, tmp_path):
     )
     err = capsys.readouterr().err
     assert code == 2
-    assert "different cluster topology" in err
+    assert "nodes: 2 -> 4" in err
 
 
 def test_keyboard_interrupt_exits_130_without_traceback(capsys, monkeypatch):
