@@ -2,9 +2,9 @@
 
 WITCHER-style validation applied to our own harness: the resilience layer
 (:mod:`repro.harness.resilience`, :mod:`repro.nvct.journal`) claims that
-campaigns survive worker deaths, torn cache entries, truncated snapshot
-payloads, and flaky I/O — so those faults must be injectable on demand,
-reproducibly, in CI.  This module is the injector: a seed-driven gate
+campaigns survive worker deaths, torn cache entries and flaky I/O — so
+those faults must be injectable on demand, reproducibly, in CI.  This
+module is the injector: a seed-driven gate
 consulted at *named sites* threaded through the engine:
 
 ===================== =====================================================
@@ -13,14 +13,6 @@ site                  faults it can fire
 ``parallel.worker``   ``worker_death`` — the classification worker calls
                       ``os._exit`` mid-chunk (the pool's chunk timeout and
                       the circuit breaker must recover)
-``serialize.pack``    ``truncate`` — a packed snapshot array loses its
-                      tail, so the worker's unpack raises
-                      :class:`~repro.errors.SnapshotCorruptError`;
-                      ``bitflip``; ``torn_writeback`` — a multi-word
-                      store tears at sub-block granularity (the crash-
-                      model hazard of :mod:`repro.memsim.crashmodel`,
-                      applied to a transport payload: the suffix of one
-                      64-byte line is zeroed, the CRC must catch it)
 ``cache.read``        ``corrupt_read`` (bit-flipped bytes → decode fails →
                       counted miss), ``os_error``, ``slow_io``
 ``cache.write``       ``os_error`` (the store is abandoned *before*

@@ -21,8 +21,9 @@ source of crash images instead:
   a pair of vectorized fancy assignments per object, not a heap copy.
   Ascending batches of crash points share one rolling buffer; consumers
   either *borrow* read-only views (zero-copy, valid until the next image)
-  or request stable copies (parallel classification, which ships packed
-  payloads anyway).
+  or request stable copies (consumers that retain images).  Parallel
+  classification borrows too: each pool worker holds the store and
+  replays its own chunk of crash-point indices.
 
 * The verified methodology (restart from crash-time *architectural*
   copies) rides the same recorder: with ``capture_consistent`` each crash
@@ -467,30 +468,13 @@ class GoldenStore:
 
 
 class GoldenSnapshotSource:
-    """Adapter feeding a :class:`GoldenStore` to the parallel engine.
+    """The parallel engine's work list: a :class:`GoldenStore` plus the
+    strictly-ascending crash-image ``indices`` to classify from it.
 
-    Exposes the ``len`` / ``get(lo, hi)`` snapshot-source protocol of
-    :mod:`repro.nvct.parallel` over an index subset.  Sequential ranges
-    advance one shared replay generator; an out-of-order request (the
-    serial-fallback path re-reading an already-packed chunk) restarts a
-    fresh replay from the base images, so every range is pristine no
-    matter what happened to previously shipped payloads."""
+    :func:`repro.nvct.parallel.classify_snapshots` hands the store to each
+    pool worker once and ships chunks of ``indices``; every process then
+    replays its own images through :meth:`GoldenStore.snapshots`."""
 
     def __init__(self, store: GoldenStore, indices: Iterable[int]) -> None:
-        self._store = store
-        self._indices = [int(i) for i in indices]
-        self._gen: Iterator["Snapshot"] | None = None
-        self._pos = 0
-
-    def __len__(self) -> int:
-        return len(self._indices)
-
-    def get(self, lo: int, hi: int) -> list["Snapshot"]:
-        if hi <= lo:
-            return []
-        if self._gen is None or lo != self._pos:
-            self._gen = self._store.snapshots(self._indices[lo:], copy=True)
-            self._pos = lo
-        out = [next(self._gen) for _ in range(hi - lo)]
-        self._pos = hi
-        return out
+        self.store = store
+        self.indices = [int(i) for i in indices]

@@ -6,18 +6,20 @@ restart-and-classify runs that are embarrassingly parallel — each test
 restarts a fresh plain-mode application from one snapshot and never
 touches shared state.  :func:`classify_snapshots` exploits that shape:
 it fans the classification phase of one campaign out over ``jobs``
-worker processes.  Snapshots are shipped as packed payloads
-(:mod:`repro.nvct.serialize`) in deterministic, crash-point-ordered
-chunks and the per-chunk records are merged back in chunk order, so a
-parallel campaign is *bit-identical* to a serial one under the same
-seed.
+worker processes.  Crash images never cross the process boundary: each
+worker holds the campaign's golden store (inherited from the parent
+under ``fork``, pickled once per worker otherwise), a task carries only
+a deterministic, crash-point-ordered chunk of *trial indices*, and the
+worker replays those images itself as borrowed views.  Per-chunk
+records are merged back in chunk order, so a parallel campaign is
+*bit-identical* to a serial one under the same seed.
 
 Workers are plain ``multiprocessing.Pool`` processes with
 ``maxtasksperchild`` recycling (long campaigns keep worker memory flat).
-Every pool-level failure — a worker crash, an unpicklable factory, a
-chunk exceeding ``chunk_timeout`` — degrades gracefully: the remaining
-work is computed serially in the parent, so parallelism is strictly an
-optimization and never changes results or raises new errors.
+Every pool-level failure — a worker crash, an unpicklable factory or
+store, a chunk exceeding ``chunk_timeout`` — degrades gracefully: the
+remaining work is computed serially in the parent, so parallelism is
+strictly an optimization and never changes results or raises new errors.
 
 ``REPRO_JOBS`` (or ``--jobs`` on the CLI) selects the worker count;
 ``0`` means one worker per CPU, unset/``1`` means serial.
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.obs import registry
 
@@ -43,13 +45,12 @@ __all__ = [
 if TYPE_CHECKING:  # avoid import cycles at runtime
     from repro.apps.base import AppFactory
     from repro.harness.resilience import RetryPolicy
-    from repro.memsim.golden import GoldenSnapshotSource
+    from repro.memsim.golden import GoldenSnapshotSource, GoldenStore
     from repro.nvct.campaign import (
         CampaignConfig,
         CrashTestRecord,
         PreparedShard,
     )
-    from repro.nvct.runtime import Snapshot
 
 #: Seconds one chunk may take before the engine abandons the pool and
 #: falls back to serial.
@@ -57,10 +58,6 @@ DEFAULT_CHUNK_TIMEOUT = 600.0
 
 #: Tasks a worker serves before being replaced (bounds leaked memory).
 MAX_TASKS_PER_CHILD = 32
-
-#: Snapshots materialized per batch when the parent classifies serially
-#: from a lazy source (bounds peak memory to a few images).
-_SERIAL_BATCH = 64
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -97,47 +94,51 @@ def chunk_indices(n_items: int, jobs: int) -> list[tuple[int, int]]:
 
 
 def _pool_context() -> multiprocessing.context.BaseContext:
-    # fork (cheap, inherits the warmed golden-run cache) when available;
-    # the platform default otherwise.
+    # fork (cheap: workers inherit the warmed golden-run cache and the
+    # golden store without a copy) when available; the platform default
+    # otherwise, which pickles both once per worker.
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
 
 
 # -- classification fan-out ---------------------------------------------------
-#
-# Worker state is installed once per worker by the pool initializer; chunk
-# tasks then only carry packed snapshots.
-
-_worker_state: tuple | None = None  # (factory, golden_iterations, cfg)
 
 
-def _classify_worker_init(*state) -> None:
-    global _worker_state
-    _worker_state = state
+def _trial_loop(
+    factory: "AppFactory", store: "GoldenStore", golden_iterations: int, cfg: "CampaignConfig"
+) -> "Callable[[Sequence[int]], Iterator[CrashTestRecord]]":
+    """The one task body, run by pool workers and by the parent's serial
+    path alike: classify a chunk of ascending trial indices over
+    borrowed views of ``store``, one trial at a time."""
+    from repro.nvct.campaign import _classify_each
+
+    return lambda chunk: _classify_each(factory, store.snapshots(chunk), golden_iterations, cfg)
 
 
-def _classify_chunk(task: tuple[int, list[dict]]):
+#: This worker's task body, installed once by the pool initializer.
+_worker_loop: "Callable[[Sequence[int]], Iterator[CrashTestRecord]] | None" = None
+
+
+def _classify_worker_init(
+    factory: "AppFactory", store: "GoldenStore", golden_iterations: int, cfg: "CampaignConfig"
+) -> None:
+    global _worker_loop
+    _worker_loop = _trial_loop(factory, store, golden_iterations, cfg)
+
+
+def _classify_chunk(task: tuple[int, list[int]]) -> tuple[int, list["CrashTestRecord"]]:
     from repro.harness.chaos import injector as chaos_injector
-    from repro.nvct.campaign import _classify_trial
-    from repro.nvct.serialize import unpack_snapshot
 
-    assert _worker_state is not None
-    index, packed = task
+    assert _worker_loop is not None
+    chunk_id, chunk = task
     if (ch := chaos_injector()) is not None:
         ch.maybe_kill("parallel.worker")
-    # unpack outside the quarantine: a corrupt *payload*
-    # (SnapshotCorruptError) must fail the whole chunk so the parent
-    # retries / reclassifies from its pristine snapshot, while a poison
-    # *trial* is quarantined as a FAILED record right here.
-    factory, golden_iterations, cfg = _worker_state
-    return index, [
-        _classify_trial(factory, unpack_snapshot(p), golden_iterations, cfg) for p in packed
-    ]
+    return chunk_id, list(_worker_loop(chunk))
 
 
 def classify_snapshots(
     factory: "AppFactory",
-    snapshots: "Sequence[Snapshot] | GoldenSnapshotSource",
+    source: "GoldenSnapshotSource",
     golden_iterations: int,
     cfg: "CampaignConfig",
     jobs: int | None = None,
@@ -145,18 +146,20 @@ def classify_snapshots(
     retry: "RetryPolicy | None" = None,
     record_sink: "Callable[[int, CrashTestRecord], None] | None" = None,
 ) -> list["CrashTestRecord"]:
-    """Classify every snapshot, fanning out over ``jobs`` processes.
+    """Classify every trial of ``source``, fanning out over ``jobs`` processes.
 
-    ``snapshots`` is a plain sequence or a lazy snapshot source
-    (``len()`` plus ``get(lo, hi)`` for contiguous ascending ranges) —
-    the golden engine passes a :class:`~repro.memsim.golden.
-    GoldenSnapshotSource` that reconstructs crash images from write-back
-    deltas per requested range, both for chunk payload packing and for
-    the pristine serial fallback, instead of holding N full images.
+    ``source`` is a :class:`~repro.memsim.golden.GoldenSnapshotSource`: a
+    golden store plus the ascending (possibly gapped) crash-image indices
+    to classify.  The pool initializer hands every worker the factory,
+    the store, the golden iteration count and the config once; a task is
+    ``(chunk_id, trial indices)`` for one :func:`chunk_indices` cut, and
+    the worker replays those images from its own store as borrowed views.
+    No crash image is copied, packed or shipped per task.
 
-    Bit-identical to the serial ``[_classify(...) for snap in snapshots]``
-    under any job count: classification is pure (plain-mode restart, no
-    shared state, no RNG) and records are merged in crash-point order.
+    Bit-identical to the inline ``[_classify(...) for snap in
+    store.snapshots(indices)]`` under any job count: classification is
+    pure (plain-mode restart, no shared state, no RNG) and records are
+    merged in crash-point order.
 
     Failure handling is layered: a failed or timed-out chunk is
     resubmitted under ``retry`` (exponential backoff, seeded jitter); a
@@ -166,38 +169,30 @@ def classify_snapshots(
     classified in-process.  Parallelism stays strictly an optimization —
     it never changes results or raises new errors.
 
-    ``record_sink(index, record)`` is invoked for every record as soon as
-    its chunk lands (journaling hook); indices are positions in
-    ``snapshots``.
+    ``record_sink(position, record)`` is invoked for every record as soon
+    as its chunk lands (journaling hook); positions index
+    ``source.indices``.
     """
     import time
 
     from repro.harness.chaos import WORKER_DEATH_TIMEOUT
     from repro.harness.chaos import injector as chaos_injector
     from repro.harness.resilience import POOL_CHUNK_RETRY, new_breaker
-    from repro.nvct.campaign import _classify_each
-    from repro.nvct.serialize import pack_snapshot
 
     jobs = resolve_jobs(jobs)
-    n_snaps = len(snapshots)
-    get = getattr(snapshots, "get", None) or (lambda lo, hi: snapshots[lo:hi])
+    store, indices = source.store, source.indices
+    classify = _trial_loop(factory, store, golden_iterations, cfg)
 
     def classify_serial(lo: int, hi: int) -> list:
-        # The inline trial loop over materialized batches of the source.
-        snaps = (
-            snap
-            for start in range(lo, hi, _SERIAL_BATCH)
-            for snap in get(start, min(start + _SERIAL_BATCH, hi))
-        )
         out = []
-        for rec in _classify_each(factory, snaps, golden_iterations, cfg):
+        for rec in classify(indices[lo:hi]):
             if record_sink is not None:
                 record_sink(lo + len(out), rec)
             out.append(rec)
         return out
 
-    if jobs <= 1 or n_snaps < 2:
-        return classify_serial(0, n_snaps)
+    if jobs <= 1 or len(indices) < 2:
+        return classify_serial(0, len(indices))
 
     retry = retry or POOL_CHUNK_RETRY
     breaker = new_breaker()
@@ -207,24 +202,18 @@ def classify_snapshots(
         chunk_timeout = min(chunk_timeout, WORKER_DEATH_TIMEOUT)
 
     factory.golden()  # warm before fork so workers inherit it
-    chunks = chunk_indices(n_snaps, jobs)
-    payloads = [
-        (ci, [pack_snapshot(s) for s in get(lo, hi)])
-        for ci, (lo, hi) in enumerate(chunks)
-    ]
+    chunks = chunk_indices(len(indices), jobs)
+    tasks = [(ci, indices[lo:hi]) for ci, (lo, hi) in enumerate(chunks)]
     done: dict[int, list] = {}
     retries = 0
     try:
         with _pool_context().Pool(
             processes=min(jobs, len(chunks)),
             initializer=_classify_worker_init,
-            initargs=(factory, golden_iterations, cfg),
+            initargs=(factory, store, golden_iterations, cfg),
             maxtasksperchild=MAX_TASKS_PER_CHILD,
         ) as pool:
-            pending = {
-                ci: pool.apply_async(_classify_chunk, (payloads[ci],))
-                for ci in range(len(chunks))
-            }
+            pending = {ci: pool.apply_async(_classify_chunk, (task,)) for ci, task in enumerate(tasks)}
             for ci in range(len(chunks)):
                 if not breaker.allow():
                     break  # degraded to serial: the parent finishes the rest
@@ -241,7 +230,7 @@ def classify_snapshots(
                             reg.counter("resilience.retries", unit="retries").inc()
                         time.sleep(retry.delay(f"chunk-{ci}", attempt))
                         attempt += 1
-                        pending[ci] = pool.apply_async(_classify_chunk, (payloads[ci],))
+                        pending[ci] = pool.apply_async(_classify_chunk, (tasks[ci],))
                         continue
                     done[index] = records
                     breaker.record_success()
@@ -284,8 +273,8 @@ def classify_pooled(
     retry: "RetryPolicy | None" = None,
 ) -> None:
     """The process-pool executor over a prepared shard: classify trials
-    ``indices`` through :func:`classify_snapshots` (packed, *copied*
-    payloads — a shipped image must not alias the replay buffers) and
+    ``indices`` through :func:`classify_snapshots` (workers replay the
+    shard's golden store themselves; only indices cross the pool) and
     hand each ``(index, record)`` to ``sink`` as its chunk lands."""
     from repro.memsim.golden import GoldenSnapshotSource
 

@@ -6,9 +6,11 @@ campaigns can be archived, diffed across runs, and analyzed offline
 (``python -m repro campaign APP --save results.json``).
 
 The same dict round-trips back the persistent artifact cache
-(:mod:`repro.harness.cache`) and the parallel campaign engine
-(:mod:`repro.nvct.parallel`), which ships snapshots to classification
-workers as packed payloads (:func:`pack_snapshot` / :func:`unpack_snapshot`).
+(:mod:`repro.harness.cache`).  :func:`pack_snapshot` /
+:func:`unpack_snapshot` flatten one snapshot into CRC-checked plain bytes
+and back; no campaign path ships snapshots (pool workers replay their
+own from the golden store), so they serve the benchmark's transport
+probe and the tests.
 """
 
 from __future__ import annotations
@@ -235,7 +237,7 @@ def load_campaign(path: str | Path) -> CampaignResult:
         raise SnapshotCorruptError(f"{path}: malformed campaign document ({exc!r})") from exc
 
 
-# -- snapshot transport (parallel classification workers) ---------------------
+# -- snapshot packing (transport probe; no campaign path ships images) ---------
 
 
 def _pack_array(a: np.ndarray) -> dict:
@@ -244,24 +246,10 @@ def _pack_array(a: np.ndarray) -> dict:
 
     data = a.tobytes()
     if (reg := registry()) is not None:
-        # Transport copies (IPC payloads are flattened by necessity); the
-        # zero-copy regression test asserts this stays 0 on the in-process
-        # golden path, where snapshots are consumed as borrowed views.
+        # Packing copies; the zero-copy regression tests assert this
+        # stays 0 on every campaign path, serial and pooled alike.
         reg.counter("serialize.bytes_copied", unit="bytes").inc(len(data))
-    # The CRC covers the *intended* bytes: it is computed before the
-    # chaos hook below, so injected damage is caught by the checksum
-    # exactly like real in-flight corruption would be.
-    checksum = crc32(data)
-    # Chaos hook: a truncated payload here reaches the classification
-    # worker, whose unpack raises SnapshotCorruptError — exercising the
-    # chunk-retry/serial-fallback recovery path end to end.
-    from repro.harness.chaos import injector
-
-    if (ch := injector()) is not None:
-        data = ch.truncate("serialize.pack", data)
-        data = ch.bitflip("serialize.pack", data)
-        data = ch.torn_writeback("serialize.pack", data)
-    return {"dtype": str(a.dtype), "shape": list(a.shape), "data": data, "crc32": checksum}
+    return {"dtype": str(a.dtype), "shape": list(a.shape), "data": data, "crc32": crc32(data)}
 
 
 def _unpack_array(d: dict) -> np.ndarray:
@@ -303,10 +291,9 @@ def pack_snapshot(snap: Snapshot) -> dict:
 def unpack_snapshot(d: dict) -> Snapshot:
     """Rebuild a snapshot from :func:`pack_snapshot`'s payload.
 
-    Truncated buffers or missing keys raise the typed
-    :class:`~repro.errors.SnapshotCorruptError` so the transport layer
-    can tell payload corruption (recoverable by re-shipping or falling
-    back to the parent's pristine snapshot) from application failures.
+    Truncated buffers, checksum mismatches or missing keys raise the
+    typed :class:`~repro.errors.SnapshotCorruptError`, so payload
+    corruption is never mistaken for an application failure.
     """
     try:
         return Snapshot(

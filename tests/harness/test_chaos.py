@@ -253,10 +253,8 @@ def test_torn_writeback_caught_by_snapshot_crc():
     from repro.errors import SnapshotCorruptError
     from repro.nvct.serialize import _pack_array, _unpack_array
 
-    chaos.enable(23, 1.0, kinds=["torn_writeback"])
-    try:
-        packed = _pack_array(np.arange(64, dtype=np.float64) + 1.0)
-    finally:
-        chaos.disable()
+    packed = _pack_array(np.arange(64, dtype=np.float64) + 1.0)
+    ch = ChaosInjector(23, 1.0, kinds=["torn_writeback"])
+    packed["data"] = ch.torn_writeback("site", packed["data"])
     with pytest.raises(SnapshotCorruptError, match="checksum"):
         _unpack_array(packed)

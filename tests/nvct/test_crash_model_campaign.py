@@ -37,8 +37,8 @@ def test_golden_matches_legacy_per_model(model):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_pooled_golden_matches_legacy_per_model(model):
-    """The same agreement through the ``jobs=2`` pool (packed copies of
-    overlaid images) on a second application."""
+    """The same agreement through the ``jobs=2`` pool (workers replay the
+    overlaid images from the store they hold) on a second application."""
     factory = get_factory("kmeans")
     pooled = run_campaign(factory, _cfg(model, n_tests=10), jobs=2)
     assert pooled.records == legacy_campaign(factory, _cfg(model, n_tests=10)).records

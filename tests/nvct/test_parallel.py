@@ -1,9 +1,13 @@
 """Parallel campaign engine: determinism, chunking, fallback paths."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 from repro.apps.registry import get_factory
+from repro.memsim.golden import GoldenSnapshotSource
+from repro.nvct import parallel
 from repro.nvct.campaign import CampaignConfig, run_campaign
 from repro.nvct.parallel import (
     chunk_indices,
@@ -13,22 +17,21 @@ from repro.nvct.parallel import (
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.runtime import CountingRuntime, Runtime
 from repro.nvct.serialize import pack_snapshot, unpack_snapshot
+from repro.obs import metrics
+
+#: A gapped index set, as a half-journal resume leaves behind.
+GAPPED = [0, 2, 3, 5]
 
 
-@pytest.fixture
-def no_chaos():
-    """Exact byte-level round-trips can't run under REPRO_CHAOS truncation."""
-    from repro.harness import chaos
-
-    chaos.disable()
-    yield
-    chaos.reset()
+def _golden_store(factory, rt):
+    """Run ``factory``'s app under ``rt`` and return its golden store."""
+    factory.make(runtime=rt).run()
+    return rt.golden_store()
 
 
 def _crash_images(factory, rt):
     """Run ``factory``'s app under ``rt`` and return stable copies of every crash image."""
-    factory.make(runtime=rt).run()
-    return list(rt.golden_store().snapshots(copy=True))
+    return list(_golden_store(factory, rt).snapshots(copy=True))
 
 
 def test_resolve_jobs_precedence(monkeypatch):
@@ -83,13 +86,15 @@ def test_classify_snapshots_matches_inline_classification():
         (counting.window_begin or 0) + 1, counting.counter, 6, dtype=np.int64
     )
     cfg = CampaignConfig(plan=PersistencePlan.none())
-    snaps = _crash_images(factory, Runtime(plan=cfg.plan, crash_points=points))
-    inline = [_classify(factory, s, golden.iterations, cfg) for s in snaps]
-    fanned = classify_snapshots(factory, snaps, golden.iterations, cfg, jobs=2)
+    store = _golden_store(factory, Runtime(plan=cfg.plan, crash_points=points))
+    inline = [_classify(factory, s, golden.iterations, cfg) for s in store.snapshots(GAPPED)]
+    fanned = classify_snapshots(
+        factory, GoldenSnapshotSource(store, GAPPED), golden.iterations, cfg, jobs=2
+    )
     assert inline == fanned
 
 
-def test_snapshot_pack_roundtrip(no_chaos):
+def test_snapshot_pack_roundtrip():
     factory = get_factory("EP")
     counting = CountingRuntime()
     factory.make(runtime=counting).run()
@@ -115,7 +120,7 @@ def test_record_sink_sees_every_record_exactly_once():
         (counting.window_begin or 0) + 1, counting.counter, 8, dtype=np.int64
     )
     cfg = CampaignConfig(plan=PersistencePlan.none())
-    snaps = _crash_images(factory, Runtime(plan=cfg.plan, crash_points=points))
+    store = _golden_store(factory, Runtime(plan=cfg.plan, crash_points=points))
     sunk: dict[int, object] = {}
 
     def sink(index, record):
@@ -123,11 +128,38 @@ def test_record_sink_sees_every_record_exactly_once():
         sunk[index] = record
 
     fanned = classify_snapshots(
-        factory, snaps, golden.iterations, cfg, jobs=2, record_sink=sink
+        factory, GoldenSnapshotSource(store, GAPPED), golden.iterations, cfg,
+        jobs=2, record_sink=sink,
     )
-    assert sorted(sunk) == list(range(len(snaps)))
-    assert [sunk[i] for i in range(len(snaps))] == fanned
-    assert fanned == [_classify(factory, s, golden.iterations, cfg) for s in snaps]
+    assert sorted(sunk) == list(range(len(GAPPED)))
+    assert [sunk[i] for i in range(len(GAPPED))] == fanned
+    assert fanned == [
+        _classify(factory, s, golden.iterations, cfg) for s in store.snapshots(GAPPED)
+    ]
+
+
+def test_spawn_pool_matches_serial(monkeypatch):
+    """Without ``fork`` (macOS, Windows) each worker receives the golden
+    store pickled once through the pool initializer; records must not
+    change, and the chunks must really run in the workers."""
+    from repro.harness import chaos
+
+    # Spawned workers read REPRO_CHAOS afresh; a worker death would hide
+    # the pool behind the serial fallback this test rules out.
+    monkeypatch.delenv(chaos.ENV_VAR, raising=False)
+    chaos.disable()
+    monkeypatch.setattr(parallel, "_pool_context", lambda: multiprocessing.get_context("spawn"))
+    factory = get_factory("EP")
+    cfg = CampaignConfig(n_tests=6, seed=13)
+    try:
+        serial = run_campaign(factory, cfg, jobs=1)
+        with metrics.enabled() as reg:
+            spawned = run_campaign(factory, cfg, jobs=2)
+    finally:
+        chaos.reset()
+    assert spawned.records == serial.records
+    pooled = reg.counter("parallel.chunks_parallel", unit="chunks").value
+    assert pooled == reg.counter("parallel.chunks_total", unit="chunks").value > 0
 
 
 def test_worker_death_chaos_never_changes_records():
