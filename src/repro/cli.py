@@ -36,12 +36,14 @@ Commands
     Campaign orchestration scheduler (:mod:`repro.service`): shard the
     campaign into leased trial chunks, hand them to ``repro work``
     workers over a Unix socket, reap dead workers, and assemble the
-    final (bit-identical) result from the journals.  ``--resume``
-    rebuilds the queue after a scheduler crash.
+    final (bit-identical) result from its own recordings and the
+    committed records.  ``--resume`` rebuilds the queue after a
+    scheduler crash.
 ``work``
     Stateless campaign worker: connect to a ``repro serve`` socket,
-    pull leases, execute chunks through the golden-pass engine, stream
-    records back, heartbeat, commit.  Run as many as you like.
+    pull leases, classify chunks from the golden store the scheduler
+    published (same host and filesystem), stream records back,
+    heartbeat, commit.  Run as many as you like.
 
 Exit codes: 0 success, 1 findings/failed check, 2 usage or
 environment error, 3 data corruption (:class:`~repro.errors.
@@ -363,8 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "derived for --nodes, like `campaign --resume`)")
     sv.add_argument("--lease-journal", metavar="FILE", default=None,
                     help="lease event journal (default: <journal>.leases)")
-    sv.add_argument("--chunk-size", type=int, default=8, metavar="N",
-                    help="trials per work lease (default 8)")
+    from repro.service.scheduler import DEFAULT_CHUNK_SIZE
+
+    sv.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE, metavar="N",
+                    help="trials per work lease (default %(default)s)")
     sv.add_argument("--heartbeat-deadline", type=float, default=30.0,
                     metavar="SECONDS",
                     help="missed-heartbeat deadline before the reaper "
@@ -539,20 +543,6 @@ def _finish_campaign(result, args: argparse.Namespace) -> None:
     print("\n\n".join(sections))
 
 
-def _run_local(factory, cfg, args: argparse.Namespace, **kwargs):
-    """Run (or, for ``serve``, replay from the complete journals) through
-    the local executors: the inline loop, the pool at ``--jobs``, and for
-    a cluster topology the same single-shard path once per emulated node."""
-    kwargs.update(trial_timeout=args.trial_timeout)
-    if cfg.clustered:
-        from repro.cluster import run_cluster_campaign
-
-        return run_cluster_campaign(factory, cfg, **kwargs)
-    from repro.nvct.campaign import run_campaign
-
-    return run_campaign(factory, cfg, plan=args.crash_plan, **kwargs)
-
-
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import contextlib
     import os
@@ -576,8 +566,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             lo, hi = recomputability_interval(result)
             print(f"stabilized after {stable.rounds} rounds "
                   f"({result.n_tests} tests); 95% CI: [{lo:.3f}, {hi:.3f}]")
+        elif cfg.clustered:
+            from repro.cluster import run_cluster_campaign
+
+            result = run_cluster_campaign(
+                factory, cfg, journal=args.resume, retry=retry, trial_timeout=args.trial_timeout
+            )
         else:
-            result = _run_local(factory, cfg, args, journal=args.resume, retry=retry)
+            from repro.nvct.campaign import run_campaign
+
+            result = run_campaign(
+                factory, cfg, journal=args.resume, retry=retry,
+                trial_timeout=args.trial_timeout, plan=args.crash_plan,
+            )
             if args.crash_plan and result.executed_trials is not None:
                 print(f"crash plan: executed {result.executed_trials} of "
                       f"{result.n_tests} trials (equivalence-pruned)")
@@ -603,8 +604,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _install_sigterm_handler()
     factory, cfg = _campaign_config(args)
-    # The socket-worker executor: the scheduler only plans the shards;
-    # `repro work` processes record and classify them.
+    # The socket-worker executor: the scheduler records each shard once
+    # and publishes its golden store; `repro work` processes map the
+    # store and classify.
     scheduler = CampaignScheduler(
         factory,
         cfg,
@@ -616,21 +618,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         crash_plan=args.crash_plan,
         trial_timeout=args.trial_timeout,
     )
-    scheduler.prepare()
-    assert scheduler.table is not None
-    counts = scheduler.table.counts()
-    print(
-        f"serving {factory.name}: {len(scheduler.table.states)} chunk(s) "
-        f"({counts['committed']} already committed), "
-        f"lease deadline {args.heartbeat_deadline:g}s, socket {args.socket}"
-    )
     serve_forever(scheduler, args.socket)
-    print("campaign complete; assembling the result from the journals")
-    # The service is a drop-in superset of `repro campaign`: the final
-    # result is the local engine replaying the now-complete journals
-    # (bit-identical by construction), saved and printed through the
-    # same helper, so outputs diff clean against a serial run.
-    _finish_campaign(_run_local(factory, cfg, args, journal=args.journal), args)
+    print("campaign complete")
+    # The service is a drop-in superset of `repro campaign`: the result is
+    # assembled from the scheduler's own recordings and the records its
+    # ledgers committed (no further run), then saved and printed through
+    # the same helper, so outputs diff clean against a serial run.
+    _finish_campaign(scheduler.result(), args)
     return 0
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "NodeLease",
     "ClusterResult",
     "cut_shards",
+    "cluster_result",
     "run_cluster_campaign",
 ]
 
@@ -294,7 +295,6 @@ def run_cluster_campaign(
     :func:`~repro.nvct.campaign.run_campaign`, per shard.
     """
     from repro.harness.resilience import NODE_LEASE_RETRY, new_breaker
-    from repro.memsim.crashmodel import get_model
     from repro.nvct.campaign import phase_span, plan_shards, run_shard
 
     shards, bursts = plan_shards(factory, cfg, journal=journal, cluster=True)
@@ -307,6 +307,21 @@ def run_cluster_campaign(
             node_results[shard.cfg.node] = lease.run(
                 lambda: run_shard(factory, shard, jobs, chunk_timeout, retry, trial_timeout)
             )
+    return cluster_result(factory, cfg, bursts, node_results, checkpoint)
+
+
+def cluster_result(
+    factory: "AppFactory",
+    cfg: "CampaignConfig",
+    bursts: list[Burst],
+    node_results: dict[int, "CampaignResult"],
+    checkpoint: "MultiLevelCheckpointModel | None" = None,
+) -> ClusterResult:
+    """Orchestrate recovery over every node's finished campaign and bundle
+    the cluster result — the tail :func:`run_cluster_campaign` and the
+    ``repro serve`` scheduler's assembly share."""
+    from repro.memsim.crashmodel import get_model
+
     log = RecoveryOrchestrator(nodes=cfg.nodes, checkpoint=checkpoint).orchestrate(
         bursts, {n: _slot_records(r) for n, r in node_results.items()}
     )

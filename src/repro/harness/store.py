@@ -110,7 +110,7 @@ INDEX_NAME = "index.json"
 _HEADER_LIMIT = 4096  # an envelope header line never legitimately exceeds this
 
 
-def crc32(data: bytes) -> int:
+def crc32(data: bytes | memoryview) -> int:
     """Unsigned CRC-32 of ``data`` (the envelope checksum)."""
     return zlib.crc32(data) & 0xFFFFFFFF
 
@@ -290,19 +290,23 @@ def _fsync_dir(path: Path) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
+def atomic_write_bytes(path: str | Path, data: bytes | Iterable[bytes | memoryview]) -> Path:
     """Atomic, durable publish: same-dir temp file + fsync + ``os.replace``.
 
     The single write primitive behind :func:`repro.obs.export.write_text`,
-    the quarantine mover's fallback, and the LRU index — a crash mid-write
-    leaves either the old file or the new one, never a torn hybrid.
+    the quarantine mover's fallback, the LRU index and the published
+    golden store — a crash mid-write leaves either the old file or the
+    new one, never a torn hybrid.  ``data`` is one buffer or a sequence
+    of buffers written back to back, so a large artifact streams from
+    its own arrays instead of being joined into one ``bytes`` first.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in [data] if isinstance(data, (bytes, bytearray, memoryview)) else data:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

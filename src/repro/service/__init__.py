@@ -22,15 +22,19 @@ story is the point, not a bolt-on:
   dedupes by trial index, which is safe because
   classification is deterministic — any two workers that classify the
   same snapshot produce the bit-identical record;
-* the final result is assembled by the ordinary
-  :func:`~repro.nvct.campaign.run_campaign` replaying the fully
-  populated journal, so a service campaign is **bit-identical** to a
-  serial one by construction.
+* each shard is recorded exactly once, by the scheduler, which publishes
+  its golden store as one file; workers map that file read-only and
+  never re-record (so they share a filesystem with the scheduler);
+* the final result is assembled from the scheduler's own recordings and
+  the committed records, through the same
+  :meth:`~repro.nvct.campaign.PreparedShard.result` a serial run ends
+  with, so a service campaign is **bit-identical** to a serial one.
 
 The service is one executor of the engine's pipeline, not a second
-engine: the scheduler runs only :func:`~repro.nvct.campaign.plan_shards`
-and a worker's :class:`ChunkExecutor` *is* a
-:class:`~repro.nvct.campaign.PreparedShard`.
+engine: the scheduler runs :func:`~repro.nvct.campaign.plan_shards` and
+:meth:`~repro.nvct.campaign.PreparedShard.record`, and a worker's
+:class:`ChunkExecutor` runs the engine's one trial loop over the
+published store.
 
 Layout: :mod:`~repro.service.leases` (lease state machine + journals,
 no I/O besides the journal, no wall-clock reads — callers pass ``now``),

@@ -33,14 +33,17 @@ connected stream — they cannot be silently lost.  ``record`` and
 (``retry``) closes the dropped-record hole, and the missed-heartbeat
 reaper plus fencing closes the dropped-heartbeat one.
 
-The ``spec`` makes workers stateless: ``app`` + the shard's campaign
+The ``spec`` makes workers stateless: ``app``, the shard's campaign
 document (``config``, :meth:`~repro.nvct.campaign.CampaignConfig.to_doc`
-— every field, the very document its journal header carries) lets a
-worker re-derive the golden run, the crash points, and every snapshot
-from nothing, and the embedded content ``key`` (the same SHA-256 the
+— every field, the very document its journal header carries), the
+absolute path of the golden store the scheduler recorded and published
+for the shard (``store``) and the golden run's ``golden_iterations``
+are all a worker needs to classify any trial of the shard from the
+mapped store.  The embedded content ``key`` (the same SHA-256 the
 artifact cache and journal headers use) is re-computed and checked
-worker-side, so a worker running skewed code refuses the work instead
-of producing records that merely look compatible.
+worker-side, and checked again against the store file's header, so a
+worker running skewed code refuses the work instead of producing
+records that merely look compatible.
 """
 
 from __future__ import annotations

@@ -48,6 +48,25 @@ def test_resolve_jobs_precedence(monkeypatch):
     assert resolve_jobs(None) == 1
 
 
+def test_pool_worker_init_restores_default_sigterm():
+    """Pool workers must not inherit the CLI's SIGTERM -> KeyboardInterrupt
+    handler: ``Pool.terminate()`` SIGTERMs them, which would print a
+    traceback from every idle worker at exit."""
+    import signal
+
+    from repro.cli import _install_sigterm_handler
+
+    original = signal.getsignal(signal.SIGTERM)
+    try:
+        _install_sigterm_handler()
+        assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
+        parallel._classify_worker_init(get_factory("EP"), None, 1, CampaignConfig())
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+    finally:
+        signal.signal(signal.SIGTERM, original)
+        parallel._worker_loop = None
+
+
 def test_chunk_indices_cover_in_order():
     for n, jobs in [(0, 2), (1, 4), (7, 2), (100, 3), (5, 16)]:
         chunks = chunk_indices(n, jobs)

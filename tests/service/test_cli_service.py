@@ -86,6 +86,7 @@ def test_serve_and_work_processes_save_the_serial_result(tmp_path):
     assert serve.returncode == 0, out_s.decode()
     assert b"campaign complete" in out_s
     assert b"committed" in out_w
+    assert not list(tmp_path.glob("*.store"))  # the published store went with the campaign
 
     cfg = CampaignConfig(n_tests=10, seed=3)
     serial = tmp_path / "serial.json"

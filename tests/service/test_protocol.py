@@ -47,9 +47,18 @@ def test_line_reader_drops_only_the_bad_line():
 
 
 def test_malformed_spec_raises_service_error():
+    from repro.apps.registry import get_factory
+    from repro.harness.cache import campaign_key
+    from repro.nvct.campaign import CampaignConfig
     from repro.service import ChunkExecutor
 
     with pytest.raises(ServiceError, match="malformed"):
         ChunkExecutor.from_spec({"app": "EP", "config": {"n_tests": 4}})  # the rest missing
     with pytest.raises(ServiceError, match="malformed"):
         ChunkExecutor.from_spec({"app": "EP"})  # no campaign document at all
+    cfg = CampaignConfig(n_tests=4, seed=2)
+    with pytest.raises(ServiceError, match="malformed"):  # no published store named
+        ChunkExecutor.from_spec({
+            "app": "EP", "key": campaign_key(get_factory("EP"), cfg),
+            "config": cfg.to_doc(), "golden_iterations": 3,
+        })
