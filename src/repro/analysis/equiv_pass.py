@@ -310,6 +310,7 @@ def build_crash_plan(
 
     (shard,), _ = plan_shards(factory, cfg)
     store = PreparedShard.record(factory, shard).store
+    assert store is not None
     plan = plan_from_store(
         factory, cfg, shard.window, shard.points.tolist(), shard.weights.tolist(),
         store, tail=tail,
