@@ -604,9 +604,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _install_sigterm_handler()
     factory, cfg = _campaign_config(args)
-    # The socket-worker executor: the scheduler records each shard once
-    # and publishes its golden store; `repro work` processes map the
-    # store and classify.
+    # The socket-worker executor: the scheduler records the campaign once
+    # and publishes each shard's golden store; `repro work` processes map
+    # the store and classify.
     scheduler = CampaignScheduler(
         factory,
         cfg,

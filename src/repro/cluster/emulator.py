@@ -1,9 +1,9 @@
 """Multi-node crash emulation: shard a campaign across emulated nodes.
 
 :func:`run_cluster_campaign` runs one crash-test campaign per emulated
-node — each node an SPMD replica of the application with its **own**
-cache hierarchy, golden-pass engine and crash-model survivor overlay
-(all reused verbatim from the single-node stack) — and drives the crash
+node — each node an SPMD replica of the application with the same cache
+hierarchy, golden-pass engine and crash-model survivor overlay (all
+reused verbatim from the single-node stack) — and drives the crash
 schedule from a :class:`~repro.checkpoint.multilevel.CorrelatedFailureProcess`
 so one burst can crash ``k`` nodes at the same instant.  Nodes crash at
 the same wall-clock burst but at *different* instruction counters (real
@@ -12,6 +12,13 @@ SPMD ranks are never cycle-aligned), which is modeled by giving node
 exactly the historical single-node one, so an N=1 cluster degenerates to
 the plain campaign **record for record**.
 
+Replicas execute identically, so the whole cluster is profiled once and
+recorded once: one instrumented run at the union of every node's crash
+points (:func:`~repro.nvct.campaign.record_shards`) gives each node a
+view holding exactly the images its own recording would.  A run on which
+a foreign crash point would change a node's images (a divergent split)
+is abandoned and the nodes are recorded one by one instead.
+
 Determinism contract: bursts, victim choices, per-node crash points,
 classifications and the recovery log are all pure functions of
 ``(cfg.seed, topology, app)`` — a cluster campaign replays
@@ -19,11 +26,12 @@ bit-identically from its seed, including across SIGKILL + ``--resume``
 (each node journals separately, see
 :func:`repro.cluster.topology.node_journal_path`).
 
-Node executions run under a :class:`NodeLease`: the ``node_death`` chaos
-kind (site ``cluster.node``) can kill a node mid-burst, the lease's
-retry policy re-runs the shard (deterministic, so the replay is
-bit-identical), and the shared circuit breaker turns a systematically
-dying cluster into a loud failure instead of an infinite retry loop.
+Node classifications run under a :class:`NodeLease`: the ``node_death``
+chaos kind (site ``cluster.node``) can kill a node mid-burst, the
+lease's retry policy re-runs the shard's classification (deterministic,
+so the replay is bit-identical), and the shared circuit breaker turns a
+systematically dying cluster into a loud failure instead of an infinite
+retry loop.
 """
 
 from __future__ import annotations
@@ -285,28 +293,36 @@ def run_cluster_campaign(
 ) -> ClusterResult:
     """Run one multi-node crash campaign: a sharding of the campaign plan.
 
-    Every shard of :func:`~repro.nvct.campaign.plan_shards` runs through
-    the same single-shard path as a plain campaign
-    (:func:`~repro.nvct.campaign.run_shard`: per-node journal, own cache
-    hierarchy, golden engine and crash-model overlay) under a
-    :class:`NodeLease`; the recovery orchestrator then replays the burst
-    schedule over the measured records.  ``jobs`` / ``chunk_timeout`` /
-    ``retry`` / ``trial_timeout`` mean what they mean for
+    The shards of :func:`~repro.nvct.campaign.plan_shards` (one profile
+    pass) are recorded by :func:`~repro.nvct.campaign.record_shards` —
+    one shared instrumented run, or one per shard after a divergent
+    split — and each is classified through the same single-shard path as
+    a plain campaign (:func:`~repro.nvct.campaign.run_shard`: per-node
+    journal and ledger) under a :class:`NodeLease`; the recovery
+    orchestrator then replays the burst schedule over the measured
+    records.  ``jobs`` / ``chunk_timeout`` / ``retry`` /
+    ``trial_timeout`` mean what they mean for
     :func:`~repro.nvct.campaign.run_campaign`, per shard.
     """
-    from repro.harness.resilience import NODE_LEASE_RETRY, new_breaker
-    from repro.nvct.campaign import phase_span, plan_shards, run_shard
+    from functools import partial
 
-    shards, bursts = plan_shards(factory, cfg, journal=journal, cluster=True)
+    from repro.harness.resilience import NODE_LEASE_RETRY, new_breaker
+    from repro.nvct.campaign import phase_span, plan_shards, record_shards, run_shard
+
+    plans, bursts = plan_shards(factory, cfg, journal=journal, cluster=True)
     assert bursts is not None
     breaker = new_breaker()
     node_results: dict[int, "CampaignResult"] = {}
-    for shard in shards:
-        lease = NodeLease(node=shard.cfg.node, policy=NODE_LEASE_RETRY, breaker=breaker)
+    for shard in record_shards(factory, plans):
+        node = shard.cfg.node
+        lease = NodeLease(node=node, policy=NODE_LEASE_RETRY, breaker=breaker)
         with phase_span("campaign", factory, tests=shard.cfg.n_tests):
-            node_results[shard.cfg.node] = lease.run(
-                lambda: run_shard(factory, shard, jobs, chunk_timeout, retry, trial_timeout)
+            node_results[node] = lease.run(
+                partial(run_shard, shard, jobs, chunk_timeout, retry, trial_timeout)
             )
+        # Done with this node's images: a per-shard fallback then holds
+        # one recording at a time.
+        shard.store = None
     return cluster_result(factory, cfg, bursts, node_results, checkpoint)
 
 

@@ -37,14 +37,23 @@ would.  That copy-and-diff oracle lives in the test tree
 (``tests/nvct/legacy_oracle.py``); ``tests/nvct/test_golden.py`` and the
 execution matrix compare every engine path against it.
 
+* A store can be *narrowed* to a subset of its images
+  (:meth:`GoldenStore.select`): a zero-copy view whose image *j* is
+  bit-identical to the parent's ``images[j]``.  One recording at the
+  union of several shards' crash points thus serves every shard, as
+  long as no foreign point changed the recorded bytes — which the
+  recorder's divergent-split count (see :class:`GoldenRecorder`) rules
+  out.
 * A store is *published* as one file (:meth:`GoldenStore.publish`) and
   mapped back read-only by other processes (:meth:`GoldenStore.open`):
-  ``repro serve`` records each shard once and its ``repro work``
-  processes classify from the mapping instead of re-recording.
+  ``repro serve`` records the campaign once, publishes each shard's
+  view, and its ``repro work`` processes classify from the mapping
+  instead of re-recording.
 
-Telemetry: ``golden.deltas_recorded`` / ``golden.delta_bytes`` (recording,
-published by the runtime), ``golden.images_materialized`` /
-``golden.bytes_copied`` / ``golden.replay_ms`` (replay, published here).
+Telemetry: ``golden.deltas_recorded`` / ``golden.delta_bytes`` /
+``golden.divergent_splits`` (recording, published by the runtime),
+``golden.images_materialized`` / ``golden.bytes_copied`` /
+``golden.replay_ms`` (replay, published here).
 """
 
 from __future__ import annotations
@@ -114,6 +123,14 @@ class GoldenRecorder:
     the run.  Recording stops by itself once all expected images are taken.
     ``capture_consistent`` also keeps each crash point's architectural
     bytes (the verified methodology restarts from those).
+
+    The recorder also counts *divergent splits*: while the runtime
+    simulates the executed prefix of a store a crash point splits, it
+    names the store's unexecuted tail in :attr:`split_tail`, and a
+    write-back into that tail persists the block's pre-store bytes where
+    an unsplit store would persist the new ones.  Later images then depend
+    on which points split stores — what a recording shared by several
+    shards must rule out.
     """
 
     def __init__(
@@ -129,6 +146,12 @@ class GoldenRecorder:
         self._active = False
         self.deltas_recorded = 0
         self.delta_bytes = 0
+        #: ``(object name, rel block lo, rel block hi)``: the unexecuted
+        #: tail of a store a crash point is splitting, while its executed
+        #: prefix is simulated (set by the runtime).
+        self.split_tail: tuple[str, int, int] | None = None
+        #: Write-backs that persisted a block of such a tail.
+        self.divergent_splits = 0
 
     @property
     def n_taken(self) -> int:
@@ -182,6 +205,11 @@ class GoldenRecorder:
         self.delta_bytes += int(byte_idx.size)
         if t.stale is not None:
             t.stale[rel_blocks] = True
+        if (tail := self.split_tail) is not None and tail[0] == obj.name:
+            # The tail still holds its pre-store bytes: had no crash point
+            # split the store, this write-back would persist the new ones.
+            if np.any((rel_blocks >= tail[1]) & (rel_blocks < tail[2])):
+                self.divergent_splits += 1
 
     def on_store(self, obj: "DataObject", byte_lo: int, byte_hi: int) -> None:
         """Architectural store over an object-relative byte range."""
@@ -377,6 +405,32 @@ class GoldenStore:
             h.update(idx.tobytes())
             h.update(vals.tobytes())
         return int.from_bytes(h.digest(), "little")
+
+    def select(self, images: np.ndarray) -> "GoldenStore":
+        """A store of just the strictly-ascending crash ``images``, in order.
+
+        Zero-copy where it can be: ``base`` is shared, ``idx``/``vals`` are
+        prefix views ending at the last selected image's bound, and only
+        the small per-image arrays (bounds, metadata, overlay and
+        consistent-copy references) are re-indexed.  Image *j* of the view
+        is image ``images[j]`` of this store, bit for bit — which is how
+        one recording at the union of several shards' crash points serves
+        each shard.
+        """
+        images = np.asarray(images, dtype=np.int64)
+        cut = np.concatenate([np.zeros(1, dtype=np.int64), images + 1])
+        bounds = {name: b[cut] for name, b in self._bounds.items()}
+        return GoldenStore(
+            metas=[self._metas[k] for k in images],
+            base=self._base,
+            idx={name: a[: bounds[name][-1]] for name, a in self._idx.items()},
+            vals={name: a[: bounds[name][-1]] for name, a in self._vals.items()},
+            bounds=bounds,
+            extras=None if self._extras is None else {
+                j: self._extras[k] for j, k in enumerate(images.tolist()) if k in self._extras
+            },
+            consistent=None if self._consistent is None else [self._consistent[k] for k in images],
+        )
 
     def image_meta(self, k: int) -> tuple[int, int, str, dict[str, float]]:
         """``(counter, iteration, region, rates)`` of crash image ``k``."""

@@ -77,7 +77,11 @@ class MemoryStats:
     nvm_fills: int = 0
     # Write-back *events* (sink invocations): the granularity at which the
     # golden-pass recorder logs deltas, so events x mean-blocks-per-event
-    # bounds the replay log size.
+    # bounds the replay log size.  The one counter that depends on the
+    # crash points: every point that splits an access splits its
+    # write-backs into more calls, so it differs between a run with and
+    # one without crash points (measure_run), and between a recording
+    # shared by a cluster's shards and each shard's own.
     nvm_writeback_events: int = 0
     per_level: dict[str, CacheStats] = field(default_factory=dict)
 

@@ -28,15 +28,16 @@ copy-and-diff path survives only as the test tree's oracle.
 
 Every way of running a campaign — serial, ``--jobs``, ``--nodes``,
 ``repro serve`` + ``repro work`` — goes through one pipeline defined
-here: :func:`plan_shards` → :class:`PreparedShard` → an executor →
-:class:`~repro.nvct.journal.TrialLedger`.
+here: :func:`plan_shards` → :func:`record_shards` (one
+:class:`PreparedShard` per shard, all from one shared recording) → an
+executor → :class:`~repro.nvct.journal.TrialLedger`.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,6 +69,7 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
     "PreparedShard",
+    "record_shards",
     "run_shard",
     "run_campaign",
     "measure_run",
@@ -461,6 +463,7 @@ def _instrumented_run(
     factory: AppFactory,
     cfg: CampaignConfig,
     crash_points: np.ndarray | None,
+    split_guard: bool = False,
 ) -> tuple[Runtime, int]:
     if cfg.n_cores > 1:
         from repro.nvct.multicore_runtime import MulticoreRuntime
@@ -479,6 +482,7 @@ def _instrumented_run(
             capture_consistent=cfg.verified_mode,
             crash_model=cfg.crash_model,
             crash_seed=cfg.seed,
+            split_guard=split_guard,
         )
     reg = registry()
     listener = None
@@ -488,10 +492,12 @@ def _instrumented_run(
         listener = RuntimeSpanListener(reg.tracer)
         rt.add_listener(listener)
     app = factory.make(runtime=rt)
-    with np.errstate(all="ignore"):
-        result = app.run()
-    if listener is not None:
-        listener.close()
+    try:
+        with np.errstate(all="ignore"):
+            result = app.run()
+    finally:
+        if listener is not None:
+            listener.close()
     return rt, result.iterations
 
 
@@ -569,16 +575,22 @@ def _broadcast_plan_records(
         )
 
 
-def _profile_and_sample(
-    factory: AppFactory, cfg: CampaignConfig
-) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
-    """Profile pass + sampling: ``(window, points, weights)``."""
+def _profile(factory: AppFactory) -> tuple[int, int]:
+    """The profile pass: the main-loop crash window ``(begin, end)`` in
+    access-counter ticks.  It depends on the application alone, so one
+    pass serves every shard of a campaign."""
+    bump("campaign.profiles", unit="runs")
     with phase_span("profile", factory):
         counting = CountingRuntime()
         profiling_app = factory.make(runtime=counting)
         profiling_app.run()
-    window = (counting.window_begin or 0, counting.counter)
+    return (counting.window_begin or 0, counting.counter)
 
+
+def _sample(
+    factory: AppFactory, cfg: CampaignConfig, window: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one shard's crash points from ``window``: ``(points, weights)``."""
     # Node 0 keeps the historical sampling key; higher shards fold
     # their node index in — real SPMD ranks crash a burst at the same
     # wall clock but different instruction counters, and this is what
@@ -587,7 +599,7 @@ def _profile_and_sample(
     points = _sample_crash_points(
         window, cfg.n_tests, cfg.seed, sample_key, cfg.distribution
     )
-    return (window, *_dedupe_crash_points(points))
+    return _dedupe_crash_points(points)
 
 
 def campaign_points(
@@ -602,8 +614,7 @@ def campaign_points(
     of running a campaign snapshots exactly the points a serial run
     does.
     """
-    _window, points, weights = _profile_and_sample(factory, cfg)
-    return points, weights
+    return _sample(factory, cfg, _profile(factory))
 
 
 @dataclass(frozen=True, eq=False)
@@ -640,8 +651,9 @@ def plan_shards(
     campaign, or one node's config a scheduler shipped to a worker);
     ``cluster=True`` cuts it across ``cfg.nodes`` emulated nodes by the
     correlated burst schedule, each shard journaling to its per-node
-    sibling of ``journal``.  Per shard: profile + sample the crash
-    points and check a pruned crash plan against them.  Returns the
+    sibling of ``journal``.  One profile pass measures the crash window
+    every shard shares; per shard: sample its crash points from that
+    window and check a pruned crash plan against them.  Returns the
     shards and the burst schedule that cut them (``None`` without
     ``cluster``).
     """
@@ -673,8 +685,9 @@ def plan_shards(
 
         bursts, node_cfgs = cut_shards(cfg)
     shards = []
+    window = _profile(factory) if node_cfgs else (0, 0)
     for node_cfg in node_cfgs:
-        window, points, weights = _profile_and_sample(factory, node_cfg)
+        points, weights = _sample(factory, node_cfg, window)
         if crash_plan is not None and (
             crash_plan.points != points.tolist()
             or crash_plan.weights != weights.tolist()
@@ -716,7 +729,15 @@ class PreparedShard:
     :func:`_trial_loop` over its store — socket workers over the copy
     ``repro serve`` publishes.  A scheduler drops ``store`` (``None``)
     once it is published unless :meth:`result` needs it to broadcast a
-    crash plan's records."""
+    crash plan's records.
+
+    Shards of one campaign usually come from one shared recording
+    (:func:`record_shards`): ``store`` is then a view of the shared store
+    and ``run_stats`` the shared run's.  Those statistics equal a
+    per-shard recording's except ``memory.nvm_writeback_events``, which
+    counts write-back sink calls — more crash points split more accesses
+    and so regroup the same write-backs into more calls.  (A cluster's
+    saved result carries no ``run_stats``, so its bytes do not move.)"""
 
     factory: AppFactory
     plan: ShardPlan
@@ -730,12 +751,29 @@ class PreparedShard:
 
     @classmethod
     def record(cls, factory: AppFactory, plan: ShardPlan):
+        """Record ``plan``'s own points in one instrumented run."""
         bump("campaign.recordings", unit="recordings")
         with phase_span("golden", factory):
             golden_result, _ = factory.golden()
         with phase_span("instrumented_run", factory):
             rt, iterations = _instrumented_run(factory, plan.cfg, plan.points)
-        store = rt.golden_store()
+        if (reg := registry()) is not None:
+            rt.publish_metrics(reg)
+        return cls.of(
+            factory, plan, golden_result.iterations, _run_stats(rt, iterations), rt.golden_store()
+        )
+
+    @classmethod
+    def of(
+        cls,
+        factory: AppFactory,
+        plan: ShardPlan,
+        golden_iterations: int,
+        run_stats: RunStats,
+        store: "GoldenStore",
+    ) -> "PreparedShard":
+        """Wrap a recording of ``plan``'s points, checking it against the
+        plan: one image per point, and a pruned crash plan's partition."""
         if store.n_images != plan.n_snaps:
             raise RuntimeError(
                 f"{factory.name}: {plan.n_snaps} crash points but {store.n_images} snapshots"
@@ -749,9 +787,7 @@ class PreparedShard:
                     "differs from the plan's equivalence classes — re-emit "
                     "with `repro analyze --emit-plan`"
                 )
-        if (reg := registry()) is not None:
-            rt.publish_metrics(reg)
-        return cls(factory, plan, golden_result.iterations, _run_stats(rt, iterations), store)
+        return cls(factory, plan, golden_iterations, run_stats, store)
 
     def classify(
         self, indices: "Sequence[int]", trial_timeout: float | None = None
@@ -795,22 +831,68 @@ class PreparedShard:
         )
 
 
+def record_shards(
+    factory: AppFactory, plans: "Sequence[ShardPlan]"
+) -> "Iterator[PreparedShard]":
+    """Record every shard of one campaign, yielding them in ``plans`` order.
+
+    Shards differ only in node and crash points, so one instrumented run
+    at the sorted union of their points holds every shard's images: each
+    shard gets a :meth:`~repro.memsim.golden.GoldenStore.select` view of
+    its own, bit-identical to recording it alone.  The one way a shared
+    run can differ is a *divergent split* (a foreign crash point splits a
+    store and a write-back persists the store's unexecuted tail); the run
+    is guarded against it and, on one, abandoned — the shards are then
+    recorded one by one, each as it is pulled, so a caller that drops a
+    shard before taking the next holds one recording at a time.  A single
+    shard is recorded as it stands.
+    """
+    from repro.nvct.runtime import DivergentSplit
+
+    if len(plans) <= 1:
+        yield from (PreparedShard.record(factory, plan) for plan in plans)
+        return
+    # An instrumented run depends on a shard's config minus its cut.
+    uncut = replace(plans[0].cfg, node=0, n_tests=0)
+    if any(replace(p.cfg, node=0, n_tests=0) != uncut for p in plans):
+        raise ValueError("record_shards: the shards belong to different campaigns")
+    union = np.unique(np.concatenate([p.points for p in plans]))
+    bump("campaign.recordings", unit="recordings")
+    with phase_span("golden", factory):
+        golden_result, _ = factory.golden()
+    try:
+        with phase_span("instrumented_run", factory, shards=len(plans)):
+            rt, iterations = _instrumented_run(factory, plans[0].cfg, union, split_guard=True)
+    except DivergentSplit:
+        bump("campaign.divergent_fallbacks", unit="recordings")
+        for plan in plans:
+            yield PreparedShard.record(factory, plan)
+        return
+    if (reg := registry()) is not None:
+        rt.publish_metrics(reg)
+    stats = _run_stats(rt, iterations)
+    store = rt.golden_store()
+    del rt  # the store keeps what it needs; drop the heap and the cache state
+    for plan in plans:
+        view = store.select(np.searchsorted(union, plan.points))
+        yield PreparedShard.of(factory, plan, golden_result.iterations, stats, view)
+
+
 def run_shard(
-    factory: AppFactory,
-    plan: ShardPlan,
+    shard: PreparedShard,
     jobs: int | None = None,
     chunk_timeout: float | None = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
 ) -> CampaignResult:
-    """The single-shard path every local run goes through: record the
-    planned shard, classify what its journal does not already hold
-    (inline, or through the pool at ``jobs`` > 1), commit every record
-    through the ledger, assemble the result."""
+    """The single-shard path every local run goes through: classify what
+    the recorded shard's journal does not already hold (inline, or
+    through the pool at ``jobs`` > 1), commit every record through the
+    ledger, assemble the result."""
     from repro.nvct.journal import TrialLedger, campaign_header
     from repro.nvct.parallel import classify_pooled, resolve_jobs
 
-    shard = PreparedShard.record(factory, plan)
+    factory, plan = shard.factory, shard.plan
     ledger = TrialLedger.open(
         plan.journal, campaign_header(factory, plan.cfg), plan.n_snaps
     )
@@ -878,4 +960,6 @@ def run_campaign(
         )
     with phase_span("campaign", factory, tests=cfg.n_tests):
         (shard,), _ = plan_shards(factory, cfg, plan, journal=journal)
-        return run_shard(factory, shard, jobs, chunk_timeout, retry, trial_timeout)
+        return run_shard(
+            PreparedShard.record(factory, shard), jobs, chunk_timeout, retry, trial_timeout
+        )

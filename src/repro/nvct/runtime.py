@@ -41,10 +41,16 @@ from repro.memsim.hierarchy import CacheHierarchy
 from repro.nvct.heap import DataObject, PersistentHeap
 from repro.nvct.plan import PersistencePlan
 
-__all__ = ["Snapshot", "PersistEvent", "RuntimeEvent", "Runtime", "CountingRuntime"]
+__all__ = ["Snapshot", "PersistEvent", "RuntimeEvent", "Runtime", "CountingRuntime", "DivergentSplit"]
 
 INIT_REGION = "__init__"
 MAIN_REGION = "__main__"  # main-loop code not inside an explicit region
+
+
+class DivergentSplit(Exception):
+    """A ``split_guard`` run met a divergent split (see
+    :class:`~repro.memsim.golden.GoldenRecorder`): its later crash images
+    depend on which points split stores, so the run is abandoned."""
 
 
 @dataclass
@@ -262,7 +268,10 @@ class Runtime(CountingRuntime):
     """Full instrumented runtime with cache simulation and crash images.
 
     ``capture_consistent`` also records each crash point's architectural
-    bytes (the verified methodology's restart state)."""
+    bytes (the verified methodology's restart state).  ``split_guard``
+    marks a run whose crash points are the union of several shards':
+    a divergent split raises :class:`DivergentSplit` instead of silently
+    recording images that differ from each shard's own recording."""
 
     simulate = True
 
@@ -275,6 +284,7 @@ class Runtime(CountingRuntime):
         golden: bool = True,
         crash_model: "str | None" = None,
         crash_seed: int = 0,
+        split_guard: bool = False,
     ) -> None:
         # ``golden=True`` is accepted only because the frozen benchmark
         # (bench/layers.py) still passes it; the next benchmark revision
@@ -288,6 +298,7 @@ class Runtime(CountingRuntime):
         self.crash_points = pts
         self._cp_i = 0
         self.capture_consistent = capture_consistent
+        self.split_guard = split_guard
         # Crash model (repro.memsim.crashmodel): None / the default keeps
         # the paper's whole-cache-loss path bit-identical and free — store
         # sequence numbers are only tracked for a non-default model with
@@ -574,6 +585,7 @@ class Runtime(CountingRuntime):
             self.counter = end
             return
         src = np.asarray(make_src(), dtype=np.uint8)
+        rec = self._golden_recorder
         base_byte = obj.base_byte
         pos = byte_lo  # object-relative byte cursor
         while pos < byte_hi:
@@ -589,12 +601,24 @@ class Runtime(CountingRuntime):
                 cut = min(byte_hi, (rb0 + k) * BLOCK_SIZE - base_byte)
                 blocks_done = k
             obj.data_bytes[pos:cut] = src[pos - byte_lo : cut - byte_lo]
-            if cut > pos and (rec := self._golden_recorder) is not None:
+            if cut > pos and rec is not None:
                 rec.on_store(obj, pos, cut)
             if cut > pos:
                 self._mark_stored(*obj.block_range_of_bytes(pos, cut))
             if blocks_done:
-                self._do_access(rb0, rb0 + blocks_done, write=True)
+                if cut < byte_hi and rec is not None:
+                    # Watch the unexecuted tail while the prefix simulates.
+                    seen = rec.divergent_splits
+                    rec.split_tail = (obj.name, cut // BLOCK_SIZE, rb1 - obj.base_block)
+                    self._do_access(rb0, rb0 + blocks_done, write=True)
+                    rec.split_tail = None
+                    if self.split_guard and rec.divergent_splits > seen:
+                        raise DivergentSplit(
+                            f"{obj.name}: a write-back at counter {cp} persisted "
+                            "bytes of a split store's unexecuted tail"
+                        )
+                else:
+                    self._do_access(rb0, rb0 + blocks_done, write=True)
             self.counter += blocks_done
             pos = cut
             if cp is not None and self.counter == cp:
@@ -656,6 +680,7 @@ class Runtime(CountingRuntime):
         if (grec := self._golden_recorder) is not None:
             reg.counter("golden.deltas_recorded", unit="events").inc(grec.deltas_recorded)
             reg.counter("golden.delta_bytes", unit="bytes").inc(grec.delta_bytes)
+            reg.counter("golden.divergent_splits", unit="events").inc(grec.divergent_splits)
         reg.counter("runtime.snapshots", unit="snapshots").inc(grec.n_taken if grec else 0)
 
     def golden_store(self) -> GoldenStore:

@@ -22,9 +22,10 @@ story is the point, not a bolt-on:
   dedupes by trial index, which is safe because
   classification is deterministic — any two workers that classify the
   same snapshot produce the bit-identical record;
-* each shard is recorded exactly once, by the scheduler, which publishes
-  its golden store as one file; workers map that file read-only and
-  never re-record (so they share a filesystem with the scheduler);
+* the campaign is recorded exactly once, by the scheduler — one
+  instrumented run shared by every shard — which publishes each shard's
+  golden store as one file; workers map that file read-only and never
+  re-record (so they share a filesystem with the scheduler);
 * the final result is assembled from the scheduler's own recordings and
   the committed records, through the same
   :meth:`~repro.nvct.campaign.PreparedShard.result` a serial run ends
@@ -32,7 +33,7 @@ story is the point, not a bolt-on:
 
 The service is one executor of the engine's pipeline, not a second
 engine: the scheduler runs :func:`~repro.nvct.campaign.plan_shards` and
-:meth:`~repro.nvct.campaign.PreparedShard.record`, and a worker's
+:func:`~repro.nvct.campaign.record_shards`, and a worker's
 :class:`ChunkExecutor` runs the engine's one trial loop over the
 published store.
 

@@ -8,13 +8,14 @@ without a socket or a sleep.  :func:`serve_forever` is the thin event
 loop that binds the Unix socket, feeds bytes through
 :class:`~repro.service.protocol.LineReader`, and drives the reaper.
 
-Each shard is recorded exactly once, here: :meth:`CampaignScheduler.
-prepare` runs its golden and instrumented runs and publishes the golden
-store as one file beside the shard journal (``<journal>.store``), which
-workers map read-only instead of recording — so workers must share a
-filesystem with the scheduler.  When the queue drains,
-:meth:`CampaignScheduler.result` assembles the campaign from those same
-recordings and the ledgers' records, with no further run.
+The campaign is recorded exactly once, here: :meth:`CampaignScheduler.
+prepare` runs the golden run and one instrumented run shared by every
+shard, and publishes each shard's golden store as one file beside its
+journal (``<journal>.store``), which workers map read-only instead of
+recording — so workers must share a filesystem with the scheduler.
+When the queue drains, :meth:`CampaignScheduler.result` assembles the
+campaign from those same recordings and the ledgers' records, with no
+further run.
 
 Durability contract: every state transition (grant, expiry, commit) is
 fsync'd to the lease journal *before* its effect is visible to any
@@ -127,14 +128,17 @@ class CampaignScheduler:
         """Shard the campaign, record and publish each shard, open the
         journals, rebuild or create the queue.
 
-        Every shard is recorded once (:meth:`~repro.nvct.campaign.
-        PreparedShard.record`) and its golden store published to
-        ``<shard journal>.store``; the shard's spec names that file by
-        absolute path, with the golden run's iteration count, so a worker
-        only maps it.  The burst schedule of a cluster cut is kept for
-        :meth:`result`.
+        The campaign is recorded once (:func:`~repro.nvct.campaign.
+        record_shards`: one instrumented run at the union of every
+        shard's crash points, or one per shard after a divergent split),
+        after every shard journal has been opened, so a foreign journal
+        is refused before any recording.  Each shard's view of the
+        recording is published to ``<shard journal>.store``; the shard's
+        spec names that file by absolute path, with the golden run's
+        iteration count, so a worker only maps it.  The burst schedule of
+        a cluster cut is kept for :meth:`result`.
         """
-        from repro.nvct.campaign import PreparedShard, plan_shards
+        from repro.nvct.campaign import plan_shards, record_shards
         from repro.nvct.journal import campaign_header
 
         if not self.resume and self.lease_path.exists() and self.lease_path.stat().st_size > 0:
@@ -147,19 +151,22 @@ class CampaignScheduler:
             self.factory, self.cfg, self.crash_plan,
             journal=self.journal_path, cluster=self.cfg.clustered,
         )
+        headers = [campaign_header(self.factory, plan.cfg) for plan in plans]
+        ledgers = [
+            TrialLedger.open(plan.journal, header, plan.n_snaps)
+            for plan, header in zip(plans, headers)
+        ]
         chunks: list[Chunk] = []
-        for plan in plans:
+        for prepared, shard_header, ledger in zip(record_shards(self.factory, plans), headers, ledgers):
+            plan = prepared.plan
             node = plan.cfg.node
-            shard_header = campaign_header(self.factory, plan.cfg)
-            ledger = TrialLedger.open(plan.journal, shard_header, plan.n_snaps)
-            prepared = PreparedShard.record(self.factory, plan)
             store_path = Path(f"{plan.journal}.store").absolute()
             assert prepared.store is not None
             prepared.store.publish(store_path, key=shard_header["key"], node=node)
             if plan.crash_plan is None:
                 # Workers map the published copy and result() reads the
                 # store only to broadcast a crash plan's records: free it,
-                # so a cluster holds one shard's recording at a time.
+                # so a per-shard fallback holds one recording at a time.
                 prepared.store = None
             spec = {
                 "app": self.factory.name,

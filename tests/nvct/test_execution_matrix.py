@@ -39,10 +39,10 @@ def _config(model: str, **kw) -> CampaignConfig:
     return CampaignConfig(n_tests=N_TESTS, seed=2, crash_model=model, **kw)
 
 
-def _serve_scripted(cfg, journal):
+def _serve_scripted(cfg, journal, factory=FACTORY):
     """Drain the campaign through one scripted lease -> record -> commit
     worker and return the scheduler's assembled result."""
-    sched = CampaignScheduler(FACTORY, cfg, journal=journal, chunk_size=3)
+    sched = CampaignScheduler(factory, cfg, journal=journal, chunk_size=3)
     sched.prepare()
     executors: dict[int, ChunkExecutor] = {}
     try:
@@ -160,3 +160,25 @@ def test_three_node_cluster_inline_equals_scripted_workers(tmp_path):
     assert len(inline.node_results) > 1
     assert _canonical(served.to_dict()) == _canonical(inline.to_dict())
     assert _canonical(replayed.to_dict()) == _canonical(inline.to_dict())
+
+
+@pytest.mark.parametrize("app", ["EP", "MG"])
+def test_four_node_cluster_equals_per_shard_recordings(tmp_path, app):
+    """Inline and served clusters record once, sharing one run between
+    shards (MG: falling back on a divergent split); both must equal the
+    reference that records every shard on its own."""
+    from repro.cluster.emulator import cluster_result
+    from repro.nvct.campaign import PreparedShard, plan_shards, run_shard
+
+    factory = get_factory(app)
+    cfg = CampaignConfig(n_tests=12, seed=3, nodes=4, correlation=0.3)
+    plans, bursts = plan_shards(factory, cfg, cluster=True)
+    reference = cluster_result(
+        factory, cfg, bursts,
+        {plan.cfg.node: run_shard(PreparedShard.record(factory, plan)) for plan in plans},
+    )
+    inline = run_cluster_campaign(factory, cfg, jobs=1)
+    served = _serve_scripted(cfg, tmp_path / "j.jsonl", factory)
+    assert len(reference.node_results) > 1
+    assert _canonical(inline.to_dict()) == _canonical(reference.to_dict())
+    assert _canonical(served.to_dict()) == _canonical(reference.to_dict())
