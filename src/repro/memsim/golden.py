@@ -367,8 +367,9 @@ class GoldenStore:
         """Access-counter value of every recorded crash point (in order)."""
         return [m.counter for m in self._metas]
 
-    def image_signatures(self) -> list[tuple[int, ...]]:
-        """Dirty-block signature of every crash image, in order.
+    def image_signatures(self, indices: Iterable[int] | None = None) -> list[tuple[int, ...]]:
+        """Dirty-block signature of the crash images ``indices`` (default:
+        all), in the order given.
 
         The signature of image *k* is the per-object delta-array bound
         vector ``(bounds[name][k+1] for name in sorted objects)``: two
@@ -376,24 +377,29 @@ class GoldenStore:
         write-back prefix on every restart-relevant object, so their
         reconstructed NVM images — and therefore the deterministic
         restart outcome — are bit-identical.  This is what the analyzer's
-        equivalence pass partitions the crash-point space by.  Bounds are
-        monotone per object, so equal signatures can only occur on
-        consecutive crash points.
+        equivalence pass partitions the crash-point space by, and what
+        the trial loop reuses an outcome by.  Bounds are monotone per
+        object, so equal signatures can only occur on consecutive crash
+        points.
 
         When the store carries crash-model survivor overlays, each
         signature gains one trailing element: a digest of the image's
         overlay bytes, so two points are only merged when both the
         persisted prefix *and* the surviving cache bytes agree.  Default
         (whole-cache-loss) signatures are unchanged.
+
+        The cost is one fancy-index per object plus, under a crash model,
+        one overlay digest per requested image — ``O(len(indices))``, not
+        ``O(n_images)``.
         """
-        names = sorted(self._names)
-        n = self.n_images
-        sigs: list[tuple[int, ...]] = []
-        for k in range(n):
-            sig = tuple(int(self._bounds[name][k + 1]) for name in names)
-            if self._extras is not None:
-                sig = sig + (self._extras_digest(self._extras.get(k, {})),)
-            sigs.append(sig)
+        ks = np.arange(self.n_images) if indices is None else np.asarray(indices, dtype=np.int64)
+        cols = [self._bounds[name][ks + 1].tolist() for name in sorted(self._names)]
+        sigs = list(zip(*cols)) if cols else [()] * ks.size
+        if self._extras is not None:
+            sigs = [
+                sig + (self._extras_digest(self._extras.get(k, {})),)
+                for sig, k in zip(sigs, ks.tolist())
+            ]
         return sigs
 
     @staticmethod

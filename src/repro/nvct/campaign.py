@@ -223,10 +223,13 @@ class CampaignResult:
     records: list[CrashTestRecord]
     run_stats: RunStats
     golden_iterations: int
-    #: restarts actually executed.  Equals ``len(records)`` for a naive
+    #: trials handed to executors.  Equals ``len(records)`` for a naive
     #: campaign; under a pruned crash plan (``run_campaign(plan=...)``)
     #: only class representatives and purity tails run, so this is the
-    #: denominator of the pruning factor.  ``None`` when unknown (e.g. a
+    #: denominator of the pruning factor.  A trial the trial loop answers
+    #: by reusing an equal image's outcome still counts here; restarts
+    #: and reuses are counted separately (``campaign.restarts`` /
+    #: ``campaign.restarts_reused``).  ``None`` when unknown (e.g. a
     #: campaign loaded from disk — the field is an execution statistic,
     #: not part of the result's content).
     executed_trials: int | None = None
@@ -710,14 +713,44 @@ def _trial_loop(
     cfg: CampaignConfig,
     indices: "Sequence[int]",
     trial_timeout: float | None = None,
+    reuse: bool = True,
 ) -> "Iterator[CrashTestRecord]":
     """The one task body every executor runs — the inline loop, each
     ``--jobs`` pool worker and each ``repro work`` socket worker: classify
-    the ascending trial ``indices`` over borrowed views of ``store``, one
-    quarantined restart per image (a view is valid only until the next
-    image is materialized)."""
-    for snap in store.snapshots(indices):
-        yield _classify_trial(factory, snap, golden_iterations, cfg, trial_timeout)
+    the ascending trial ``indices`` over borrowed views of ``store`` (a
+    view is valid only until the next image is materialized), one
+    quarantined restart per distinct image among them.
+
+    A restart's outcome depends only on the image it loads, and equal
+    :meth:`~repro.memsim.golden.GoldenStore.image_signatures` mean
+    bit-identical images — which, bounds being monotone, only consecutive
+    points share.  So when a trial's signature equals that of the last
+    trial classified here, its record takes ``response`` and
+    ``extra_iterations`` from that trial and its own coordinates
+    (counter, iteration, region, rates) from its snapshot, without a
+    restart.  Never reused: a ``FAILED`` record, a verified campaign's
+    trials (they restart from the per-point consistent copy, which the
+    signature does not cover), and anything when ``reuse`` is off — a
+    crash plan's purity tails must classify their class members
+    independently.
+    """
+    sigs = store.image_signatures(indices) if reuse and not cfg.verified_mode else None
+    last_sig, last = None, None
+    for j, snap in enumerate(store.snapshots(indices)):
+        if last is not None and sigs[j] == last_sig:  # type: ignore[index]
+            bump("campaign.restarts_reused", unit="tests")
+            yield CrashTestRecord(
+                snap.counter, snap.iteration, snap.region, snap.rates,
+                last.response, last.extra_iterations,
+            )
+            continue
+        bump("campaign.restarts", unit="tests")
+        rec = _classify_trial(factory, snap, golden_iterations, cfg, trial_timeout)
+        if sigs is not None and rec.response is not Response.FAILED:
+            last_sig, last = sigs[j], rec
+        else:
+            last = None
+        yield rec
 
 
 @dataclass
@@ -748,6 +781,12 @@ class PreparedShard:
     @property
     def cfg(self) -> CampaignConfig:
         return self.plan.cfg
+
+    @property
+    def reuse(self) -> bool:
+        """Whether executors may reuse an outcome across equal images
+        (:func:`_trial_loop`): always, except under a crash plan."""
+        return self.plan.crash_plan is None
 
     @classmethod
     def record(cls, factory: AppFactory, plan: ShardPlan):
@@ -797,7 +836,10 @@ class PreparedShard:
         assert self.store is not None
         return zip(
             indices,
-            _trial_loop(self.factory, self.store, self.golden_iterations, self.cfg, indices, trial_timeout),
+            _trial_loop(
+                self.factory, self.store, self.golden_iterations, self.cfg, indices,
+                trial_timeout, self.reuse,
+            ),
         )
 
     def result(self, completed: "Mapping[int, CrashTestRecord]") -> CampaignResult:

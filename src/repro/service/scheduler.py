@@ -174,6 +174,7 @@ class CampaignScheduler:
                 "config": shard_header["config"],
                 "store": str(store_path),
                 "golden_iterations": prepared.golden_iterations,
+                "reuse": prepared.reuse,
             }
             if self.trial_timeout is not None:
                 spec["trial_timeout"] = self.trial_timeout

@@ -415,3 +415,20 @@ def test_borrowed_golden_views_are_read_only():
         assert snap.consistent_state is not None  # verified mode
         for arr in (*snap.nvm_state.values(), *snap.consistent_state.values()):
             assert arr.flags.writeable is False
+
+
+@pytest.mark.parametrize("model", ["whole-cache-loss", "eadr"])
+def test_image_signatures_of_some_indices_match_the_full_list(model):
+    """Signatures for a call's own indices are the matching entries of the
+    whole store's list — bound vectors, plus the overlay digest under a
+    crash model that keeps cache bytes."""
+    from repro.nvct.campaign import PreparedShard, plan_shards
+
+    fac = get_factory("IS")
+    (plan,), _ = plan_shards(fac, CampaignConfig(n_tests=12, seed=1, crash_model=model))
+    store = PreparedShard.record(fac, plan).store
+    full = store.image_signatures()
+    assert len(full) == store.n_images == 12
+    assert all(len(sig) == len(full[0]) for sig in full)
+    for indices in ([0, 3, 4, 11], [7], [], range(5, 12)):
+        assert store.image_signatures(indices) == [full[k] for k in indices]
