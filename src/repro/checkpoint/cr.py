@@ -75,13 +75,13 @@ def _run_with(factory: AppFactory, plan: PersistencePlan, hierarchy: HierarchyCo
 def checkpoint_write_experiment(
     factory: AppFactory,
     critical_objects: list[str],
-    easycrash_plan: PersistencePlan,
+    plan: PersistencePlan,
     hierarchy: HierarchyConfig | None = None,
 ) -> dict[str, CheckpointWriteStats]:
     """Fig. 9's four variants for one application.
 
     Returns write statistics for: the plain run (normalization basis),
-    EasyCrash, C/R checkpointing only the critical objects, and C/R
+    EasyCrash (persistence ``plan``), C/R checkpointing only the critical objects, and C/R
     checkpointing all candidate objects.
     """
     app = factory.make(None)
@@ -89,7 +89,7 @@ def checkpoint_write_experiment(
 
     none_plan = PersistencePlan.none(persist_iterator=False)
     baseline = _run_with(factory, none_plan, hierarchy, None)
-    easycrash = _run_with(factory, easycrash_plan, hierarchy, None)
+    easycrash = _run_with(factory, plan, hierarchy, None)
     cr_critical = _run_with(factory, none_plan, hierarchy, critical_objects)
     cr_all = _run_with(factory, none_plan, hierarchy, all_candidates)
     return {

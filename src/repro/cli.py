@@ -18,9 +18,7 @@ Commands
     Crash-consistency and instrumentation-escape analyzer over the
     benchmark apps (static AST pass + dynamic trace pass) plus the
     engine durability self-lint; ``--strict`` is the CI gate,
-    ``--sarif`` exports SARIF 2.1.0, and ``--emit-plan`` runs the
-    trace-equivalence pass and writes a pruned crash plan for
-    ``campaign --crash-plan``.
+    and ``--sarif`` exports SARIF 2.1.0.
 ``stats``
     Dump a machine-readable ``bench.json`` produced by ``campaign
     --stats`` (before/after performance comparison is ``bench/run.py``
@@ -119,14 +117,6 @@ def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
         help="per-trial deadline: a trial exceeding it is quarantined as a "
         "FAILED record instead of hanging the campaign (in-process trial "
         "loop, Unix only; default: unbounded)",
-    )
-    sub.add_argument(
-        "--crash-plan",
-        metavar="FILE",
-        default=None,
-        help="pruned crash plan from `repro analyze --emit-plan`: execute "
-        "one trial per NVM-image equivalence class (plus a purity tail) "
-        "and broadcast the results — bit-identical to the full campaign",
     )
     sub.add_argument(
         "--crash-model",
@@ -277,40 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sarif", metavar="FILE", default=None,
         help="also write the report as SARIF 2.1.0 (active findings as "
         "results, baselined ones with suppressions)",
-    )
-    an.add_argument(
-        "--emit-plan", metavar="FILE", default=None,
-        help="run the trace-equivalence pass for one app (requires "
-        "--apps APP) and write a pruned crash plan consumable by "
-        "`repro campaign --crash-plan`",
-    )
-    an.add_argument(
-        "--tests", type=int, default=200,
-        help="(--emit-plan) campaign size the plan covers (default 200)",
-    )
-    an.add_argument(
-        "--seed", type=int, default=0,
-        help="(--emit-plan) campaign seed the plan covers (default 0)",
-    )
-    an.add_argument(
-        "--distribution", choices=["uniform", "early", "late"],
-        default="uniform",
-        help="(--emit-plan) crash-time distribution of the campaign",
-    )
-    an.add_argument(
-        "--campaign-plan", choices=["none", "loop"], default="none",
-        help="(--emit-plan) persistence plan of the campaign: none or "
-        "flush candidates at loop end",
-    )
-    an.add_argument(
-        "--tail", type=int, default=None, metavar="N",
-        help="(--emit-plan) extra audited members per equivalence class "
-        "(default 1; 0 disables the purity audit)",
-    )
-    an.add_argument(
-        "--crash-model", metavar="MODEL", default="whole-cache-loss",
-        help="(--emit-plan) crash model of the campaign the plan is for "
-        "(see `repro campaign --crash-model`)",
     )
 
     st = sub.add_parser(
@@ -495,14 +451,10 @@ def _campaign_config(args: argparse.Namespace):
     for given, flag, other, why in (
         (cfg.clustered and until_stable, "--until-stable", cluster,
          "the burst schedule covers a fixed campaign"),
-        (cfg.clustered and args.crash_plan, "--crash-plan", cluster,
-         "plans cover single-node crash schedules"),
         (cfg.clustered and args.cores > 1, "--cores > 1", cluster,
          "each emulated node is one rank"),
         (until_stable and args.resume, "--resume", "--until-stable",
          "round sizes grow adaptively"),
-        (until_stable and args.crash_plan, "--crash-plan", "--until-stable",
-         "the plan covers a fixed campaign"),
     ):
         if given:
             raise UsageError(f"{flag} is not supported with {other} ({why})")
@@ -577,11 +529,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
             result = run_campaign(
                 factory, cfg, journal=args.resume, retry=retry,
-                trial_timeout=args.trial_timeout, plan=args.crash_plan,
+                trial_timeout=args.trial_timeout,
             )
-            if args.crash_plan and result.executed_trials is not None:
-                print(f"crash plan: executed {result.executed_trials} of "
-                      f"{result.n_tests} trials (equivalence-pruned)")
         _finish_campaign(result, args)
         if reg is not None:
             from pathlib import Path
@@ -615,7 +564,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         deadline_s=args.heartbeat_deadline,
         resume=args.resume,
-        crash_plan=args.crash_plan,
         trial_timeout=args.trial_timeout,
     )
     serve_forever(scheduler, args.socket)
@@ -790,47 +738,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         from repro.analysis.sarif import write_sarif
 
         print(f"sarif report: {write_sarif(report, args.sarif)}")
-    if args.emit_plan:
-        _emit_crash_plan(args)
     if report.ok(strict=args.strict):
         print("analysis: OK" + (" (strict)" if args.strict else ""))
         return 0
     return 1
-
-
-def _emit_crash_plan(args: argparse.Namespace) -> None:
-    """The ``analyze --emit-plan`` leg: trace-equivalence pass for one app."""
-    from repro.analysis.equiv_pass import DEFAULT_TAIL, build_crash_plan
-    from repro.apps.registry import get_factory
-    from repro.harness.cache import ArtifactCache
-    from repro.nvct.campaign import CampaignConfig
-    from repro.nvct.plan import PersistencePlan
-
-    if not args.apps or len(args.apps) != 1:
-        raise UsageError(
-            "--emit-plan needs exactly one application: repeat with "
-            "`--apps APP` naming the campaign the plan is for"
-        )
-    factory = get_factory(args.apps[0])
-    if args.campaign_plan == "none":
-        plan = PersistencePlan.none()
-    else:
-        app = factory.make(None)
-        plan = PersistencePlan.at_loop_end([o.name for o in app.ws.heap.candidates()])
-    cfg = CampaignConfig(
-        n_tests=args.tests,
-        seed=args.seed,
-        plan=plan,
-        distribution=args.distribution,
-        crash_model=getattr(args, "crash_model", "whole-cache-loss"),
-    )
-    tail = DEFAULT_TAIL if args.tail is None else args.tail
-    crash_plan = build_crash_plan(
-        factory, cfg, tail=tail, cache=ArtifactCache.from_env()
-    )
-    out = crash_plan.save(args.emit_plan)
-    print(crash_plan.summary())
-    print(f"crash plan written: {out}")
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:

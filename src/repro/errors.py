@@ -38,7 +38,7 @@ class ReproError(Exception):
 class UsageError(ReproError):
     """Raised for bad user input the CLI should report as exit code 2
     (e.g. ``analyze --apps`` naming an application that is not in the
-    registry, or a crash plan that does not match the campaign)."""
+    registry, or a crash model a multi-core campaign does not support)."""
 
 
 class ConfigError(ReproError):

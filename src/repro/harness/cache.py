@@ -349,22 +349,3 @@ class ArtifactCache:
             "plan", key, "pkl",
             pickle.dumps(report, protocol=pickle.HIGHEST_PROTOCOL),
         )
-
-    # -- pruned crash plans (analysis equivalence pass) ------------------------
-
-    def get_crash_plan(self, key: str):
-        from repro.analysis.equiv_pass import CrashPlan
-        from repro.errors import UsageError
-
-        def decode(data: bytes) -> "CrashPlan":
-            try:
-                return CrashPlan.from_dict(json.loads(data.decode("utf-8")))
-            except UsageError as exc:
-                # A malformed cached plan counts as corruption, not a hit.
-                raise ValueError(str(exc)) from exc
-
-        return self._read("crash-plan", key, "json", decode)
-
-    def put_crash_plan(self, key: str, plan) -> None:
-        doc = json.dumps(plan.to_dict(), indent=1)
-        self._write("crash-plan", key, "json", doc.encode())

@@ -379,14 +379,16 @@ class GoldenStore:
         restart outcome — are bit-identical.  This is what the analyzer's
         equivalence pass partitions the crash-point space by, and what
         the trial loop reuses an outcome by.  Bounds are monotone per
-        object, so equal signatures can only occur on consecutive crash
-        points.
+        object, so equal bounds only occur on consecutive crash points.
 
         When the store carries crash-model survivor overlays, each
         signature gains one trailing element: a digest of the image's
         overlay bytes, so two points are only merged when both the
         persisted prefix *and* the surviving cache bytes agree.  Default
-        (whole-cache-loss) signatures are unchanged.
+        (whole-cache-loss) signatures are unchanged.  An overlay digest
+        can repeat at non-adjacent points (under ``torn``, within one
+        run of equal bounds), so equal signatures are then not always
+        consecutive.
 
         The cost is one fancy-index per object plus, under a crash model,
         one overlay digest per requested image — ``O(len(indices))``, not
@@ -437,11 +439,6 @@ class GoldenStore:
             },
             consistent=None if self._consistent is None else [self._consistent[k] for k in images],
         )
-
-    def image_meta(self, k: int) -> tuple[int, int, str, dict[str, float]]:
-        """``(counter, iteration, region, rates)`` of crash image ``k``."""
-        m = self._metas[k]
-        return m.counter, m.iteration, m.region, dict(m.rates)
 
     def snapshots(
         self, indices: Iterable[int] | None = None, copy: bool = False

@@ -54,7 +54,6 @@ if TYPE_CHECKING:  # avoid a circular import (apps depend on nvct)
     from collections.abc import Iterator, Mapping, Sequence
     from pathlib import Path
 
-    from repro.analysis.equiv_pass import CrashPlan
     from repro.apps.base import AppFactory
     from repro.cluster.emulator import Burst
     from repro.harness.resilience import RetryPolicy
@@ -223,16 +222,6 @@ class CampaignResult:
     records: list[CrashTestRecord]
     run_stats: RunStats
     golden_iterations: int
-    #: trials handed to executors.  Equals ``len(records)`` for a naive
-    #: campaign; under a pruned crash plan (``run_campaign(plan=...)``)
-    #: only class representatives and purity tails run, so this is the
-    #: denominator of the pruning factor.  A trial the trial loop answers
-    #: by reusing an equal image's outcome still counts here; restarts
-    #: and reuses are counted separately (``campaign.restarts`` /
-    #: ``campaign.restarts_reused``).  ``None`` when unknown (e.g. a
-    #: campaign loaded from disk — the field is an execution statistic,
-    #: not part of the result's content).
-    executed_trials: int | None = None
     #: canonical crash-model spec the campaign ran under (default:
     #: the paper's whole-cache-loss).
     crash_model: str = "whole-cache-loss"
@@ -325,8 +314,8 @@ class CampaignResult:
         ``weight`` times: ``fsum`` returns the correctly rounded sum of
         its inputs regardless of order or grouping, so any weight
         redistribution that preserves the underlying rate multiset — in
-        particular a pruned crash plan replacing w identical trials by
-        one representative of weight w — yields the bit-identical double.
+        particular collapsing w identical trials into one record of
+        weight w — yields the bit-identical double.
         """
         if not self.records:
             return {}
@@ -533,51 +522,6 @@ def measure_run(factory: AppFactory, cfg: CampaignConfig) -> RunStats:
     return _run_stats(rt, iterations)
 
 
-def _broadcast_plan_records(
-    crash_plan, records: list[CrashTestRecord | None], store
-) -> None:
-    """Fill non-executed records from their class representative.
-
-    Tail members were classified independently; a disagreement with the
-    representative falsifies the equivalence relation (identical NVM
-    images must classify identically) and aborts loudly rather than
-    publishing wrong science.  Broadcast members take response and extra
-    iterations from the representative and their own coordinates
-    (counter, iteration, region, rates) from the golden metadata — the
-    resulting record list is bit-identical to the full campaign's.
-    """
-    for c, rep in enumerate(crash_plan.reps):
-        rep_rec = records[rep]
-        assert rep_rec is not None
-        for t in crash_plan.tails[c]:
-            tail_rec = records[t]
-            if tail_rec is None:
-                continue
-            if (
-                tail_rec.response is not rep_rec.response
-                or tail_rec.extra_iterations != rep_rec.extra_iterations
-            ):
-                raise RuntimeError(
-                    f"crash-plan purity violation in class {c}: tail point "
-                    f"{t} classified {tail_rec.response.name} "
-                    f"(+{tail_rec.extra_iterations}) but representative {rep} "
-                    f"classified {rep_rec.response.name} "
-                    f"(+{rep_rec.extra_iterations}) — the equivalence "
-                    "partition does not hold; re-emit the plan and report "
-                    "this as an analyzer bug"
-                )
-    for i, rec in enumerate(records):
-        if rec is not None:
-            continue
-        rep_rec = records[crash_plan.reps[crash_plan.class_ids[i]]]
-        assert rep_rec is not None
-        counter, iteration, region, rates = store.image_meta(i)
-        records[i] = CrashTestRecord(
-            counter, iteration, region, rates,
-            rep_rec.response, rep_rec.extra_iterations,
-        )
-
-
 def _profile(factory: AppFactory) -> tuple[int, int]:
     """The profile pass: the main-loop crash window ``(begin, end)`` in
     access-counter ticks.  It depends on the application alone, so one
@@ -624,15 +568,12 @@ def campaign_points(
 class ShardPlan:
     """The cheap half of one shard: everything decided before its
     instrumented run.  ``cfg`` is the shard's own config (node index and
-    trial count already cut); ``to_run`` are the trial indices actually
-    classified — all of them, or a crash plan's representatives + tails."""
+    trial count already cut)."""
 
     cfg: CampaignConfig
     window: tuple[int, int]
     points: np.ndarray
     weights: np.ndarray
-    to_run: "Sequence[int]"
-    crash_plan: "CrashPlan | None"
     journal: "str | Path | None"
 
     @property
@@ -643,7 +584,6 @@ class ShardPlan:
 def plan_shards(
     factory: AppFactory,
     cfg: CampaignConfig,
-    crash_plan: "CrashPlan | str | Path | None" = None,
     *,
     journal: "str | Path | None" = None,
     cluster: bool = False,
@@ -655,27 +595,15 @@ def plan_shards(
     ``cluster=True`` cuts it across ``cfg.nodes`` emulated nodes by the
     correlated burst schedule, each shard journaling to its per-node
     sibling of ``journal``.  One profile pass measures the crash window
-    every shard shares; per shard: sample its crash points from that
-    window and check a pruned crash plan against them.  Returns the
-    shards and the burst schedule that cut them (``None`` without
-    ``cluster``).
+    every shard shares; each shard samples its crash points from that
+    window.  Returns the shards and the burst schedule that cut them
+    (``None`` without ``cluster``).
     """
     from repro.errors import UsageError
     from repro.memsim.crashmodel import get_model
 
-    simple = cfg.n_cores == 1 and not cfg.verified_mode
-    if crash_plan is not None:
-        from repro.analysis.equiv_pass import CrashPlan
-
-        if not isinstance(crash_plan, CrashPlan):
-            crash_plan = CrashPlan.load(crash_plan)
-        crash_plan.validate_for(factory, cfg)
-        if not simple:
-            raise UsageError(
-                "a pruned crash plan requires a single-core, non-verified campaign"
-            )
     crash_model = get_model(cfg.crash_model)
-    if not crash_model.is_default and not simple:
+    if not crash_model.is_default and (cfg.n_cores != 1 or cfg.verified_mode):
         raise UsageError(
             f"crash model {crash_model.spec!r} requires a single-core, "
             "non-verified campaign (whole-cache-loss is the only model "
@@ -691,18 +619,8 @@ def plan_shards(
     window = _profile(factory) if node_cfgs else (0, 0)
     for node_cfg in node_cfgs:
         points, weights = _sample(factory, node_cfg, window)
-        if crash_plan is not None and (
-            crash_plan.points != points.tolist()
-            or crash_plan.weights != weights.tolist()
-        ):
-            raise UsageError(
-                "crash plan's sampled points disagree with this campaign's "
-                "sampling — the plan is stale; re-emit with "
-                "`repro analyze --emit-plan`"
-            )
         path = node_journal_path(journal, node_cfg.node) if cluster and journal else journal
-        to_run = crash_plan.executed_indices() if crash_plan is not None else range(points.size)
-        shards.append(ShardPlan(node_cfg, window, points, weights, to_run, crash_plan, path))
+        shards.append(ShardPlan(node_cfg, window, points, weights, path))
     return shards, bursts
 
 
@@ -713,28 +631,28 @@ def _trial_loop(
     cfg: CampaignConfig,
     indices: "Sequence[int]",
     trial_timeout: float | None = None,
-    reuse: bool = True,
 ) -> "Iterator[CrashTestRecord]":
     """The one task body every executor runs — the inline loop, each
     ``--jobs`` pool worker and each ``repro work`` socket worker: classify
     the ascending trial ``indices`` over borrowed views of ``store`` (a
     view is valid only until the next image is materialized), one
-    quarantined restart per distinct image among them.
+    quarantined restart per run of equal images among them.
 
     A restart's outcome depends only on the image it loads, and equal
     :meth:`~repro.memsim.golden.GoldenStore.image_signatures` mean
-    bit-identical images — which, bounds being monotone, only consecutive
-    points share.  So when a trial's signature equals that of the last
-    trial classified here, its record takes ``response`` and
+    bit-identical images.  So when a trial's signature equals that of the
+    last trial classified here, its record takes ``response`` and
     ``extra_iterations`` from that trial and its own coordinates
     (counter, iteration, region, rates) from its snapshot, without a
-    restart.  Never reused: a ``FAILED`` record, a verified campaign's
-    trials (they restart from the per-point consistent copy, which the
-    signature does not cover), and anything when ``reuse`` is off — a
-    crash plan's purity tails must classify their class members
-    independently.
+    restart.  The memo holds one outcome, so it works on *runs* of equal
+    images: an image equal to an earlier but not the previous one (a
+    ``torn`` overlay can repeat at non-adjacent points) restarts again.
+    A missed reuse costs one restart, never a wrong record.  Never
+    reused: a ``FAILED`` record, and a verified campaign's trials (they
+    restart from the per-point consistent copy, which the signature does
+    not cover).
     """
-    sigs = store.image_signatures(indices) if reuse and not cfg.verified_mode else None
+    sigs = None if cfg.verified_mode else store.image_signatures(indices)
     last_sig, last = None, None
     for j, snap in enumerate(store.snapshots(indices)):
         if last is not None and sigs[j] == last_sig:  # type: ignore[index]
@@ -761,8 +679,7 @@ class PreparedShard:
     every executor (inline, process pool, socket worker) runs
     :func:`_trial_loop` over its store — socket workers over the copy
     ``repro serve`` publishes.  A scheduler drops ``store`` (``None``)
-    once it is published unless :meth:`result` needs it to broadcast a
-    crash plan's records.
+    once it is published; :meth:`result` never reads it.
 
     Shards of one campaign usually come from one shared recording
     (:func:`record_shards`): ``store`` is then a view of the shared store
@@ -781,12 +698,6 @@ class PreparedShard:
     @property
     def cfg(self) -> CampaignConfig:
         return self.plan.cfg
-
-    @property
-    def reuse(self) -> bool:
-        """Whether executors may reuse an outcome across equal images
-        (:func:`_trial_loop`): always, except under a crash plan."""
-        return self.plan.crash_plan is None
 
     @classmethod
     def record(cls, factory: AppFactory, plan: ShardPlan):
@@ -811,21 +722,12 @@ class PreparedShard:
         run_stats: RunStats,
         store: "GoldenStore",
     ) -> "PreparedShard":
-        """Wrap a recording of ``plan``'s points, checking it against the
-        plan: one image per point, and a pruned crash plan's partition."""
+        """Wrap a recording of ``plan``'s points, checking it holds one
+        image per point."""
         if store.n_images != plan.n_snaps:
             raise RuntimeError(
                 f"{factory.name}: {plan.n_snaps} crash points but {store.n_images} snapshots"
             )
-        if plan.crash_plan is not None:
-            from repro.analysis.equiv_pass import partition_signatures
-
-            if partition_signatures(store.image_signatures()) != plan.crash_plan.class_ids:
-                raise RuntimeError(
-                    "crash plan is stale: the recorded write-back partition "
-                    "differs from the plan's equivalence classes — re-emit "
-                    "with `repro analyze --emit-plan`"
-                )
         return cls(factory, plan, golden_iterations, run_stats, store)
 
     def classify(
@@ -838,7 +740,7 @@ class PreparedShard:
             indices,
             _trial_loop(
                 self.factory, self.store, self.golden_iterations, self.cfg, indices,
-                trial_timeout, self.reuse,
+                trial_timeout,
             ),
         )
 
@@ -848,8 +750,6 @@ class PreparedShard:
 
         plan = self.plan
         records = [completed.get(i) for i in range(plan.n_snaps)]
-        if plan.crash_plan is not None:
-            _broadcast_plan_records(plan.crash_plan, records, self.store)
         assert all(r is not None for r in records)
         # Weights derive deterministically from the seed, so re-applying
         # them on a journal resume reproduces the uninterrupted result.
@@ -868,7 +768,6 @@ class PreparedShard:
             records=records,  # type: ignore[arg-type]
             run_stats=self.run_stats,
             golden_iterations=self.golden_iterations,
-            executed_trials=len(plan.to_run),
             crash_model=get_model(plan.cfg.crash_model).spec,
         )
 
@@ -939,7 +838,7 @@ def run_shard(
         plan.journal, campaign_header(factory, plan.cfg), plan.n_snaps
     )
     try:
-        missing = ledger.missing(plan.to_run)
+        missing = ledger.missing(range(plan.n_snaps))
         n_jobs = resolve_jobs(jobs)
         with phase_span(
             "classify", factory, tests=plan.n_snaps,
@@ -963,7 +862,6 @@ def run_campaign(
     journal: "str | Path | None" = None,
     retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
-    plan: "CrashPlan | str | Path | None" = None,
 ) -> CampaignResult:
     """Run a full crash-test campaign for one application and plan.
 
@@ -980,17 +878,6 @@ def run_campaign(
     parallel engine; ``trial_timeout`` quarantines any single trial that
     exceeds its deadline as a ``FAILED`` record (wall-clock dependent, so
     off by default).
-
-    ``plan`` is a pruned crash plan (a :class:`repro.analysis.equiv_pass.
-    CrashPlan` or a path to one emitted by ``repro analyze --emit-plan``):
-    only one representative crash point per NVM-image equivalence class —
-    plus each class's purity tail — is actually classified, and the
-    representative's response is broadcast to the rest of its class.
-    Records and every aggregate stay bit-identical to the full campaign
-    (same sampled points, same coordinates, deterministically identical
-    responses); the plan must have been emitted for exactly this campaign
-    (app, params, config, versions) or a :class:`~repro.errors.UsageError`
-    is raised.  Requires a single-core, non-verified campaign.
     """
     if cfg.nodes > 1:
         from repro.errors import UsageError
@@ -1001,7 +888,7 @@ def run_campaign(
             "--nodes`), which shards the campaign and orchestrates recovery"
         )
     with phase_span("campaign", factory, tests=cfg.n_tests):
-        (shard,), _ = plan_shards(factory, cfg, plan, journal=journal)
+        (shard,), _ = plan_shards(factory, cfg, journal=journal)
         return run_shard(
             PreparedShard.record(factory, shard), jobs, chunk_timeout, retry, trial_timeout
         )

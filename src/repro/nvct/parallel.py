@@ -115,7 +115,6 @@ def _classify_worker_init(
     store: "GoldenStore",
     golden_iterations: int,
     cfg: "CampaignConfig",
-    reuse: bool = True,
 ) -> None:
     global _worker_loop
     from repro.nvct.campaign import _trial_loop
@@ -124,9 +123,7 @@ def _classify_worker_init(
     # handler, and Pool.terminate() SIGTERMs them: a worker must simply
     # die there, not print a KeyboardInterrupt traceback.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _worker_loop = functools.partial(
-        _trial_loop, factory, store, golden_iterations, cfg, reuse=reuse
-    )
+    _worker_loop = functools.partial(_trial_loop, factory, store, golden_iterations, cfg)
 
 
 def _classify_chunk(task: tuple[int, list[int]]) -> tuple[int, list["CrashTestRecord"]]:
@@ -148,7 +145,6 @@ def classify_snapshots(
     chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT,
     retry: "RetryPolicy | None" = None,
     record_sink: "Callable[[int, CrashTestRecord], None] | None" = None,
-    reuse: bool = True,
 ) -> list["CrashTestRecord"]:
     """Classify every trial of ``source``, fanning out over ``jobs`` processes.
 
@@ -175,9 +171,8 @@ def classify_snapshots(
 
     ``record_sink(position, record)`` is invoked for every record as soon
     as its chunk lands (journaling hook); positions index
-    ``source.indices``.  ``reuse`` is :func:`~repro.nvct.campaign.
-    _trial_loop`'s: whether a chunk may reuse an outcome across equal
-    images (a class split across chunks restarts once per chunk).
+    ``source.indices``.  A run of equal images split across chunks
+    restarts once per chunk (:func:`~repro.nvct.campaign._trial_loop`).
     """
     import time
 
@@ -191,7 +186,7 @@ def classify_snapshots(
 
     def classify_serial(lo: int, hi: int) -> list:
         out = []
-        for rec in _trial_loop(factory, store, golden_iterations, cfg, indices[lo:hi], reuse=reuse):
+        for rec in _trial_loop(factory, store, golden_iterations, cfg, indices[lo:hi]):
             if record_sink is not None:
                 record_sink(lo + len(out), rec)
             out.append(rec)
@@ -216,7 +211,7 @@ def classify_snapshots(
         with _pool_context().Pool(
             processes=min(jobs, len(chunks)),
             initializer=_classify_worker_init,
-            initargs=(factory, store, golden_iterations, cfg, reuse),
+            initargs=(factory, store, golden_iterations, cfg),
             maxtasksperchild=MAX_TASKS_PER_CHILD,
         ) as pool:
             pending = {ci: pool.apply_async(_classify_chunk, (task,)) for ci, task in enumerate(tasks)}
@@ -289,5 +284,5 @@ def classify_pooled(
         shard.factory, GoldenSnapshotSource(shard.store, indices),
         shard.golden_iterations, shard.cfg,
         jobs=jobs, chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT, retry=retry,
-        record_sink=lambda local, rec: sink(indices[local], rec), reuse=shard.reuse,
+        record_sink=lambda local, rec: sink(indices[local], rec),
     )

@@ -47,11 +47,7 @@ COMMITTED = "committed"
 
 @dataclass(frozen=True)
 class Chunk:
-    """One unit of leased work: a fixed set of trial indices on one shard.
-
-    ``indices`` is an explicit tuple (not a range) because a pruned crash
-    plan executes a non-contiguous subset of the campaign's trials.
-    """
+    """One unit of leased work: a fixed set of trial indices on one shard."""
 
     chunk_id: int
     node: int

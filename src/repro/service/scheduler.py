@@ -48,7 +48,6 @@ from repro.service.protocol import encode
 
 if TYPE_CHECKING:
     from repro.apps.base import AppFactory
-    from repro.analysis.equiv_pass import CrashPlan
     from repro.cluster.emulator import Burst, ClusterResult
     from repro.nvct.campaign import CampaignConfig, CampaignResult, PreparedShard
 
@@ -97,13 +96,10 @@ class CampaignScheduler:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         deadline_s: float = DEFAULT_DEADLINE_S,
         resume: bool = False,
-        crash_plan: "CrashPlan | str | Path | None" = None,
         trial_timeout: float | None = None,
     ):
         if chunk_size < 1:
             raise UsageError(f"chunk size must be >= 1, got {chunk_size}")
-        if crash_plan is not None and cfg.nodes > 1:
-            raise UsageError("a pruned crash plan cannot be combined with --nodes")
         self.factory = factory
         self.cfg = cfg
         self.journal_path = Path(journal)
@@ -115,7 +111,6 @@ class CampaignScheduler:
         self.chunk_size = int(chunk_size)
         self.deadline_s = float(deadline_s)
         self.resume = bool(resume)
-        self.crash_plan = crash_plan
         self.trial_timeout = trial_timeout
         self.shards: dict[int, _Shard] = {}
         self.bursts: "list[Burst] | None" = None
@@ -148,8 +143,7 @@ class CampaignScheduler:
                 "the file to abandon its queue state)"
             )
         plans, self.bursts = plan_shards(
-            self.factory, self.cfg, self.crash_plan,
-            journal=self.journal_path, cluster=self.cfg.clustered,
+            self.factory, self.cfg, journal=self.journal_path, cluster=self.cfg.clustered,
         )
         headers = [campaign_header(self.factory, plan.cfg) for plan in plans]
         ledgers = [
@@ -163,27 +157,23 @@ class CampaignScheduler:
             store_path = Path(f"{plan.journal}.store").absolute()
             assert prepared.store is not None
             prepared.store.publish(store_path, key=shard_header["key"], node=node)
-            if plan.crash_plan is None:
-                # Workers map the published copy and result() reads the
-                # store only to broadcast a crash plan's records: free it,
-                # so a per-shard fallback holds one recording at a time.
-                prepared.store = None
+            # Workers map the published copy and result() never reads the
+            # store: free it, so a per-shard fallback holds one recording
+            # at a time.
+            prepared.store = None
             spec = {
                 "app": self.factory.name,
                 "key": shard_header["key"],
                 "config": shard_header["config"],
                 "store": str(store_path),
                 "golden_iterations": prepared.golden_iterations,
-                "reuse": prepared.reuse,
             }
             if self.trial_timeout is not None:
                 spec["trial_timeout"] = self.trial_timeout
             self.shards[node] = _Shard(prepared, spec, ledger)
-            to_run = list(plan.to_run)
-            for lo in range(0, len(to_run), self.chunk_size):
-                chunks.append(
-                    Chunk(len(chunks), node, tuple(to_run[lo : lo + self.chunk_size]))
-                )
+            trials = range(plan.n_snaps)
+            for lo in range(0, plan.n_snaps, self.chunk_size):
+                chunks.append(Chunk(len(chunks), node, tuple(trials[lo : lo + self.chunk_size])))
 
         self.table = LeaseTable(chunks, self.deadline_s)
         header = lease_header(

@@ -4,11 +4,9 @@ Workers are **stateless**: everything needed to execute a chunk rides in
 the grant's ``spec`` — app name, the shard's campaign document, and the
 golden store the scheduler recorded once and published for that shard
 (``store``, an absolute path, with the golden run's
-``golden_iterations``) and ``reuse``, whether the trial loop may reuse
-an outcome across equal crash images (off for a crash plan).  The
-worker maps that file read-only and classifies from it
-(:class:`ChunkExecutor`); it never profiles or records, so it must
-share a filesystem with the scheduler (the
+``golden_iterations``).  The worker maps that file read-only and
+classifies from it (:class:`ChunkExecutor`); it never profiles or
+records, so it must share a filesystem with the scheduler (the
 Unix-socket transport already puts both on one host).  Every worker
 reads the same bytes, so it never matters *which* worker classifies a
 trial.  Executors are cached per spec, so a worker draining many chunks
@@ -75,7 +73,6 @@ class ChunkExecutor:
     store: "GoldenStore"
     golden_iterations: int
     cfg: CampaignConfig
-    reuse: bool
     trial_timeout: float | None = None
 
     @classmethod
@@ -102,7 +99,6 @@ class ChunkExecutor:
             cfg = CampaignConfig.from_doc(spec["config"])
             store_path = str(spec["store"])
             golden_iterations = int(spec["golden_iterations"])
-            reuse = bool(spec["reuse"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(f"malformed campaign spec from scheduler: {exc!r}") from exc
         key = campaign_key(factory, cfg)
@@ -116,7 +112,7 @@ class ChunkExecutor:
                 f"{key[:12]}… — mixed package versions? refusing the lease"
             )
         store = GoldenStore.open(store_path, key=key, node=cfg.node)
-        return cls(factory, store, golden_iterations, cfg, reuse, spec.get("trial_timeout"))
+        return cls(factory, store, golden_iterations, cfg, spec.get("trial_timeout"))
 
     def run(self, indices: list[int]) -> Iterator[tuple[int, dict]]:
         """Classify the chunk's trials, yielding ``(index, record_doc)``."""
@@ -125,7 +121,7 @@ class ChunkExecutor:
 
         records = _trial_loop(
             self.factory, self.store, self.golden_iterations, self.cfg, indices,
-            self.trial_timeout, self.reuse,
+            self.trial_timeout,
         )
         for i, rec in zip(indices, records):
             yield i, record_to_dict(rec)

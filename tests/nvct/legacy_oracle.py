@@ -128,6 +128,5 @@ def legacy_campaign(factory, cfg: CampaignConfig) -> CampaignResult:
         records=records,
         run_stats=_run_stats(rt, iterations),
         golden_iterations=golden.iterations,
-        executed_trials=len(records),
         crash_model=get_model(cfg.crash_model).spec,
     )

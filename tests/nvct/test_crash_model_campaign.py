@@ -1,12 +1,10 @@
 """Campaign-level crash-model semantics: agreement with the legacy oracle,
-content keys, monotonicity, journal resume and crash-plan equivalence per
-model."""
+content keys, monotonicity and journal resume per model."""
 
 import json
 
 import pytest
 
-from repro.analysis.equiv_pass import build_crash_plan, crash_plan_key
 from repro.apps.registry import get_factory
 from repro.errors import UsageError
 from repro.harness.cache import campaign_key
@@ -95,13 +93,6 @@ def test_campaign_key_changes_iff_model_changes():
                 campaign_key(FACTORY, _cfg("torn"))}) == 4
 
 
-def test_crash_plan_key_tracks_model():
-    assert crash_plan_key(FACTORY, _cfg("adr")) != crash_plan_key(FACTORY, _cfg())
-    assert crash_plan_key(FACTORY, _cfg("adr")) == crash_plan_key(
-        FACTORY, _cfg("adr:wpq=64")
-    )
-
-
 # -- serialization and journals ------------------------------------------------
 
 
@@ -133,14 +124,6 @@ def test_journal_resume_under_adr(tmp_path):
     run_campaign(FACTORY, _cfg("adr"), jobs=1, journal=path)
     resumed = run_campaign(FACTORY, _cfg("adr"), jobs=1, journal=path)
     assert resumed.records == baseline.records
-
-
-def test_crash_plan_equivalence_under_adr():
-    cfg = _cfg("adr")
-    plan = build_crash_plan(FACTORY, cfg)
-    full = run_campaign(FACTORY, cfg)
-    pruned = run_campaign(FACTORY, cfg, plan=plan)
-    assert pruned.records == full.records
 
 
 # -- gating --------------------------------------------------------------------

@@ -52,10 +52,10 @@ def _config(model: str, **kw) -> CampaignConfig:
     return CampaignConfig(n_tests=N_TESTS, seed=2, crash_model=model, **kw)
 
 
-def _serve_scripted(cfg, journal, factory=FACTORY, **sched_kw):
+def _serve_scripted(cfg, journal, factory=FACTORY):
     """Drain the campaign through one scripted lease -> record -> commit
     worker and return the scheduler's assembled result."""
-    sched = CampaignScheduler(factory, cfg, journal=journal, chunk_size=SCRIPTED_CHUNK, **sched_kw)
+    sched = CampaignScheduler(factory, cfg, journal=journal, chunk_size=SCRIPTED_CHUNK)
     sched.prepare()
     executors: dict[int, ChunkExecutor] = {}
     try:

@@ -279,7 +279,7 @@ def test_zero_trial_campaign_is_empty(kw):
         assert run_cluster_campaign(APPS["contig"](), cfg).node_results == {}
         return
     result = run_campaign(APPS["contig"](), cfg)
-    assert result.records == [] and result.executed_trials == 0
+    assert result.records == []
     assert result.run_stats.total_accesses > 0  # the instrumented run still ran
 
 

@@ -1,15 +1,16 @@
-"""The trial loop classifies each distinct crash image once.
+"""The trial loop restarts each run of equal crash images once.
 
 Equal image signatures mean bit-identical NVM images, so the trial loop
 answers a trial whose image equals the last classified one from that
 record instead of restarting (``campaign.restarts`` /
 ``campaign.restarts_reused``).  These tests pin the exact restart count,
-the cases that never reuse (verified mode, a ``FAILED`` record, a crash
-plan's purity tails) and the records against a loop that restarts every
-image.  The differential matrix (``test_execution_matrix.py``) holds the
-same property against the copy-and-diff oracle.
+the cases that never reuse (verified mode, a ``FAILED`` record) and the
+records against a reference that restarts every image.  The
+differential matrix (``test_execution_matrix.py``) holds the same
+property against the copy-and-diff oracle.
 """
 
+import functools
 import multiprocessing
 from dataclasses import replace
 
@@ -17,7 +18,6 @@ import pytest
 
 import repro.nvct.campaign as campaign_mod
 from repro import obs
-from repro.analysis.equiv_pass import build_crash_plan
 from repro.apps.registry import get_factory
 from repro.nvct.campaign import (
     CampaignConfig,
@@ -26,29 +26,55 @@ from repro.nvct.campaign import (
     plan_shards,
     run_campaign,
 )
-from tests.nvct.test_execution_matrix import _serve_scripted
 
 FACTORY = get_factory("IS")
 CFG = CampaignConfig(n_tests=30, seed=2)
+CONFIGS = {
+    "whole-cache-loss": CFG,
+    # Under torn an overlay digest repeats at non-adjacent points: 28
+    # distinct images in 29 runs of equal signatures.
+    "torn": CampaignConfig(n_tests=30, seed=1002, crash_model="torn"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def recorded(name):
+    (plan,), _ = plan_shards(FACTORY, CONFIGS[name])
+    return PreparedShard.record(FACTORY, plan)
+
+
+def restart_every_image(factory, cfg):
+    """The reference records: the campaign's recording with every image
+    restarted on its own, weighted as a campaign weights them."""
+    (plan,), _ = plan_shards(factory, cfg)
+    shard = PreparedShard.record(factory, plan)
+    records = [
+        campaign_mod._classify_trial(factory, snap, shard.golden_iterations, cfg)
+        for snap in shard.store.snapshots(range(plan.n_snaps))
+    ]
+    for rec, w in zip(records, plan.weights):
+        rec.weight = int(w)
+    return records
+
+
+@functools.lru_cache(maxsize=None)
+def full_records(name):
+    return restart_every_image(FACTORY, CONFIGS[name])
+
+
+def signature_runs(sigs):
+    return sum(1 for k, sig in enumerate(sigs) if k == 0 or sig != sigs[k - 1])
 
 
 @pytest.fixture(scope="module")
 def shard():
-    (plan,), _ = plan_shards(FACTORY, CFG)
-    return PreparedShard.record(FACTORY, plan)
+    return recorded("whole-cache-loss")
 
 
 @pytest.fixture(scope="module")
-def full_records(shard):
-    """Every image restarted: the trial loop with reuse off."""
-    return list(campaign_mod._trial_loop(
-        FACTORY, shard.store, shard.golden_iterations, CFG, range(shard.plan.n_snaps), reuse=False
-    ))
-
-
-@pytest.fixture(scope="module")
-def crash_plan():
-    return build_crash_plan(FACTORY, CFG)
+def reference():
+    """Taken before any test patches ``_classify``."""
+    return full_records("whole-cache-loss")
 
 
 @pytest.fixture
@@ -66,16 +92,21 @@ def classify_calls(monkeypatch):
     return calls
 
 
-def test_each_distinct_image_restarts_once(shard, full_records):
-    sigs = shard.store.image_signatures()
-    with obs.enabled() as reg:
-        result = run_campaign(FACTORY, CFG, jobs=1)
-    restarts = reg.counter("campaign.restarts").value
-    reused = reg.counter("campaign.restarts_reused").value
-    assert restarts == len(set(sigs)) < len(sigs)
-    assert restarts + reused == shard.plan.n_snaps
-    assert result.executed_trials == shard.plan.n_snaps
-    assert result.records == full_records
+def test_each_distinct_image_restarts_once():
+    """Once per run of equal images, to be exact: under torn one image
+    recurs after a different one and restarts a second time."""
+    for name, cfg in CONFIGS.items():
+        sigs = recorded(name).store.image_signatures()
+        expected = full_records(name)
+        with obs.enabled() as reg:
+            result = run_campaign(FACTORY, cfg, jobs=1)
+        restarts = reg.counter("campaign.restarts").value
+        reused = reg.counter("campaign.restarts_reused").value
+        assert restarts == signature_runs(sigs) < len(sigs), name
+        assert restarts + reused == len(sigs), name
+        assert result.records == expected, name
+        if name == "torn":  # 29 restarts for 28 distinct images
+            assert restarts == len(set(sigs)) + 1
 
 
 def test_verified_campaign_restarts_every_image():
@@ -86,15 +117,15 @@ def test_verified_campaign_restarts_every_image():
     assert reg.counter("campaign.restarts").value == len(result.records)
 
 
-def test_pool_workers_reuse_within_their_chunks(classify_calls, full_records):
+def test_pool_workers_reuse_within_their_chunks(reference, classify_calls):
     """30 trials over 2 jobs cut 4-trial chunks: a class split across
     chunks restarts once per chunk, and the records do not move."""
     result = run_campaign(FACTORY, CFG, jobs=2)
-    assert result.records == full_records
-    assert classify_calls.value < len(full_records)
+    assert result.records == reference
+    assert classify_calls.value < len(reference)
 
 
-def test_a_failed_record_is_never_reused(shard, full_records, monkeypatch):
+def test_a_failed_record_is_never_reused(shard, reference, monkeypatch):
     sigs = shard.store.image_signatures()
     first = next(k for k in range(len(sigs) - 1) if sigs[k] == sigs[k + 1])
     seen = []
@@ -111,20 +142,4 @@ def test_a_failed_record_is_never_reused(shard, full_records, monkeypatch):
     failed = [i for i, r in enumerate(result.records) if r.response is Response.FAILED]
     assert failed == [first]
     assert first + 1 in seen  # the duplicate was classified on its own
-    assert result.records[first + 1] == full_records[first + 1]
-
-
-@pytest.mark.parametrize("executor", ["inline", "jobs2", "scripted-worker"])
-def test_crash_plan_tails_are_classified_independently(
-    tmp_path, shard, crash_plan, classify_calls, executor
-):
-    executed = crash_plan.executed_indices()
-    # a tail next to its representative: the loop would reuse it if allowed
-    sigs = shard.store.image_signatures()
-    assert any(sigs[a] == sigs[b] for a, b in zip(executed, executed[1:]))
-    if executor == "scripted-worker":
-        result = _serve_scripted(CFG, tmp_path / "j.jsonl", FACTORY, crash_plan=crash_plan)
-    else:
-        result = run_campaign(FACTORY, CFG, jobs=2 if executor == "jobs2" else 1, plan=crash_plan)
-    assert classify_calls.value == len(executed)
-    assert len(result.records) == CFG.n_tests
+    assert result.records[first + 1] == reference[first + 1]

@@ -226,11 +226,6 @@ def test_multinode_shards_mirror_the_cluster_cut(tmp_path):
 def test_usage_guards():
     with pytest.raises(UsageError, match="chunk size"):
         CampaignScheduler(FACTORY, CFG, journal="j.jsonl", chunk_size=0)
-    clustered = CampaignConfig(n_tests=8, nodes=2)
-    with pytest.raises(UsageError, match="crash plan"):
-        CampaignScheduler(
-            FACTORY, clustered, journal="j.jsonl", crash_plan=object()
-        )
 
 
 def test_spec_ships_a_custom_hierarchy(tmp_path):

@@ -166,11 +166,10 @@ def test_campaign_multinode(capsys, tmp_path):
     assert log["nodes"] == 4 and log["bursts"]
 
 
-def test_campaign_multinode_flag_conflicts_exit_2(capsys, tmp_path):
+def test_campaign_multinode_flag_conflicts_exit_2(capsys):
     for extra in (
         ["--until-stable"],
         ["--cores", "2"],
-        ["--crash-plan", str(tmp_path / "plan.json")],
     ):
         code = main(
             ["campaign", "MG", "--tests", "4", "--nodes", "2", *extra]
@@ -196,6 +195,16 @@ def test_campaign_crash_model_on_multicore_exits_2(capsys):
 def test_campaign_has_one_snapshot_engine():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["campaign", "EP", "--no-golden"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["campaign", "EP", "--crash-plan", "plan.json"],
+    ["serve", "EP", "--socket", "s", "--journal", "j", "--crash-plan", "plan.json"],
+    ["analyze", "--apps", "EP", "--emit-plan", "plan.json"],
+])
+def test_campaign_has_one_outcome_reuse_path(argv):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(argv)
 
 
 def test_campaign_multinode_bad_correlation_exits_2(capsys):
@@ -288,54 +297,6 @@ def test_analyze_sarif_export(capsys, tmp_path):
     results = doc["runs"][0]["results"]
     assert [r["ruleId"] for r in results] == ["raw-np-escape"]
     assert results[0]["partialFingerprints"]["reproKey"]
-
-
-def test_analyze_emit_plan_requires_one_app(capsys, tmp_path):
-    code = main(
-        ["analyze", "--no-dynamic", "--no-self-lint",
-         "--emit-plan", str(tmp_path / "plan.json")]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--apps" in err
-
-
-def test_analyze_emit_plan_then_campaign_consumes_it(capsys, tmp_path):
-    plan_file = tmp_path / "plan.json"
-    code, out = run_cli(
-        capsys, "analyze", "--no-dynamic", "--no-self-lint",
-        "--apps", "kmeans", "--emit-plan", str(plan_file),
-        "--tests", "40", "--seed", "3", "--campaign-plan", "loop",
-    )
-    assert code == 0
-    assert "equivalence classes" in out
-    assert plan_file.exists()
-
-    code, out = run_cli(
-        capsys, "campaign", "kmeans", "--tests", "40", "--seed", "3",
-        "--plan", "loop", "--crash-plan", str(plan_file),
-    )
-    assert code == 0
-    assert "crash plan: executed" in out
-
-    # a mismatched campaign is refused with a usage error, not wrong science
-    code = main(
-        ["campaign", "kmeans", "--tests", "41", "--seed", "3",
-         "--plan", "loop", "--crash-plan", str(plan_file)]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "re-emit" in err
-
-
-def test_crash_plan_conflicts_with_until_stable(capsys, tmp_path):
-    code = main(
-        ["campaign", "kmeans", "--tests", "8", "--until-stable",
-         "--crash-plan", str(tmp_path / "plan.json")]
-    )
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--until-stable" in err
 
 
 def test_analyze_update_baseline_then_clean(capsys, tmp_path):

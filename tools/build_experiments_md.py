@@ -316,19 +316,20 @@ orchestration service* in `docs/API.md`.
 
 
 def _equivalence_section() -> str:
-    """Live table: equivalence-class counts vs naive crash-point sampling."""
-    header = """## Crash-plan equivalence pruning vs naive sampling
+    """Live table: distinct-image runs (serial restarts) vs naive sampling."""
+    header = """## Restart reuse: distinct-image runs vs naive sampling
 
 NVM content changes only on write-backs (evictions + persist flushes),
 so crash points between the same two write-back events see bit-identical
-NVM images and classify identically.  `repro analyze --emit-plan`
-partitions the sampled points by dirty-block signature; `repro campaign
---crash-plan` then executes one representative per class plus a
-cross-checked purity tail and broadcasts the responses.  The pruned
-record list is **bit-identical** to the full campaign's — same records,
-same aggregates to the last ulp (`tests/analysis/test_equiv_pass.py`)
-— at the reduction factors below (computed live for the proof-scale
-configurations the test suite uses):
+NVM images and classify identically.  Every campaign's trial loop
+(`repro.nvct.campaign._trial_loop`) compares each crash image's
+dirty-block signature with the last one it classified and reuses that
+outcome on a match, so a serial campaign restarts once per run of equal
+images.  Its record list is **bit-identical** to restarting every image
+(`tests/analysis/test_equiv_pass.py`, `tests/nvct/test_restart_reuse.py`)
+at the reduction factors below, counted live by the analyzer's
+equivalence pass (`repro.analysis.equiv_pass.build_crash_plan`) for the
+proof-scale configurations the test suite uses:
 """
     try:
         from repro.analysis.equiv_pass import build_crash_plan
@@ -343,9 +344,8 @@ configurations the test suite uses):
             (AppFactory(KMeans, n_points=256, n_features=4, k=4, seed=2020), 400),
         ]
         rows = [
-            "| app | sampled crash points (naive trials) | equivalence classes "
-            "| executed trials (incl. purity tail) | reduction |",
-            "|---|---|---|---|---|",
+            "| app | sampled points | distinct-image runs (= serial restarts) | reduction |",
+            "|---|---|---|---|",
         ]
         for factory, n_tests in cases:
             app = factory.make(None)
@@ -354,10 +354,9 @@ configurations the test suite uses):
                 n_tests=n_tests, seed=3, plan=PersistencePlan.at_loop_end(cands)
             )
             plan = build_crash_plan(factory, cfg)
-            executed = len(plan.executed_indices())
             rows.append(
                 f"| {factory.name} | {plan.n_points} | {plan.n_classes} "
-                f"| {executed} | {plan.n_points / executed:.1f}x |"
+                f"| {plan.n_points / plan.n_classes:.1f}x |"
             )
         table = "\n".join(rows) + "\n"
     except Exception as exc:  # pragma: no cover - doc builder resilience
