@@ -176,13 +176,6 @@ def _self_attr(node: ast.AST) -> str | None:
     return None
 
 
-def _managed_names(info: _ClassInfo) -> set[str]:
-    """Attributes assigned from ``self.ws.array/scalar/iterator(...)``."""
-    from repro.analysis.callgraph import managed_kinds
-
-    return set(managed_kinds(info.methods))
-
-
 def _hot_methods(info: _ClassInfo, graph: ClassGraph | None = None) -> set[str]:
     """Methods reachable from ``_iterate`` (the main-loop call graph)."""
     if graph is None:

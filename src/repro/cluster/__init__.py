@@ -12,7 +12,6 @@ from repro.cluster.emulator import (
     BURST_MTBF_S,
     Burst,
     ClusterResult,
-    NodeLease,
     burst_schedule,
     run_cluster_campaign,
     trials_per_node,
@@ -32,7 +31,6 @@ __all__ = [
     "Burst",
     "ClusterResult",
     "ClusterTopology",
-    "NodeLease",
     "NodeRecovery",
     "BurstRecovery",
     "RecoveryLog",

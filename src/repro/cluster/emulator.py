@@ -25,20 +25,12 @@ classifications and the recovery log are all pure functions of
 bit-identically from its seed, including across SIGKILL + ``--resume``
 (each node journals separately, see
 :func:`repro.cluster.topology.node_journal_path`).
-
-Node classifications run under a :class:`NodeLease`: the ``node_death``
-chaos kind (site ``cluster.node``) can kill a node mid-burst, the
-lease's retry policy re-runs the shard's classification (deterministic,
-so the replay is bit-identical), and the shared circuit breaker turns a
-systematically dying cluster into a loud failure instead of an infinite
-retry loop.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -61,7 +53,6 @@ __all__ = [
     "Burst",
     "burst_schedule",
     "trials_per_node",
-    "NodeLease",
     "ClusterResult",
     "cut_shards",
     "cluster_result",
@@ -150,48 +141,6 @@ def _slot_records(result: "CampaignResult") -> list["CrashTestRecord"]:
     for rec in result.records:
         out.extend([rec] * rec.weight)
     return out
-
-
-@dataclass
-class NodeLease:
-    """A node's work lease: retry-on-death on top of the circuit breaker.
-
-    Each node's campaign runs under a lease.  If the ``node_death`` chaos
-    kind fires at site ``cluster.node`` the lease expires mid-burst; the
-    retry policy re-acquires and replays the shard — every replay is
-    bit-identical because the shard itself is deterministic (and journal
-    resume skips already-classified trials).  Failures feed the shared
-    :class:`~repro.harness.resilience.CircuitBreaker`; once it trips the
-    death propagates instead of retrying forever.
-    """
-
-    node: int
-    policy: "RetryPolicy"
-    breaker: "object"  # CircuitBreaker
-    attempts: int = field(default=0, init=False)
-
-    def run(self, fn: Callable[[], "CampaignResult"]) -> "CampaignResult":
-        from repro.harness.chaos import NodeDeath, injector as chaos_injector
-
-        while True:
-            if not self.breaker.allow():
-                raise NodeDeath(
-                    f"node {self.node}: circuit breaker open after repeated "
-                    "node deaths; giving up"
-                )
-            self.attempts += 1
-            try:
-                if (ch := chaos_injector()) is not None:
-                    ch.maybe_node_death("cluster.node")
-                result = fn()
-            except NodeDeath:
-                tripped = self.breaker.record_failure()
-                if tripped or self.attempts > self.policy.max_retries:
-                    raise
-                time.sleep(self.policy.delay(f"node{self.node}", self.attempts - 1))
-                continue
-            self.breaker.record_success()
-            return result
 
 
 @dataclass
@@ -298,27 +247,20 @@ def run_cluster_campaign(
     one shared instrumented run, or one per shard after a divergent
     split — and each is classified through the same single-shard path as
     a plain campaign (:func:`~repro.nvct.campaign.run_shard`: per-node
-    journal and ledger) under a :class:`NodeLease`; the recovery
-    orchestrator then replays the burst schedule over the measured
-    records.  ``jobs`` / ``chunk_timeout`` / ``retry`` /
-    ``trial_timeout`` mean what they mean for
-    :func:`~repro.nvct.campaign.run_campaign`, per shard.
+    journal and ledger); the recovery orchestrator then replays the
+    burst schedule over the measured records.  ``jobs`` /
+    ``chunk_timeout`` / ``retry`` / ``trial_timeout`` mean what they mean
+    for :func:`~repro.nvct.campaign.run_campaign`, per shard.
     """
-    from functools import partial
-
-    from repro.harness.resilience import NODE_LEASE_RETRY, new_breaker
     from repro.nvct.campaign import phase_span, plan_shards, record_shards, run_shard
 
     plans, bursts = plan_shards(factory, cfg, journal=journal, cluster=True)
     assert bursts is not None
-    breaker = new_breaker()
     node_results: dict[int, "CampaignResult"] = {}
     for shard in record_shards(factory, plans):
-        node = shard.cfg.node
-        lease = NodeLease(node=node, policy=NODE_LEASE_RETRY, breaker=breaker)
         with phase_span("campaign", factory, tests=shard.cfg.n_tests):
-            node_results[node] = lease.run(
-                partial(run_shard, shard, jobs, chunk_timeout, retry, trial_timeout)
+            node_results[shard.cfg.node] = run_shard(
+                shard, jobs, chunk_timeout, retry, trial_timeout
             )
         # Done with this node's images: a per-shard fallback then holds
         # one recording at a time.

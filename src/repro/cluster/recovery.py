@@ -28,10 +28,7 @@ peers (``t_sync``) only when there *are* surviving peers — the same
 gating the efficiency model applies.
 
 Everything here is pure bookkeeping over already-deterministic campaign
-records, so a recovery log replays bit-identically from the seed.  The
-``straggler_node`` chaos kind can stall the coordinated-rollback
-barrier (site ``cluster.rollback``); like every injected fault it may
-change timing, never results.
+records, so a recovery log replays bit-identically from the seed.
 """
 
 from __future__ import annotations
@@ -255,8 +252,6 @@ class RecoveryOrchestrator:
         order (one per time the schedule crashes that node; weighted
         records appear once per unit of weight).
         """
-        from repro.harness.chaos import injector as chaos_injector
-
         cursor: dict[int, int] = {n: 0 for n in records_by_node}
         log = RecoveryLog(nodes=self.nodes)
         for burst in bursts:
@@ -275,10 +270,6 @@ class RecoveryOrchestrator:
                     )
                 )
             rollbacks = sum(1 for v in victims if v.rolled_back)
-            if rollbacks and (ch := chaos_injector()) is not None:
-                # A straggler may stall the coordinated-rollback barrier;
-                # timing only — the decisions above are already fixed.
-                ch.maybe_straggle("cluster.rollback")
             log.bursts.append(
                 BurstRecovery(
                     index=burst.index,

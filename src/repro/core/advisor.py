@@ -66,10 +66,6 @@ class AdvisorReport:
             return self.plan_report.plan
         return PersistencePlan.none()
 
-    @property
-    def efficiency_gain(self) -> float:
-        return self.efficiency_with - self.efficiency_without
-
     def summary(self) -> str:
         verdict = "USE EasyCrash" if self.use_easycrash else "use plain C/R"
         return (

@@ -39,9 +39,6 @@ class SelectionResult:
     correlations: dict[str, SpearmanResult]
     alpha: float
 
-    def is_critical(self, name: str) -> bool:
-        return name in self.critical
-
 
 def select_critical_objects(
     campaign: CampaignResult,

@@ -25,14 +25,6 @@ site                  faults it can fire
                       campaign), ``stale_version`` (the record reads as
                       a foreign schema version — the migration-shim
                       rejection path)
-``cluster.node``      ``node_death`` — an emulated node dies before its
-                      shard completes; the node's lease retries it and
-                      the shared circuit breaker bounds the damage
-                      (:mod:`repro.cluster.emulator`)
-``cluster.rollback``  ``straggler_node`` — one peer is slow to join a
-                      coordinated rollback barrier; recovery *timing*
-                      stretches but results must stay bit-identical
-                      (:mod:`repro.cluster.recovery`)
 ``service.record``    ``msg_drop`` (a streamed trial record never reaches
                       the scheduler — the commit-time completeness check
                       must ask for it again), ``msg_duplicate`` (the
@@ -63,7 +55,9 @@ CI job pin its expectations.  Like :mod:`repro.obs`, the injector is
 
 Enable with ``REPRO_CHAOS=<seed>:<rate>`` (e.g. ``7:0.05`` for a 5% rate
 at every site) or ``<seed>:<rate>:<kind,kind,...>`` to restrict the fault
-mix, or programmatically via :func:`enable`.
+mix, or programmatically via :func:`enable`.  A spec that names an
+unknown kind or does not parse is a :class:`~repro.errors.UsageError`,
+never a silent chaos-off run.
 """
 
 from __future__ import annotations
@@ -72,6 +66,7 @@ import os
 import time
 from typing import Iterable
 
+from repro.errors import UsageError
 from repro.obs import registry as obs_registry
 from repro.util.rng import derive_seed
 
@@ -80,7 +75,6 @@ __all__ = [
     "FAULT_KINDS",
     "WORKER_DEATH_TIMEOUT",
     "InjectedFault",
-    "NodeDeath",
     "ChaosInjector",
     "injector",
     "enable",
@@ -93,15 +87,11 @@ ENV_VAR = "REPRO_CHAOS"
 #: Every fault kind the injector knows how to fire.
 FAULT_KINDS = (
     "worker_death",
-    "truncate",
     "corrupt_read",
     "os_error",
     "slow_io",
     "bitflip",
     "stale_version",
-    "torn_writeback",
-    "node_death",
-    "straggler_node",
     "msg_drop",
     "msg_duplicate",
     "lease_steal",
@@ -125,14 +115,6 @@ class InjectedFault(OSError):
 
     Subclasses ``OSError`` so production retry paths treat it exactly
     like the real flaky-filesystem errors it stands in for.
-    """
-
-
-class NodeDeath(InjectedFault):
-    """An emulated cluster node died mid-shard (``node_death``).
-
-    Distinct from :class:`InjectedFault` so the cluster lease can retry
-    node deaths specifically while letting genuine I/O errors surface.
     """
 
 
@@ -183,24 +165,6 @@ class ChaosInjector:
         if self.fires(site, "os_error"):
             raise InjectedFault(f"chaos: injected I/O error at {site}")
 
-    def maybe_node_death(self, site: str) -> None:
-        """Fire ``node_death``: raise :class:`NodeDeath` for this node."""
-        if self.fires(site, "node_death"):
-            raise NodeDeath(f"chaos: injected node death at {site}")
-
-    def maybe_straggle(self, site: str) -> bool:
-        """Fire ``straggler_node``: stall briefly; returns whether it fired.
-
-        Unlike ``slow_io`` the caller cares *that* it fired (a straggler
-        stretches the modelled coordinated-rollback time), so the decision
-        is returned.  The injected sleep keeps wall-clock effects real but
-        small; results must never depend on it.
-        """
-        if not self.fires(site, "straggler_node"):
-            return False
-        time.sleep(SLOW_IO_SECONDS)
-        return True
-
     def drops(self, site: str) -> bool:
         """Fire ``msg_drop``: the caller should not send this message."""
         return self.fires(site, "msg_drop")
@@ -235,12 +199,6 @@ class ChaosInjector:
         pos = derive_seed(self.seed, "chaos-pos", site, len(data)) % len(data)
         return data[:pos] + bytes([data[pos] ^ 0xFF]) + data[pos + 1 :]
 
-    def truncate(self, site: str, data: bytes) -> bytes:
-        """Fire ``truncate``: return a torn prefix of ``data``."""
-        if not data or not self.fires(site, "truncate"):
-            return data
-        return data[: len(data) // 2]
-
     def bitflip(self, site: str, data: bytes) -> bytes:
         """Fire ``bitflip``: return ``data`` with one deterministic bit flipped.
 
@@ -253,27 +211,6 @@ class ChaosInjector:
         byte, offset = divmod(bit, 8)
         return data[:byte] + bytes([data[byte] ^ (1 << offset)]) + data[byte + 1 :]
 
-    def torn_writeback(self, site: str, data: bytes, granularity: int = 8) -> bytes:
-        """Fire ``torn_writeback``: one 64-byte line of ``data`` tears.
-
-        A deterministic ``granularity``-aligned prefix of the chosen line
-        persists; the rest of the line is zeroed (length is preserved —
-        the tear is *within* the write, unlike ``truncate``).  Mirrors
-        the ``torn`` crash model's in-flight-store hazard on a transport
-        payload.
-        """
-        if not data or not self.fires(site, "torn_writeback"):
-            return data
-        n_lines = (len(data) + 63) // 64
-        line = derive_seed(self.seed, "chaos-torn", site, len(data)) % n_lines
-        lo = line * 64
-        hi = min(lo + 64, len(data))
-        n_granules = max(1, (hi - lo) // granularity)
-        cut = lo + (
-            derive_seed(self.seed, "chaos-torn-cut", site, len(data)) % n_granules
-        ) * granularity
-        return data[:cut] + b"\x00" * (hi - cut) + data[hi:]
-
 
 # -- process-wide gate (mirrors repro.obs.metrics) ----------------------------
 
@@ -281,34 +218,43 @@ _injector: ChaosInjector | None = None
 _resolved = False
 
 
-def _parse_spec(spec: str) -> ChaosInjector | None:
-    """``<seed>:<rate>[:<kind,kind,...>]`` → injector, or None when unusable."""
+def _parse_spec(spec: str) -> ChaosInjector:
+    """``<seed>:<rate>[:<kind,kind,...>]`` → injector.
+
+    An unusable spec raises :class:`~repro.errors.UsageError` naming it
+    and the known kinds: silently running with chaos off would let a
+    stale spec pass a fault-injection job that injected nothing.
+    """
     parts = spec.split(":")
-    if len(parts) not in (2, 3):
-        return None
     try:
+        if len(parts) not in (2, 3):
+            raise ValueError("expected <seed>:<rate>[:<kind,kind,...>]")
         seed = int(parts[0])
         rate = float(parts[1])
         kinds = None
         if len(parts) == 3 and parts[2].strip():
             kinds = [k.strip() for k in parts[2].split(",") if k.strip()]
         return ChaosInjector(seed, rate, kinds)
-    except ValueError:
-        return None
+    except ValueError as exc:
+        raise UsageError(
+            f"unusable {ENV_VAR}={spec!r} ({exc}); known kinds: "
+            + ", ".join(FAULT_KINDS)
+        ) from exc
 
 
 def injector() -> ChaosInjector | None:
     """The process injector, or ``None`` while chaos is disabled.
 
     ``REPRO_CHAOS`` is consulted once, lazily; :func:`enable`,
-    :func:`disable` and :func:`reset` override it.
+    :func:`disable` and :func:`reset` override it.  An unusable spec
+    raises :class:`~repro.errors.UsageError`.
     """
     global _injector, _resolved
     if not _resolved:
-        _resolved = True
         spec = os.environ.get(ENV_VAR, "").strip()
         if spec:
             _injector = _parse_spec(spec)
+        _resolved = True
     return _injector
 
 

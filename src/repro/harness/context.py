@@ -26,8 +26,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.apps.base import AppFactory
 from repro.apps.registry import APP_NAMES, get_factory
 from repro.core.planner import EasyCrashConfig, EasyCrashPlanReport, plan_easycrash
@@ -238,12 +236,6 @@ class ExperimentContext:
 
     def easycrash_recomputability(self, name: str) -> float:
         return self.campaign(name, self.plan_easycrash(name), "easycrash").recomputability()
-
-    def average_easycrash_recomputability(self, apps: tuple[str, ...] | None = None) -> float:
-        """Average EasyCrash recomputability over the evaluated apps; the
-        paper excludes EP (recomputability ~0, cannot clear τ)."""
-        names = [a for a in (apps or self.app_names()) if a != "EP"]
-        return float(np.mean([self.easycrash_recomputability(n) for n in names]))
 
 
 _context: ExperimentContext | None = None

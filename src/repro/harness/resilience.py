@@ -34,7 +34,6 @@ __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
     "POOL_CHUNK_RETRY",
-    "NODE_LEASE_RETRY",
     "WORKER_RETRY",
     "new_breaker",
     "call_with_deadline",
@@ -110,15 +109,12 @@ class CircuitBreaker:
 
 #: A failed or timed-out pool chunk: two resubmissions, short backoff.
 POOL_CHUNK_RETRY = RetryPolicy()
-#: A node's shard lease: instant replays — a replayed shard is pure CPU
-#: work, and the chaos death schedule advances per attempt, not per second.
-NODE_LEASE_RETRY = RetryPolicy(max_retries=4, base_delay=0.0, max_delay=0.0)
 #: A ``repro work`` worker reconnecting to a restarting scheduler.
 WORKER_RETRY = RetryPolicy(max_retries=8, base_delay=0.1, max_delay=2.0)
 
 
 def new_breaker() -> CircuitBreaker:
-    """A fresh breaker (one per fan-out, cluster run or worker)."""
+    """A fresh breaker (one per pool fan-out or worker)."""
     return CircuitBreaker(threshold=3)
 
 

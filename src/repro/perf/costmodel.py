@@ -150,8 +150,3 @@ class CostModel:
             cost *= self.invalidate_reload_penalty
         return cost
 
-    def estimate_base_time(self, total_accesses: int, nvm: NVMConfig = DRAM) -> float:
-        """Crude application base time used to turn flush costs into
-        overhead *shares* for the knapsack weights."""
-        # Streaming HPC kernels: roughly one fill per few accesses.
-        return total_accesses * (self.t_block_cpu + 0.4 * self.t_fill * nvm.fill_mult)

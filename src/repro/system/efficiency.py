@@ -22,7 +22,7 @@ computation carries EasyCrash's runtime overhead ``ts``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -71,16 +71,6 @@ class SystemParams:
         return min(t, self.total_time_s)
 
 
-def efficiency_baseline(p: SystemParams) -> float:
-    """Eq. 6: efficiency of C/R without EasyCrash."""
-    t = p.young_interval()
-    m = p.total_time_s / p.mtbf_s
-    recovery = m * (t / 2.0 + p.t_restore + p.t_sync)
-    n = (p.total_time_s - recovery) / (t + p.t_chk_s)
-    useful = max(0.0, n * t)
-    return min(1.0, useful / p.total_time_s)
-
-
 def _restart_sync(p: SystemParams, nodes: int | None) -> float:
     """Coordination charge for an NVM restart, gated on surviving peers.
 
@@ -96,6 +86,48 @@ def _restart_sync(p: SystemParams, nodes: int | None) -> float:
     return p.t_sync
 
 
+def _efficiency(
+    p: SystemParams,
+    interval: float | None,
+    crashes: float,
+    r: float = 0.0,
+    ts: float = 0.0,
+    nodes: int | None = None,
+) -> float:
+    """The one Sec. 7 algebra behind every public efficiency.
+
+    ``crashes`` is ``M``; a fraction ``r`` of them restarts from NVM at
+    ``T_r' + T_sync`` and the rest roll back at ``T/2 + T_r + T_sync``;
+    ``N`` checkpoints fill what recovery leaves of the total time, and
+    the useful work carries the runtime overhead ``ts``.  ``interval``
+    ``None`` is Young's interval at the effective MTBF ``MTBF/(1-r)``
+    (Eq. 6 at ``r = 0``).  ``nodes`` gates the restart coordination term
+    (:func:`_restart_sync`).  At ``r = ts = 0`` the restart terms are
+    exact zeros, so Eq. 6 comes out bit for bit.
+    """
+    if r >= 1.0:
+        r = 1.0 - 1e-9
+    if not 0.0 <= r < 1.0:
+        raise ValueError("recomputability must be in [0, 1)")
+    if not 0.0 <= ts < 1.0:
+        raise ValueError("ts must be in [0, 1)")
+    if interval is None:
+        interval = p.young_interval(p.mtbf_s / (1.0 - r))
+    elif interval <= 0:
+        raise ValueError("interval must be positive")
+    t = min(interval, p.total_time_s)
+    recovery = crashes * (1.0 - r) * (t / 2.0 + p.t_restore + p.t_sync)
+    recovery += crashes * r * (p.t_r_nvm_s + _restart_sync(p, nodes))
+    n = (p.total_time_s - recovery) / (t + p.t_chk_s)
+    useful = max(0.0, n * t) * (1.0 - ts)
+    return min(1.0, useful / p.total_time_s)
+
+
+def efficiency_baseline(p: SystemParams) -> float:
+    """Eq. 6: efficiency of C/R without EasyCrash."""
+    return _efficiency(p, None, p.total_time_s / p.mtbf_s)
+
+
 def efficiency_easycrash(
     p: SystemParams, recomputability: float, ts: float, nodes: int | None = None
 ) -> float:
@@ -104,23 +136,7 @@ def efficiency_easycrash(
 
     ``nodes`` (optional) gates the NVM-restart coordination term on the
     surviving-node count — see :func:`_restart_sync`."""
-    if not 0.0 <= recomputability < 1.0:
-        if recomputability >= 1.0:
-            recomputability = 1.0 - 1e-9
-        else:
-            raise ValueError("recomputability must be in [0, 1)")
-    if not 0.0 <= ts < 1.0:
-        raise ValueError("ts must be in [0, 1)")
-    mtbf_ec = p.mtbf_s / (1.0 - recomputability)
-    t_prime = p.young_interval(mtbf_ec)
-    m = p.total_time_s / p.mtbf_s
-    m_rollback = m * (1.0 - recomputability)
-    m_recompute = m * recomputability
-    recovery = m_rollback * (t_prime / 2.0 + p.t_restore + p.t_sync)
-    recovery += m_recompute * (p.t_r_nvm_s + _restart_sync(p, nodes))
-    n = (p.total_time_s - recovery) / (t_prime + p.t_chk_s)
-    useful = max(0.0, n * t_prime) * (1.0 - ts)
-    return min(1.0, useful / p.total_time_s)
+    return _efficiency(p, None, p.total_time_s / p.mtbf_s, recomputability, ts, nodes)
 
 
 def efficiency_improvement(p: SystemParams, recomputability: float, ts: float) -> float:
@@ -145,12 +161,7 @@ def efficiency_baseline_under(
     p: SystemParams, process: "CorrelatedFailureProcess"
 ) -> float:
     """Eq. 6 with ``M`` drawn from an emulated failure schedule."""
-    t = p.young_interval()
-    m = _failures_over(p, process)
-    recovery = m * (t / 2.0 + p.t_restore + p.t_sync)
-    n = (p.total_time_s - recovery) / (t + p.t_chk_s)
-    useful = max(0.0, n * t)
-    return min(1.0, useful / p.total_time_s)
+    return _efficiency(p, None, _failures_over(p, process))
 
 
 def efficiency_easycrash_under(
@@ -165,22 +176,7 @@ def efficiency_easycrash_under(
     The checkpoint interval still uses the *nominal* MTBF (the schedule
     is not known in advance), which is exactly why correlated bursts
     hurt: the system checkpoints as if failures were Poisson."""
-    if recomputability >= 1.0:
-        recomputability = 1.0 - 1e-9
-    if not 0.0 <= recomputability < 1.0:
-        raise ValueError("recomputability must be in [0, 1)")
-    if not 0.0 <= ts < 1.0:
-        raise ValueError("ts must be in [0, 1)")
-    mtbf_ec = p.mtbf_s / (1.0 - recomputability)
-    t_prime = p.young_interval(mtbf_ec)
-    m = _failures_over(p, process)
-    m_rollback = m * (1.0 - recomputability)
-    m_recompute = m * recomputability
-    recovery = m_rollback * (t_prime / 2.0 + p.t_restore + p.t_sync)
-    recovery += m_recompute * (p.t_r_nvm_s + _restart_sync(p, nodes))
-    n = (p.total_time_s - recovery) / (t_prime + p.t_chk_s)
-    useful = max(0.0, n * t_prime) * (1.0 - ts)
-    return min(1.0, useful / p.total_time_s)
+    return _efficiency(p, None, _failures_over(p, process), recomputability, ts, nodes)
 
 
 def efficiency_by_crash_model(
@@ -248,13 +244,7 @@ def efficiency_measured_multinode(
 def efficiency_at_interval(p: SystemParams, interval_s: float) -> float:
     """Baseline efficiency with an arbitrary checkpoint interval (not
     necessarily Young's), for interval-optimality studies."""
-    if interval_s <= 0:
-        raise ValueError("interval must be positive")
-    t = min(interval_s, p.total_time_s)
-    m = p.total_time_s / p.mtbf_s
-    recovery = m * (t / 2.0 + p.t_restore + p.t_sync)
-    n = (p.total_time_s - recovery) / (t + p.t_chk_s)
-    return min(1.0, max(0.0, n * t) / p.total_time_s)
+    return _efficiency(p, interval_s, p.total_time_s / p.mtbf_s)
 
 
 def optimal_interval(p: SystemParams, tol: float = 1e-3) -> float:
@@ -303,7 +293,3 @@ def recomputability_threshold(
             lo = mid
     return hi
 
-
-def with_mtbf(p: SystemParams, mtbf_s: float) -> SystemParams:
-    """Convenience: the same scenario at a different MTBF."""
-    return replace(p, mtbf_s=mtbf_s)

@@ -1,5 +1,5 @@
 """Multi-node cluster emulation: burst schedules, N=1 degeneration,
-recovery orchestration, leases/chaos, and journal topology pinning."""
+recovery orchestration, and journal topology pinning."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.cluster import (
     NVM_RESTART,
     ROLLBACK,
     ClusterTopology,
-    NodeLease,
     RecoveryLog,
     RecoveryOrchestrator,
     burst_schedule,
@@ -20,8 +19,6 @@ from repro.cluster import (
 from repro.cluster.emulator import _slot_records
 from repro.cluster.topology import node_journal_path
 from repro.errors import JournalError, UsageError
-from repro.harness import chaos
-from repro.harness.resilience import CircuitBreaker, RetryPolicy
 from repro.nvct.campaign import CampaignConfig, Response, run_campaign
 
 EP = get_factory("EP")
@@ -30,12 +27,6 @@ MG = get_factory("MG")
 #: MG under whole-cache-loss yields a genuine S1/S4 split, so the
 #: recovery mix exercises both decisions (EP is all-rollback).
 MIXED_CFG = CampaignConfig(n_tests=10, seed=3, nodes=4, correlation=0.3)
-
-
-@pytest.fixture(autouse=True)
-def _restore_chaos():
-    yield
-    chaos.reset()
 
 
 # -- burst schedule ------------------------------------------------------------
@@ -228,64 +219,6 @@ def test_resume_refuses_a_different_topology(tmp_path):
         run_cluster_campaign(
             MG, replace(MIXED_CFG, crash_model="adr"), journal=journal
         )
-
-
-# -- node leases, chaos, resilience --------------------------------------------
-
-
-def test_node_death_chaos_retries_to_an_identical_result():
-    baseline = run_cluster_campaign(MG, MIXED_CFG)
-    chaos.enable(13, 0.3, kinds=["node_death"])
-    injected = run_cluster_campaign(MG, MIXED_CFG)
-    assert chaos.injector().injected.get("node_death", 0) > 0
-    assert json.dumps(injected.to_dict(), sort_keys=True) == json.dumps(
-        baseline.to_dict(), sort_keys=True
-    )
-
-
-def test_node_death_rate_one_trips_the_breaker():
-    chaos.enable(1, 1.0, kinds=["node_death"])
-    with pytest.raises(chaos.NodeDeath):
-        run_cluster_campaign(MG, MIXED_CFG)
-
-
-def test_straggler_chaos_changes_timing_not_results():
-    baseline = run_cluster_campaign(MG, MIXED_CFG)
-    chaos.enable(5, 1.0, kinds=["straggler_node"])
-    stalled = run_cluster_campaign(MG, MIXED_CFG)
-    assert chaos.injector().injected.get("straggler_node", 0) > 0
-    assert json.dumps(stalled.to_dict(), sort_keys=True) == json.dumps(
-        baseline.to_dict(), sort_keys=True
-    )
-
-
-def test_node_lease_retries_then_respects_the_breaker():
-    calls = []
-
-    def flaky():
-        calls.append(1)
-        if len(calls) < 3:
-            raise chaos.NodeDeath("boom")
-        return "ok"
-
-    lease = NodeLease(
-        node=1,
-        policy=RetryPolicy(max_retries=4, base_delay=0.0, max_delay=0.0),
-        breaker=CircuitBreaker(threshold=5),
-    )
-    assert lease.run(flaky) == "ok"
-    assert len(calls) == 3
-
-    # A tripped breaker refuses further attempts outright.
-    open_breaker = CircuitBreaker(threshold=1)
-    open_breaker.record_failure()
-    lease2 = NodeLease(
-        node=2,
-        policy=RetryPolicy(max_retries=4, base_delay=0.0, max_delay=0.0),
-        breaker=open_breaker,
-    )
-    with pytest.raises(chaos.NodeDeath, match="breaker"):
-        lease2.run(lambda: "never")
 
 
 def test_save_cluster_result_is_byte_stable(tmp_path):

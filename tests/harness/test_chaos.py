@@ -1,9 +1,12 @@
 """Chaos fault injector: determinism, gating, and end-to-end soaks."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.errors import UsageError
 from repro.harness import chaos, store
 from repro.harness.chaos import ChaosInjector, InjectedFault
 
@@ -28,10 +31,13 @@ def test_env_spec_parsing(monkeypatch):
     chaos.reset()
     ch = chaos.injector()
     assert ch is not None and ch.kinds == frozenset({"slow_io", "os_error"})
+    # An unusable spec fails loudly instead of silently turning chaos off.
     for bad in ("nope", "1", "a:b", "1:2.0", "1:0.5:badkind"):
         monkeypatch.setenv(chaos.ENV_VAR, bad)
         chaos.reset()
-        assert chaos.injector() is None, bad
+        with pytest.raises(UsageError, match="known kinds: worker_death") as excinfo:
+            chaos.injector()
+        assert repr(bad) in str(excinfo.value)
 
 
 def test_firing_is_deterministic_per_site_sequence():
@@ -49,10 +55,10 @@ def test_firing_is_deterministic_per_site_sequence():
 def test_rate_extremes_and_kind_filter():
     never = ChaosInjector(1, 0.0)
     always = ChaosInjector(1, 1.0)
-    assert not any(never.fires("s", "truncate") for _ in range(20))
-    assert all(always.fires("s", "truncate") for _ in range(20))
+    assert not any(never.fires("s", "bitflip") for _ in range(20))
+    assert all(always.fires("s", "bitflip") for _ in range(20))
     filtered = ChaosInjector(1, 1.0, kinds=["slow_io"])
-    assert not filtered.fires("s", "truncate")
+    assert not filtered.fires("s", "bitflip")
     assert filtered.fires("s", "slow_io")
     with pytest.raises(ValueError):
         ChaosInjector(1, 2.0)
@@ -61,7 +67,7 @@ def test_rate_extremes_and_kind_filter():
 
 
 def test_fault_helpers():
-    ch = ChaosInjector(5, 1.0, kinds=["os_error", "corrupt_read", "truncate"])
+    ch = ChaosInjector(5, 1.0, kinds=["os_error", "corrupt_read", "bitflip"])
     with pytest.raises(InjectedFault):
         ch.check_io("site")
     data = bytes(range(64))
@@ -69,41 +75,11 @@ def test_fault_helpers():
     assert damaged != data and len(damaged) == len(data)
     # deterministic damage: same injector state ⇒ same corruption
     assert ChaosInjector(5, 1.0).corrupt("site", data) == damaged
-    torn = ch.truncate("site", data)
-    assert torn == data[: len(data) // 2]
+    flipped = ch.bitflip("site", data)
+    assert len(flipped) == len(data)
+    assert sum(bin(a ^ b).count("1") for a, b in zip(flipped, data)) == 1
     assert ch.injected["os_error"] == 1
     assert ch.injected["corrupt_read"] == 1
-
-
-def test_cluster_fault_kinds_registered():
-    assert "node_death" in chaos.FAULT_KINDS
-    assert "straggler_node" in chaos.FAULT_KINDS
-
-
-def test_node_death_raises_typed_fault():
-    ch = ChaosInjector(5, 1.0, kinds=["node_death"])
-    with pytest.raises(chaos.NodeDeath) as excinfo:
-        ch.maybe_node_death("cluster.node")
-    # A NodeDeath is an InjectedFault (and so an OSError): generic retry
-    # paths treat it like any transient failure, while the cluster lease
-    # can catch it specifically.
-    assert isinstance(excinfo.value, InjectedFault)
-    assert ch.injected["node_death"] == 1
-    # filtered out → never fires
-    quiet = ChaosInjector(5, 1.0, kinds=["slow_io"])
-    quiet.maybe_node_death("cluster.node")
-    assert "node_death" not in quiet.injected
-
-
-def test_straggler_returns_whether_it_fired(monkeypatch):
-    naps = []
-    monkeypatch.setattr(chaos.time, "sleep", naps.append)
-    ch = ChaosInjector(5, 1.0, kinds=["straggler_node"])
-    assert ch.maybe_straggle("cluster.rollback") is True
-    assert naps == [chaos.SLOW_IO_SECONDS]
-    quiet = ChaosInjector(5, 1.0, kinds=["slow_io"])
-    assert quiet.maybe_straggle("cluster.rollback") is False
-    assert naps == [chaos.SLOW_IO_SECONDS]  # no extra sleep
 
 
 def test_enable_disable_override_env(monkeypatch):
@@ -226,35 +202,73 @@ def test_os_error_write_abandons_store_cleanly(tmp_path, monkeypatch):
     assert not list((tmp_path / "store").rglob("*.json"))
 
 
-def test_torn_writeback_helper():
-    ch = ChaosInjector(11, 1.0, kinds=["torn_writeback"])
-    data = bytes(range(256))
-    torn = ch.torn_writeback("site", data)
-    assert len(torn) == len(data)
-    assert torn != data
-    # Damage is confined to the zeroed suffix of exactly one 64-byte line.
-    diffs = [i for i in range(len(data)) if torn[i] != data[i]]
-    lines = {i // 64 for i in diffs}
-    assert len(lines) == 1
-    line = lines.pop()
-    lo, hi = line * 64, min(line * 64 + 64, len(data))
-    cut = min(diffs)
-    assert (cut - lo) % 8 == 0  # granularity-aligned tear point
-    assert torn[cut:hi] == b"\x00" * (hi - cut)
-    assert torn[:cut] == data[:cut] and torn[hi:] == data[hi:]
-    # Deterministic: same injector state tears identically.
-    assert ChaosInjector(11, 1.0).torn_writeback("site", data) == torn
-    assert ch.injected["torn_writeback"] >= 1
-
-
-def test_torn_writeback_caught_by_snapshot_crc():
+def test_torn_line_caught_by_snapshot_crc():
+    """A write torn inside one 64-byte line (an 8-byte-aligned suffix of
+    the line zeroed, length kept) must fail the snapshot array's CRC."""
     import numpy as np
 
     from repro.errors import SnapshotCorruptError
     from repro.nvct.serialize import _pack_array, _unpack_array
 
     packed = _pack_array(np.arange(64, dtype=np.float64) + 1.0)
-    ch = ChaosInjector(23, 1.0, kinds=["torn_writeback"])
-    packed["data"] = ch.torn_writeback("site", packed["data"])
+    data = packed["data"]
+    lo, cut = 3 * 64, 3 * 64 + 24
+    packed["data"] = data[:cut] + b"\x00" * (lo + 64 - cut) + data[lo + 64 :]
+    assert len(packed["data"]) == len(data) and packed["data"] != data
     with pytest.raises(SnapshotCorruptError, match="checksum"):
         _unpack_array(packed)
+
+
+def _fires_kinds(tree):
+    """The kind of every ``….fires(site, "<kind>")`` call in ``tree``."""
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "fires"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield node.args[1].value
+
+
+def test_every_fault_kind_has_a_production_site():
+    """Each kind in ``FAULT_KINDS`` is injected by some production module
+    other than ``chaos.py`` — through its helper or a direct ``fires`` —
+    so a kind whose last injection site goes away cannot linger.  A
+    helper call must match the helper's arity, so an unrelated method of
+    the same name (``fh.truncate(n)``) does not count."""
+    chaos_path = Path(chaos.__file__)
+    helpers: dict[str, set[tuple[str, int]]] = {}
+    injector_cls = next(
+        n
+        for n in ast.parse(chaos_path.read_text()).body
+        if isinstance(n, ast.ClassDef) and n.name == "ChaosInjector"
+    )
+    for method in injector_cls.body:
+        if isinstance(method, ast.FunctionDef) and method.name != "fires":
+            params = len(method.args.args) - 1  # drop self
+            required = params - len(method.args.defaults)
+            for kind in _fires_kinds(method):
+                helpers.setdefault(kind, set()).update(
+                    (method.name, n) for n in range(required, params + 1)
+                )
+
+    called: set[tuple[str, int]] = set()
+    fired: set[str] = set()
+    for path in chaos_path.parents[1].rglob("*.py"):
+        if path == chaos_path:
+            continue
+        tree = ast.parse(path.read_text())
+        fired.update(_fires_kinds(tree))
+        called.update(
+            (n.func.attr, len(n.args))
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+        )
+    orphans = [
+        kind
+        for kind in chaos.FAULT_KINDS
+        if kind not in fired and not helpers.get(kind, set()) & called
+    ]
+    assert orphans == []

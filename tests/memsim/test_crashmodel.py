@@ -164,70 +164,6 @@ def test_whole_cache_loss_survives_nothing():
     assert full.size == 0 and partial is None
 
 
-# -- sharded survivor overlays (repro.cluster.shard) ---------------------------
-
-
-@settings(max_examples=100, deadline=None)
-@given(model_specs, dirty_sets, seq_lists, st.integers(0, 2**31 - 1))
-def test_sharded_n1_overlay_byte_equals_single_node(spec, raw_blocks, raw_seqs, seed):
-    """Sharding across one node is byte-identical to the single-node plan
-    — and to the pure-Python oracle — because node 0 reuses the exact
-    historical rng derivation."""
-    from repro.cluster.shard import plan_survivor_bytes, sharded_survivor_bytes
-
-    blocks, seqs = _dirty_state(raw_blocks, raw_seqs)
-    model = get_model(spec)
-    arr_b = np.asarray(blocks, dtype=np.int64)
-    arr_s = np.asarray(seqs, dtype=np.int64)
-    per_node = sharded_survivor_bytes(model, arr_b, arr_s, 1, seed)
-    assert set(per_node) == {0}
-    single = plan_survivor_bytes(
-        model.survivor_plan(arr_b, arr_s, derive_rng(seed, "crash-model", model.spec, 0))
-    )
-    assert per_node[0].tolist() == single.tolist()
-    ref_full, ref_partial = reference_survivor_plan(
-        model.name,
-        model.params(),
-        blocks,
-        seqs,
-        derive_rng(seed, "crash-model", model.spec, 0),
-    )
-    ref_bytes = plan_survivor_bytes(
-        (np.asarray(ref_full, dtype=np.int64), ref_partial)
-    )
-    assert single.tolist() == ref_bytes.tolist()
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(1, 4), dirty_sets, seq_lists, st.integers(0, 2**31 - 1)
-)
-def test_sharded_overlays_partition_and_stay_monotone(nodes, raw_blocks, raw_seqs, seed):
-    """Per-node crash images stay inside their shard, and on every shard
-    the surviving byte sets obey the persistence-domain ordering
-    whole-cache-loss ⊆ adr ⊆ eadr."""
-    from repro.cluster.shard import shard_ranges, sharded_survivor_bytes
-
-    blocks, seqs = _dirty_state(raw_blocks, raw_seqs)
-    arr_b = np.asarray(blocks, dtype=np.int64)
-    arr_s = np.asarray(seqs, dtype=np.int64)
-    span = int(arr_b.max()) + 1 if arr_b.size else 0
-    ranges = shard_ranges(span, nodes)
-    by_model = {
-        name: sharded_survivor_bytes(get_model(name), arr_b, arr_s, nodes, seed)
-        for name in ("whole-cache-loss", "adr", "eadr")
-    }
-    for node, (lo, hi) in enumerate(ranges):
-        wcl = set(by_model["whole-cache-loss"][node].tolist())
-        adr = set(by_model["adr"][node].tolist())
-        eadr = set(by_model["eadr"][node].tolist())
-        assert wcl == set()  # the paper's model loses every dirty line
-        assert wcl <= adr <= eadr
-        # every surviving byte lies inside the node's own block stripe
-        for survivors in (adr, eadr):
-            assert all(lo * BLOCK_SIZE <= b < hi * BLOCK_SIZE for b in survivors)
-
-
 # -- spec parsing --------------------------------------------------------------
 
 

@@ -141,12 +141,17 @@ def test_efficiency_at_interval_validates():
 
 
 def test_efficiency_at_young_matches_baseline():
-    from repro.system.efficiency import efficiency_at_interval, efficiency_baseline
+    from repro.system.efficiency import (
+        efficiency_at_interval,
+        efficiency_baseline,
+        efficiency_easycrash,
+    )
 
     p = params(320.0)
-    assert efficiency_at_interval(p, p.young_interval()) == pytest.approx(
-        efficiency_baseline(p)
-    )
+    # Exact: every public efficiency is the same algebra, and at R = ts = 0
+    # the EasyCrash restart terms are exact zeros.
+    assert efficiency_at_interval(p, p.young_interval()) == efficiency_baseline(p)
+    assert efficiency_easycrash(p, 0.0, 0.0) == efficiency_baseline(p)
 
 
 # -- emulated failure schedules (correlated arrivals) --------------------------
