@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.callgraph import ClassGraph, Op, build_class_graph
+from repro.analysis.callgraph import ClassGraph, Op, build_class_graph, self_attr
 from repro.analysis.findings import Finding, Severity
 
 __all__ = ["analyze_source", "analyze_paths"]
@@ -163,17 +163,6 @@ def _collect_classes(tree: ast.Module) -> list[_ClassInfo]:
 
 def _is_app_class(info: _ClassInfo) -> bool:
     return "_iterate" in info.methods or "_allocate" in info.methods
-
-
-def _self_attr(node: ast.AST) -> str | None:
-    """``self.<attr>`` -> attr name."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _hot_methods(info: _ClassInfo, graph: ClassGraph | None = None) -> set[str]:
@@ -410,7 +399,7 @@ class _ClassAnalyzer:
     def _self_calls_with_region(self, fn: ast.FunctionDef):
         for node, in_region in self._walk_with_region_flag(fn):
             if isinstance(node, ast.Call):
-                attr = _self_attr(node.func)
+                attr = self_attr(node.func)
                 if attr is not None:
                     yield attr, in_region
 
@@ -425,7 +414,7 @@ class _ClassAnalyzer:
                 base = node.func.value
                 if isinstance(base, ast.Attribute) and base.attr == "arr":
                     base = base.value
-                if _self_attr(base) in managed:
+                if self_attr(base) in managed:
                     yield node, in_region
 
     # -- rule: region-mismatch -------------------------------------------------
@@ -602,7 +591,7 @@ class _ClassAnalyzer:
             ):
                 continue
             for tgt in node.targets:
-                attr = _self_attr(tgt)
+                attr = self_attr(tgt)
                 if attr is None:
                     continue
                 self._add(

@@ -201,14 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "interrupted campaign resumed this way is bit-identical to an "
         "uninterrupted one",
     )
-    c.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="retries per failed classification chunk in the parallel "
-        "engine before the circuit breaker degrades to serial (default 2)",
-    )
     _add_jobs_flag(c)
 
     p = sub.add_parser("plan", help="run the EasyCrash planning workflow")
@@ -350,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--idle-timeout", type=float, default=30.0, metavar="SECONDS",
                    help="how long to retry a dead socket before concluding "
                    "the campaign is over (default 30)")
-    w.add_argument("--max-retries", type=int, default=None, metavar="N",
-                   help="connect retries burned per backoff cycle (default 8)")
 
     a = sub.add_parser("advise", help="Sec. 8 deployment decision for an application")
     a.add_argument("app")
@@ -498,22 +488,19 @@ def _finish_campaign(result, args: argparse.Namespace) -> None:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import contextlib
     import os
-    from dataclasses import replace
 
     from repro import obs
-    from repro.harness.resilience import POOL_CHUNK_RETRY
 
     _install_sigterm_handler()
     scope = obs.enabled() if args.stats else contextlib.nullcontext()
     with scope as reg:
         factory, cfg = _campaign_config(args)
-        retry = None
-        if args.max_retries is not None:
-            retry = replace(POOL_CHUNK_RETRY, max_retries=args.max_retries)
         if args.until_stable:
             from repro.nvct.adaptive import recomputability_interval, run_campaign_until_stable
 
-            stable = run_campaign_until_stable(factory, cfg, round_size=args.tests)
+            stable = run_campaign_until_stable(
+                factory, cfg, round_size=args.tests, trial_timeout=args.trial_timeout
+            )
             result = stable.result
             lo, hi = recomputability_interval(result)
             print(f"stabilized after {stable.rounds} rounds "
@@ -522,14 +509,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             from repro.cluster import run_cluster_campaign
 
             result = run_cluster_campaign(
-                factory, cfg, journal=args.resume, retry=retry, trial_timeout=args.trial_timeout
+                factory, cfg, journal=args.resume, trial_timeout=args.trial_timeout
             )
         else:
             from repro.nvct.campaign import run_campaign
 
             result = run_campaign(
-                factory, cfg, journal=args.resume, retry=retry,
-                trial_timeout=args.trial_timeout,
+                factory, cfg, journal=args.resume, trial_timeout=args.trial_timeout
             )
         _finish_campaign(result, args)
         if reg is not None:
@@ -577,19 +563,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.harness.resilience import WORKER_RETRY
     from repro.service import run_worker
 
     _install_sigterm_handler()
-    committed = run_worker(
-        args.socket,
-        name=args.name,
-        idle_timeout_s=args.idle_timeout,
-        retry=None if args.max_retries is None
-        else replace(WORKER_RETRY, max_retries=args.max_retries),
-    )
+    committed = run_worker(args.socket, name=args.name, idle_timeout_s=args.idle_timeout)
     print(f"worker done: {committed} chunk(s) committed")
     return 0
 

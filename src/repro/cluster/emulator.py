@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 
     from repro.apps.base import AppFactory
     from repro.checkpoint.multilevel import MultiLevelCheckpointModel
-    from repro.harness.resilience import RetryPolicy
     from repro.nvct.campaign import CampaignConfig, CampaignResult, CrashTestRecord
 
 __all__ = [
@@ -236,7 +235,6 @@ def run_cluster_campaign(
     jobs: int | None = None,
     chunk_timeout: float | None = None,
     journal: "str | Path | None" = None,
-    retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
     checkpoint: "MultiLevelCheckpointModel | None" = None,
 ) -> ClusterResult:
@@ -249,7 +247,7 @@ def run_cluster_campaign(
     a plain campaign (:func:`~repro.nvct.campaign.run_shard`: per-node
     journal and ledger); the recovery orchestrator then replays the
     burst schedule over the measured records.  ``jobs`` /
-    ``chunk_timeout`` / ``retry`` / ``trial_timeout`` mean what they mean
+    ``chunk_timeout`` / ``trial_timeout`` mean what they mean
     for :func:`~repro.nvct.campaign.run_campaign`, per shard.
     """
     from repro.nvct.campaign import phase_span, plan_shards, record_shards, run_shard
@@ -260,7 +258,7 @@ def run_cluster_campaign(
     for shard in record_shards(factory, plans):
         with phase_span("campaign", factory, tests=shard.cfg.n_tests):
             node_results[shard.cfg.node] = run_shard(
-                shard, jobs, chunk_timeout, retry, trial_timeout
+                shard, jobs, chunk_timeout, trial_timeout
             )
         # Done with this node's images: a per-shard fallback then holds
         # one recording at a time.

@@ -25,26 +25,16 @@ site                  faults it can fire
                       campaign), ``stale_version`` (the record reads as
                       a foreign schema version — the migration-shim
                       rejection path)
-``service.record``    ``msg_drop`` (a streamed trial record never reaches
-                      the scheduler — the commit-time completeness check
-                      must ask for it again), ``msg_duplicate`` (the
-                      record arrives twice — the scheduler's exactly-once
-                      ledger must journal it once)
-``service.heartbeat`` ``msg_drop`` / ``msg_duplicate`` on the wire, and
-                      ``heartbeat_delay`` — the worker sits out one
-                      heartbeat as if the message were delayed past the
-                      deadline, so the reaper can expire a live worker's
-                      lease (its late commit must then be fenced)
-``service.lease``     ``lease_steal`` — the scheduler invalidates a lease
-                      right after granting it, as if a reaper on another
-                      node had already re-issued the chunk; the original
-                      holder becomes a zombie whose commit is rejected by
-                      its stale fencing token (:mod:`repro.service`)
 ``service.worker``    ``worker_death`` — the ``repro work`` process calls
                       ``os._exit`` between two trials of a chunk; the
                       missed heartbeats expire the lease and another
                       worker re-runs the chunk
 ===================== =====================================================
+
+Message-level service faults (dropped, duplicated or late records and
+heartbeats, re-leased chunks, scheduler restarts) are not injected
+here: the seeded service simulation in ``tests/service/test_simulation.py``
+applies them at every message boundary on a simulated clock.
 
 Determinism: whether call *n* at a site fires is a pure function of
 ``(seed, site, kind, n)`` via :func:`repro.util.rng.derive_seed` — a fixed
@@ -92,10 +82,6 @@ FAULT_KINDS = (
     "slow_io",
     "bitflip",
     "stale_version",
-    "msg_drop",
-    "msg_duplicate",
-    "lease_steal",
-    "heartbeat_delay",
 )
 
 #: Seconds a parallel chunk may take when worker-death chaos is active.
@@ -164,33 +150,6 @@ class ChaosInjector:
         """Fire ``os_error``: raise a transient :class:`InjectedFault`."""
         if self.fires(site, "os_error"):
             raise InjectedFault(f"chaos: injected I/O error at {site}")
-
-    def drops(self, site: str) -> bool:
-        """Fire ``msg_drop``: the caller should not send this message."""
-        return self.fires(site, "msg_drop")
-
-    def duplicates(self, site: str) -> bool:
-        """Fire ``msg_duplicate``: the caller should send the message twice."""
-        return self.fires(site, "msg_duplicate")
-
-    def steals(self, site: str) -> bool:
-        """Fire ``lease_steal``: the just-granted lease is invalidated.
-
-        The scheduler marks the lease for immediate expiry, so the next
-        reaper tick re-enqueues the chunk and re-grants it under a higher
-        fencing token — the original holder keeps working as a zombie and
-        its eventual commit must be rejected.
-        """
-        return self.fires(site, "lease_steal")
-
-    def delays_heartbeat(self, site: str) -> bool:
-        """Fire ``heartbeat_delay``: the worker sits out one heartbeat.
-
-        Pure in ``(seed, site, kind, call#)`` like every kind — the
-        worker simply skips the send, which is indistinguishable (to the
-        scheduler) from the message being delayed past the deadline.
-        """
-        return self.fires(site, "heartbeat_delay")
 
     def corrupt(self, site: str, data: bytes) -> bytes:
         """Fire ``corrupt_read``: return ``data`` with deterministic damage."""

@@ -103,9 +103,8 @@ class CircuitBreaker:
 
 # -- the one home of retry/breaker parameters ---------------------------------
 #
-# Callers take a preset and override single fields with
-# ``dataclasses.replace`` (the CLIs' ``--max-retries``); nobody else
-# constructs a policy or a breaker.
+# These presets are the only place retry policy is set: callers use them
+# as they are, and nobody else constructs a policy or a breaker.
 
 #: A failed or timed-out pool chunk: two resubmissions, short backoff.
 POOL_CHUNK_RETRY = RetryPolicy()

@@ -65,6 +65,7 @@ def run_campaign_until_stable(
     min_tests: int = 100,
     max_tests: int = 2000,
     round_size: int | None = None,
+    trial_timeout: float | None = None,
 ) -> StableCampaign:
     """Grow a campaign round by round until the recomputability estimate
     changes by less than ``tolerance`` between rounds.
@@ -72,7 +73,8 @@ def run_campaign_until_stable(
     Each round draws fresh crash points (a distinct seed), so rounds are
     independent samples of the same crash distribution; the merged record
     set is the final campaign.  ``max_tests`` bounds the paper's
-    1000-2000-test ceiling.
+    1000-2000-test ceiling; ``trial_timeout`` is every round's
+    :func:`~repro.nvct.campaign.run_campaign` deadline per trial.
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
@@ -82,7 +84,8 @@ def run_campaign_until_stable(
     history: list[float] = []
     while True:
         result = run_campaign(
-            factory, replace(config, n_tests=step, seed=config.seed + rounds)
+            factory, replace(config, n_tests=step, seed=config.seed + rounds),
+            trial_timeout=trial_timeout,
         )
         merged = result if merged is None else _merged(merged, result)
         rounds += 1

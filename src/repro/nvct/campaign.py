@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # avoid a circular import (apps depend on nvct)
 
     from repro.apps.base import AppFactory
     from repro.cluster.emulator import Burst
-    from repro.harness.resilience import RetryPolicy
     from repro.memsim.golden import GoldenStore
 
 __all__ = [
@@ -823,7 +822,6 @@ def run_shard(
     shard: PreparedShard,
     jobs: int | None = None,
     chunk_timeout: float | None = None,
-    retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
 ) -> CampaignResult:
     """The single-shard path every local run goes through: classify what
@@ -845,7 +843,7 @@ def run_shard(
             replayed=plan.n_snaps - len(missing),
         ):
             if n_jobs > 1 and len(missing) > 1:
-                classify_pooled(shard, missing, ledger.add, n_jobs, chunk_timeout, retry)
+                classify_pooled(shard, missing, ledger.add, n_jobs, chunk_timeout)
             else:
                 for i, rec in shard.classify(missing, trial_timeout):
                     ledger.add(i, rec)
@@ -860,7 +858,6 @@ def run_campaign(
     jobs: int | None = None,
     chunk_timeout: float | None = None,
     journal: "str | Path | None" = None,
-    retry: "RetryPolicy | None" = None,
     trial_timeout: float | None = None,
 ) -> CampaignResult:
     """Run a full crash-test campaign for one application and plan.
@@ -874,8 +871,7 @@ def run_campaign(
     (:mod:`repro.nvct.journal`): completed trials are fsync'd as they
     finish, and a rerun against the same journal skips them — an
     interrupted campaign resumed this way is bit-identical to an
-    uninterrupted one.  ``retry`` tunes chunk retries/backoff in the
-    parallel engine; ``trial_timeout`` quarantines any single trial that
+    uninterrupted one.  ``trial_timeout`` quarantines any single trial that
     exceeds its deadline as a ``FAILED`` record (wall-clock dependent, so
     off by default).
     """
@@ -890,5 +886,5 @@ def run_campaign(
     with phase_span("campaign", factory, tests=cfg.n_tests):
         (shard,), _ = plan_shards(factory, cfg, journal=journal)
         return run_shard(
-            PreparedShard.record(factory, shard), jobs, chunk_timeout, retry, trial_timeout
+            PreparedShard.record(factory, shard), jobs, chunk_timeout, trial_timeout
         )

@@ -302,8 +302,8 @@ class TrialLedger:
     """The one committer: journal first, each trial index at most once.
 
     ``add`` journals (fsync) and keeps a record iff its index is new;
-    duplicates — a re-sent record after a lost ack, a ``msg_duplicate``
-    chaos double, a zombie worker's in-flight stream — are dropped and
+    duplicates — a re-sent record after a lost ack, a message delivered
+    twice, a zombie worker's in-flight stream — are dropped and
     counted.  Safe because classification is deterministic: every
     delivery of index ``i`` carries the bit-identical record.  ``records``
     is keyed by crash-point index, which is the order results are

@@ -46,7 +46,6 @@ __all__ = [
 
 if TYPE_CHECKING:  # avoid import cycles at runtime
     from repro.apps.base import AppFactory
-    from repro.harness.resilience import RetryPolicy
     from repro.memsim.golden import GoldenSnapshotSource, GoldenStore
     from repro.nvct.campaign import (
         CampaignConfig,
@@ -143,7 +142,6 @@ def classify_snapshots(
     cfg: "CampaignConfig",
     jobs: int | None = None,
     chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT,
-    retry: "RetryPolicy | None" = None,
     record_sink: "Callable[[int, CrashTestRecord], None] | None" = None,
 ) -> list["CrashTestRecord"]:
     """Classify every trial of ``source``, fanning out over ``jobs`` processes.
@@ -162,8 +160,8 @@ def classify_snapshots(
     merged in crash-point order.
 
     Failure handling is layered: a failed or timed-out chunk is
-    resubmitted under ``retry`` (exponential backoff, seeded jitter); a
-    :class:`~repro.harness.resilience.CircuitBreaker` trips after
+    resubmitted under ``POOL_CHUNK_RETRY`` (exponential backoff, seeded
+    jitter); a :class:`~repro.harness.resilience.CircuitBreaker` trips after
     repeated consecutive failures and degrades the rest of the fan-out to
     serial execution in the parent; any chunk still missing at the end is
     classified in-process.  Parallelism stays strictly an optimization —
@@ -195,7 +193,6 @@ def classify_snapshots(
     if jobs <= 1 or len(indices) < 2:
         return classify_serial(0, len(indices))
 
-    retry = retry or POOL_CHUNK_RETRY
     breaker = new_breaker()
     if (ch := chaos_injector()) is not None and "worker_death" in ch.kinds:
         # A killed worker never posts its result; the chunk timeout is the
@@ -224,12 +221,12 @@ def classify_snapshots(
                         index, records = pending[ci].get(timeout=chunk_timeout)
                     except Exception:
                         tripped = breaker.record_failure()
-                        if tripped or attempt >= retry.max_retries:
+                        if tripped or attempt >= POOL_CHUNK_RETRY.max_retries:
                             break
                         retries += 1
                         if (reg := registry()) is not None:
                             reg.counter("resilience.retries", unit="retries").inc()
-                        time.sleep(retry.delay(f"chunk-{ci}", attempt))
+                        time.sleep(POOL_CHUNK_RETRY.delay(f"chunk-{ci}", attempt))
                         attempt += 1
                         pending[ci] = pool.apply_async(_classify_chunk, (tasks[ci],))
                         continue
@@ -271,7 +268,6 @@ def classify_pooled(
     sink: "Callable[[int, CrashTestRecord], object]",
     jobs: int,
     chunk_timeout: float | None = None,
-    retry: "RetryPolicy | None" = None,
 ) -> None:
     """The process-pool executor over a prepared shard: classify trials
     ``indices`` through :func:`classify_snapshots` (workers replay the
@@ -283,6 +279,6 @@ def classify_pooled(
     classify_snapshots(
         shard.factory, GoldenSnapshotSource(shard.store, indices),
         shard.golden_iterations, shard.cfg,
-        jobs=jobs, chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT, retry=retry,
+        jobs=jobs, chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT,
         record_sink=lambda local, rec: sink(indices[local], rec),
     )

@@ -63,7 +63,6 @@ class LeaseState:
     token: int = 0  # 0 = never granted; real tokens start at 1
     worker: str = ""
     deadline: float = 0.0  # on the caller's clock; meaningless unless LEASED
-    stolen: bool = False  # lease_steal chaos: expire at the next reap
 
 
 class LeaseTable:
@@ -109,7 +108,6 @@ class LeaseTable:
                 self.next_token += 1
                 st.worker = worker
                 st.deadline = now + self.deadline_s
-                st.stolen = False
                 return st
         return None
 
@@ -125,10 +123,9 @@ class LeaseTable:
         """Reap: return (and re-enqueue) every lease past its deadline."""
         out = []
         for st in self.states.values():
-            if st.status == LEASED and (st.stolen or now >= st.deadline):
+            if st.status == LEASED and now >= st.deadline:
                 st.status = PENDING
                 st.worker = ""
-                st.stolen = False
                 # token is kept: the *next* grant draws a fresh, higher one,
                 # and the old value documents which grant was reaped.
                 out.append(st)

@@ -28,10 +28,12 @@ s → w      ``fenced``   commit rejected: the lease expired or was re-granted
 
 Reliability split: ``lease`` and ``commit`` are request/reply on a
 connected stream — they cannot be silently lost.  ``record`` and
-``heartbeat`` are fire-and-forget, which is where the ``msg_drop`` /
-``msg_duplicate`` chaos kinds bite; the commit-time completeness check
-(``retry``) closes the dropped-record hole, and the missed-heartbeat
-reaper plus fencing closes the dropped-heartbeat one.
+``heartbeat`` are fire-and-forget, so one may be lost (a torn line), late
+or repeated; the commit-time completeness check (``retry``) closes the
+dropped-record hole, the ledger's index dedupe absorbs repeats, and the
+missed-heartbeat reaper plus fencing closes the dropped-heartbeat one.
+The seeded service simulation in ``tests/service/test_simulation.py``
+drops, duplicates and delays these messages at every boundary.
 
 The ``spec`` makes workers stateless: ``app``, the shard's campaign
 document (``config``, :meth:`~repro.nvct.campaign.CampaignConfig.to_doc`

@@ -212,23 +212,31 @@ class CampaignScheduler:
     # -- protocol --------------------------------------------------------------
 
     def handle(self, msg: dict, now: float) -> list[dict]:
-        """Process one decoded message; return the replies to send back."""
+        """Process one decoded message; return the replies to send back.
+
+        A message is input from another process: one whose ``chunk`` or
+        ``token`` does not convert to an integer is a bad line, counted
+        and dropped like a torn one, never an exception that would end
+        the event loop.
+        """
         assert self.table is not None and self.lease_journal is not None
         op = msg.get("op")
         if op == "lease":
             return self._handle_lease(str(msg.get("worker", "?")), now)
+        try:
+            chunk_id = int(msg.get("chunk", -1))
+            token = int(msg.get("token", 0))
+        except (TypeError, ValueError, OverflowError):
+            op = None
         if op == "heartbeat":
-            ok = self.table.heartbeat(
-                int(msg.get("chunk", -1)), int(msg.get("token", 0)), now
-            )
-            if ok:
+            if self.table.heartbeat(chunk_id, token, now):
                 bump("service.heartbeats", unit="beats")
             return []
         if op == "record":
-            self._handle_record(msg)
+            self._handle_record(chunk_id, msg)
             return []
         if op == "commit":
-            return [self._handle_commit(msg)]
+            return [self._handle_commit(chunk_id, token)]
         bump("service.bad_lines", unit="messages")
         return []
 
@@ -244,13 +252,6 @@ class CampaignScheduler:
             {"event": "grant", "chunk": st.chunk.chunk_id,
              "token": st.token, "worker": worker}
         )
-        from repro.harness.chaos import injector as chaos_injector
-
-        if (ch := chaos_injector()) is not None and ch.steals("service.lease"):
-            # Another reaper already re-issued this chunk, as far as the
-            # holder is concerned: expire it at the next tick and let the
-            # fencing token reject the original holder's commit.
-            st.stolen = True
         bump("service.leases_granted", unit="leases")
         shard = self.shards[st.chunk.node]
         return [
@@ -265,7 +266,7 @@ class CampaignScheduler:
             }
         ]
 
-    def _handle_record(self, msg: dict) -> None:
+    def _handle_record(self, chunk_id: int, msg: dict) -> None:
         """Ingest one streamed trial record (fire-and-forget, best effort).
 
         Records are accepted regardless of lease status — a zombie's
@@ -276,13 +277,13 @@ class CampaignScheduler:
         assert self.table is not None
         from repro.nvct.serialize import record_from_dict
 
-        st = self.table.states.get(int(msg.get("chunk", -1)))
+        st = self.table.states.get(chunk_id)
         if st is None:
             return
         try:
             index = int(msg["index"])
             record = record_from_dict(msg["record"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             bump("service.bad_lines", unit="messages")
             return
         if index not in st.chunk.indices:
@@ -291,10 +292,8 @@ class CampaignScheduler:
         if self.shards[st.chunk.node].ledger.add(index, record):
             bump("service.records", unit="records")
 
-    def _handle_commit(self, msg: dict) -> dict:
+    def _handle_commit(self, chunk_id: int, token: int) -> dict:
         assert self.table is not None and self.lease_journal is not None
-        chunk_id = int(msg.get("chunk", -1))
-        token = int(msg.get("token", 0))
         st = self.table.states.get(chunk_id)
         if st is None:
             bump("service.fenced_commits", unit="commits")
@@ -302,8 +301,9 @@ class CampaignScheduler:
         if st.status == "leased" and st.token == token:
             missing = self.shards[st.chunk.node].ledger.missing(st.chunk.indices)
             if missing:
-                # Dropped records (msg_drop chaos, a lossy pipe): the
-                # commit is premature, not wrong — ask for the gaps.
+                # Records lost on the way (a dropped message, a torn
+                # line): the commit is premature, not wrong — ask for
+                # the gaps.
                 return {"op": "retry", "chunk": chunk_id, "missing": missing}
         verdict = self.table.commit(chunk_id, token)
         if verdict == "ok":

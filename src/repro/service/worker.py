@@ -18,8 +18,8 @@ Robustness posture:
   third of the scheduler's deadline while trials execute;
 * a lost scheduler (SIGKILL before ``--resume``) shows up as a broken
   socket: the worker abandons its in-flight chunk (the reaper will
-  re-issue it) and reconnects under its :class:`RetryPolicy` until the
-  restarted scheduler answers or the policy gives up;
+  re-issue it) and reconnects with ``WORKER_RETRY`` backoff until the
+  restarted scheduler answers or the idle timeout runs out;
 * a ``fenced`` commit means this worker was declared dead and its chunk
   re-granted — the only correct move is to drop the chunk and lease on;
 * chunk execution failures feed a :class:`CircuitBreaker`: one poison
@@ -159,7 +159,6 @@ class _Connection:
 
 def _connect(
     socket_path: str,
-    retry,
     clock: Callable[[], float],
     sleep: Callable[[float], None],
     idle_timeout_s: float,
@@ -168,9 +167,11 @@ def _connect(
 
     Covers the scheduler-restart window: ``repro serve --resume`` takes
     seconds to rebuild its queue, during which connects fail.  Backoff
-    delays come from the (seeded, deterministic) retry policy; the idle
-    timeout bounds the total wait.
+    delays come from the (seeded, deterministic) ``WORKER_RETRY`` policy;
+    the idle timeout bounds the total wait.
     """
+    from repro.harness.resilience import WORKER_RETRY
+
     start = clock()
     attempt = 0
     while True:
@@ -179,7 +180,7 @@ def _connect(
         except OSError:
             if clock() - start >= idle_timeout_s:
                 return None
-            sleep(max(retry.delay("connect", min(attempt, 8)), 0.05))
+            sleep(max(WORKER_RETRY.delay("connect", min(attempt, 8)), 0.05))
             attempt += 1
             bump("service.worker_reconnects", unit="attempts")
 
@@ -189,8 +190,6 @@ def run_worker(
     *,
     name: str | None = None,
     idle_timeout_s: float = DEFAULT_IDLE_TIMEOUT_S,
-    retry=None,
-    breaker=None,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
     executor_factory: Callable[[dict], ChunkExecutor] = ChunkExecutor.from_spec,
@@ -202,13 +201,12 @@ def run_worker(
     cannot execute chunks at all; a merely *finished* (or vanished)
     scheduler is a clean return.
     """
-    from repro.harness.resilience import WORKER_RETRY, new_breaker
+    from repro.harness.resilience import new_breaker
     from repro.obs import maybe_span, registry
 
     path = str(socket_path)
     worker = name or f"worker-{os.getpid()}"
-    retry = retry or WORKER_RETRY
-    breaker = breaker or new_breaker()
+    breaker = new_breaker()
     reg = registry()
     tracer = reg.tracer if reg else None
     executors: dict[str, ChunkExecutor] = {}
@@ -217,7 +215,7 @@ def run_worker(
     try:
         while True:
             if conn is None:
-                conn = _connect(path, retry, clock, sleep, idle_timeout_s)
+                conn = _connect(path, clock, sleep, idle_timeout_s)
                 if conn is None:
                     return committed  # scheduler gone for good: campaign over
             try:
@@ -295,32 +293,19 @@ def _execute_chunk(
     heartbeat_every = max(deadline_s / 3.0, 1e-6)
     last_beat = clock()
     for index, record_doc in executor.run(indices):
-        ch = chaos_injector()
-        if ch is not None:
+        if (ch := chaos_injector()) is not None:
             # The service.worker death site: a worker dying between two
             # trials of a chunk, detected only by its missed heartbeats.
             ch.maybe_kill("service.worker")
-        _send_unreliable(
-            conn,
+        conn.send(
             {"op": "record", "chunk": chunk_id, "token": token,
-             "index": index, "record": record_doc},
-            site="service.record",
+             "index": index, "record": record_doc}
         )
         if clock() - last_beat >= heartbeat_every:
-            if ch is not None and ch.delays_heartbeat("service.heartbeat"):
-                # Sit this one out: to the scheduler it is a heartbeat
-                # delayed past the deadline, which may expire the lease
-                # and fence our commit — exactly the zombie drill.
-                pass
-            else:
-                _send_unreliable(
-                    conn,
-                    {"op": "heartbeat", "chunk": chunk_id, "token": token},
-                    site="service.heartbeat",
-                )
+            conn.send({"op": "heartbeat", "chunk": chunk_id, "token": token})
             last_beat = clock()
 
-    # Commit, resending any records the scheduler never saw (msg_drop).
+    # Commit, resending any records the scheduler never saw.
     while True:
         conn.send({"op": "commit", "chunk": chunk_id, "token": token})
         reply = conn.recv()
@@ -340,20 +325,3 @@ def _execute_chunk(
             continue
         raise ServiceError(f"unexpected commit reply from scheduler: {reply!r}")
 
-
-def _send_unreliable(conn: _Connection, doc: dict, site: str) -> None:
-    """Send a fire-and-forget message through the chaos gate.
-
-    ``msg_drop`` swallows the message (the completeness check or the
-    reaper must recover); ``msg_duplicate`` sends it twice (the ledger's
-    dedupe must absorb it).  Both decisions are pure in
-    ``(seed, site, kind, call#)``.
-    """
-    from repro.harness.chaos import injector as chaos_injector
-
-    ch = chaos_injector()
-    if ch is not None and ch.drops(site):
-        return
-    conn.send(doc)
-    if ch is not None and ch.duplicates(site):
-        conn.send(doc)

@@ -25,11 +25,13 @@ def test_serve_parser_flags():
 
 def test_work_parser_flags():
     args = build_parser().parse_args(
-        ["work", "--socket", "s.sock", "--name", "w1",
-         "--idle-timeout", "5", "--max-retries", "2"]
+        ["work", "--socket", "s.sock", "--name", "w1", "--idle-timeout", "5"]
     )
     assert args.command == "work" and args.name == "w1"
-    assert args.idle_timeout == 5.0 and args.max_retries == 2
+    assert args.idle_timeout == 5.0
+    # Retry policy is set only by the presets in repro.harness.resilience.
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["work", "--socket", "s.sock", "--max-retries", "2"])
 
 
 @pytest.mark.parametrize(

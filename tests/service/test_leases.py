@@ -62,14 +62,6 @@ def test_expiry_reenqueues_and_fresh_grant_outranks_zombie():
     assert table.commit(0, regrant.token) == "duplicate"  # idempotent reseal
 
 
-def test_stolen_lease_expires_at_next_reap_regardless_of_deadline():
-    table = make_table(deadline_s=1000.0)
-    st = table.grant("w1", now=0.0)
-    st.stolen = True
-    assert [s.chunk.chunk_id for s in table.expire_due(now=0.0)] == [0]
-    assert st.stolen is False  # consumed
-
-
 def test_done_and_counts():
     table = make_table()
     assert table.counts() == {"pending": 3, "leased": 0, "committed": 0}

@@ -1,5 +1,5 @@
 """Scheduler protocol logic on a fake clock: grant/record/commit/retry,
-fencing, reaping, resume, and the lease-steal chaos hook.
+fencing, reaping, resume, and malformed-message handling.
 
 No sockets anywhere — :meth:`CampaignScheduler.handle` takes decoded
 messages and an explicit ``now``, which is the whole point of the design.
@@ -9,7 +9,6 @@ import pytest
 
 from repro.apps.registry import get_factory
 from repro.errors import JournalError, UsageError
-from repro.harness import chaos
 from repro.nvct.campaign import CampaignConfig
 from repro.nvct.journal import scan_journal
 from repro.service import CampaignScheduler, ChunkExecutor
@@ -179,15 +178,37 @@ def test_resume_autocommits_chunks_the_campaign_journal_covers(tmp_path, record_
     assert len(recovered) == 1 and recovered[0]["chunk"] == grant["chunk"]
 
 
-def test_lease_steal_chaos_expires_at_next_tick(tmp_path):
+@pytest.mark.parametrize(
+    "msg",
+    [
+        {"op": "heartbeat", "chunk": "x", "token": 1},
+        {"op": "commit", "chunk": None, "token": 1},
+        {"op": "record", "chunk": [0]},
+        {"op": "commit", "chunk": 0, "token": "abc"},
+        {"op": "commit", "chunk": float("inf"), "token": 1},
+        {"op": "record", "chunk": 0, "token": 1, "index": float("inf"), "record": {}},
+    ],
+    ids=[
+        "heartbeat-str-chunk", "commit-null-chunk", "record-list-chunk",
+        "commit-str-token", "commit-inf-chunk", "record-inf-index",
+    ],
+)
+def test_malformed_field_is_a_bad_line_not_a_crash(tmp_path, msg):
+    """A field that does not convert is counted and dropped: one bad peer
+    must not end ``repro serve``'s event loop."""
+    from repro import obs
+    from repro.service.protocol import LineReader, encode
+
     sched = make_scheduler(tmp_path)
-    chaos.enable(5, 1.0, kinds=["lease_steal"])
     try:
-        (grant,) = sched.handle({"op": "lease", "worker": "w1"}, now=0.0)
-        assert sched.reap(now=0.0) == 1  # stolen: gone long before the deadline
-        assert _commit(sched, grant) == {"op": "fenced", "chunk": grant["chunk"]}
+        sched.handle({"op": "lease", "worker": "w1"}, now=0.0)
+        before = sched.table.counts()
+        (msg,) = LineReader().feed(encode(msg))  # as it arrives off the wire
+        with obs.enabled() as reg:
+            assert sched.handle(msg, now=1.0) == []
+            assert reg.counter("service.bad_lines").value == 1
+        assert sched.table.counts() == before
     finally:
-        chaos.disable()
         sched.close()
 
 

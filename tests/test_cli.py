@@ -102,6 +102,38 @@ def test_campaign_until_stable(capsys):
     assert "95% CI" in out
 
 
+@pytest.mark.skipif(not hasattr(__import__("signal"), "setitimer"), reason="needs SIGALRM")
+def test_campaign_until_stable_honours_trial_timeout(capsys, tmp_path, monkeypatch):
+    """``--trial-timeout`` reaches every round of ``--until-stable``: the
+    one trial that hangs is quarantined as a FAILED record."""
+    import time
+
+    from repro.errors import TrialTimeout
+    from repro.nvct import campaign as campaign_mod
+    from repro.nvct.campaign import Response
+    from repro.nvct.serialize import load_campaign
+
+    calls = {"n": 0}
+    orig = campaign_mod._classify
+
+    def sometimes_hangs(factory, snap, golden_iterations, cfg):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            time.sleep(30)
+        return orig(factory, snap, golden_iterations, cfg)
+
+    monkeypatch.setattr(campaign_mod, "_classify", sometimes_hangs)
+    save = tmp_path / "stable.json"
+    code, out = run_cli(
+        capsys, "campaign", "kmeans", "--tests", "15", "--until-stable",
+        "--trial-timeout", "0.2", "--save", str(save),
+    )
+    assert code == 0 and "stabilized after" in out
+    failed = [r for r in load_campaign(save).records if r.response is Response.FAILED]
+    assert len(failed) == 1
+    assert failed[0].error.startswith(TrialTimeout.__name__)
+
+
 def test_campaign_resume_journals_and_replays(capsys, tmp_path, monkeypatch):
     journal = tmp_path / "j.jsonl"
     code, out = run_cli(

@@ -308,10 +308,12 @@ zombie's late commit.  So may the scheduler: `repro serve --resume`
 rebuilds its queue purely from the lease + campaign journals.  However
 the run was mangled, the saved result is **byte-identical** to a serial
 `repro campaign MG --tests 2000 --save` — CI's `service-soak` job
-SIGKILLs two workers plus the scheduler per push, under the message
-chaos kinds (`msg_drop`, `msg_duplicate`, `lease_steal`,
-`heartbeat_delay`), and `cmp`s the artifacts.  See *Campaign
-orchestration service* in `docs/API.md`.
+SIGKILLs two workers plus the scheduler per push and `cmp`s the
+artifacts.  Dropped, duplicated and late messages, re-leased chunks and
+scheduler restarts are checked in the tier-1 tests by a seeded
+in-process simulation of the service (`tests/service/test_simulation.py`),
+which compares the same bytes.  See *Campaign orchestration service* in
+`docs/API.md`.
 """
 
 

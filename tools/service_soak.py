@@ -1,11 +1,9 @@
 #!/usr/bin/env python
-"""Soak the campaign orchestration service under process murder and chaos.
+"""Soak the campaign orchestration service under process murder.
 
 The drill, end to end:
 
-1. start ``repro serve`` plus three ``repro work`` processes (every child
-   inherits ``REPRO_CHAOS``, so messages drop and duplicate, leases get
-   stolen, and heartbeats stall while the campaign runs);
+1. start ``repro serve`` plus three ``repro work`` processes;
 2. SIGKILL two workers mid-chunk — their leases must expire and their
    chunks re-run elsewhere — and respawn replacements;
 3. SIGKILL the *scheduler*, then restart it with ``--resume`` so it
@@ -15,7 +13,12 @@ The drill, end to end:
    - the campaign journal holds **exactly one** record per trial index
      (no gaps, no duplicates, counted on the raw journal lines);
    - the ``--save`` artifact is **byte-identical** to a serial
-     ``run_campaign`` oracle computed with chaos off.
+     ``run_campaign`` oracle.
+
+Dropped, duplicated and late messages, re-leased chunks and scheduler
+restarts at every message boundary are the deterministic simulation's
+job (``tests/service/test_simulation.py``); this drill kills real
+processes.
 
 Exit status 0 only if the whole drill passes.  The workdir is left in
 place on failure so CI can upload the journals (and any quarantine) as
@@ -39,11 +42,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: The service fault mix: everything the protocol must absorb.  (The
-#: ``worker_death`` drill is the explicit SIGKILLs below — real process
-#: murder, not an in-process emulation.)
-DEFAULT_CHAOS = "7:0.2:msg_drop,msg_duplicate,lease_steal,heartbeat_delay"
-
 #: Worker child: slow classification down so the kill choreography has a
 #: campaign to interrupt (same trick as tests/cluster/test_sigkill_resume.py).
 WORKER_CHILD = """
@@ -62,7 +60,6 @@ sys.exit(main(["work", "--socket", sys.argv[1], "--name", sys.argv[2]]))
 def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src")
-    env.setdefault("REPRO_CHAOS", DEFAULT_CHAOS)
     return env
 
 
