@@ -74,14 +74,6 @@ def _build(name: str) -> AppFactory:
         from repro.apps.lulesh import LULESH
 
         return AppFactory(LULESH, n_cells=16384, nit=200, seed=2020)
-    if name == "sgdnet":  # extension: ML training (not part of Table 1)
-        from repro.apps.sgdnet import SGDNet
-
-        return AppFactory(SGDNet, n_samples=4096, n_features=16, seed=2020)
-    if name == "xsbench":  # extension: Monte Carlo XS lookups (paper cites XSBench)
-        from repro.apps.xsbench import XSBench
-
-        return AppFactory(XSBench, seed=2020)
     if name == "kmeans-mt":  # extension: data-parallel kmeans (multicore)
         from repro.apps.parallel_kmeans import ParallelKMeans
 

@@ -115,8 +115,8 @@ def _add_campaign_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="per-trial deadline: a trial exceeding it is quarantined as a "
-        "FAILED record instead of hanging the campaign (in-process trial "
-        "loop, Unix only; default: unbounded)",
+        "FAILED record instead of hanging the campaign (Unix only; "
+        "default: unbounded)",
     )
     sub.add_argument(
         "--crash-model",

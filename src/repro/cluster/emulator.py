@@ -233,7 +233,6 @@ def run_cluster_campaign(
     cfg: "CampaignConfig",
     *,
     jobs: int | None = None,
-    chunk_timeout: float | None = None,
     journal: "str | Path | None" = None,
     trial_timeout: float | None = None,
     checkpoint: "MultiLevelCheckpointModel | None" = None,
@@ -246,9 +245,9 @@ def run_cluster_campaign(
     split — and each is classified through the same single-shard path as
     a plain campaign (:func:`~repro.nvct.campaign.run_shard`: per-node
     journal and ledger); the recovery orchestrator then replays the
-    burst schedule over the measured records.  ``jobs`` /
-    ``chunk_timeout`` / ``trial_timeout`` mean what they mean
-    for :func:`~repro.nvct.campaign.run_campaign`, per shard.
+    burst schedule over the measured records.  ``jobs`` and
+    ``trial_timeout`` mean what they mean for
+    :func:`~repro.nvct.campaign.run_campaign`, per shard.
     """
     from repro.nvct.campaign import phase_span, plan_shards, record_shards, run_shard
 
@@ -257,9 +256,7 @@ def run_cluster_campaign(
     node_results: dict[int, "CampaignResult"] = {}
     for shard in record_shards(factory, plans):
         with phase_span("campaign", factory, tests=shard.cfg.n_tests):
-            node_results[shard.cfg.node] = run_shard(
-                shard, jobs, chunk_timeout, trial_timeout
-            )
+            node_results[shard.cfg.node] = run_shard(shard, jobs, trial_timeout)
         # Done with this node's images: a per-shard fallback then holds
         # one recording at a time.
         shard.store = None

@@ -1,18 +1,15 @@
 """Deterministic fault injection for the campaign engine (``REPRO_CHAOS``).
 
-WITCHER-style validation applied to our own harness: the resilience layer
-(:mod:`repro.harness.resilience`, :mod:`repro.nvct.journal`) claims that
-campaigns survive worker deaths, torn cache entries and flaky I/O — so
-those faults must be injectable on demand, reproducibly, in CI.  This
+WITCHER-style validation applied to our own harness: the artifact cache,
+the checksummed store and the journal claim that campaigns survive torn
+cache entries, rotten bytes and flaky I/O — so those faults must be
+injectable on demand, reproducibly, in CI.  This
 module is the injector: a seed-driven gate
 consulted at *named sites* threaded through the engine:
 
 ===================== =====================================================
 site                  faults it can fire
 ===================== =====================================================
-``parallel.worker``   ``worker_death`` — the classification worker calls
-                      ``os._exit`` mid-chunk (the pool's chunk timeout and
-                      the circuit breaker must recover)
 ``cache.read``        ``corrupt_read`` (bit-flipped bytes → decode fails →
                       counted miss), ``os_error``, ``slow_io``
 ``cache.write``       ``os_error`` (the store is abandoned *before*
@@ -25,16 +22,15 @@ site                  faults it can fire
                       campaign), ``stale_version`` (the record reads as
                       a foreign schema version — the migration-shim
                       rejection path)
-``service.worker``    ``worker_death`` — the ``repro work`` process calls
-                      ``os._exit`` between two trials of a chunk; the
-                      missed heartbeats expire the lease and another
-                      worker re-runs the chunk
 ===================== =====================================================
 
-Message-level service faults (dropped, duplicated or late records and
-heartbeats, re-leased chunks, scheduler restarts) are not injected
-here: the seeded service simulation in ``tests/service/test_simulation.py``
-applies them at every message boundary on a simulated clock.
+Process and message faults are not injected here.  A dead ``--jobs``
+pool worker is exercised by ``tests/nvct/test_parallel.py``, which kills
+a real worker from the test tree; dead ``repro work`` processes by the
+service soak's SIGKILLs; dropped, duplicated or late records and
+heartbeats, re-leased chunks, stopped workers and scheduler restarts by
+the seeded service simulation in ``tests/service/test_simulation.py``,
+at every message boundary on a simulated clock.
 
 Determinism: whether call *n* at a site fires is a pure function of
 ``(seed, site, kind, n)`` via :func:`repro.util.rng.derive_seed` — a fixed
@@ -63,7 +59,6 @@ from repro.util.rng import derive_seed
 __all__ = [
     "ENV_VAR",
     "FAULT_KINDS",
-    "WORKER_DEATH_TIMEOUT",
     "InjectedFault",
     "ChaosInjector",
     "injector",
@@ -76,7 +71,6 @@ ENV_VAR = "REPRO_CHAOS"
 
 #: Every fault kind the injector knows how to fire.
 FAULT_KINDS = (
-    "worker_death",
     "corrupt_read",
     "os_error",
     "slow_io",
@@ -84,16 +78,8 @@ FAULT_KINDS = (
     "stale_version",
 )
 
-#: Seconds a parallel chunk may take when worker-death chaos is active.
-#: A killed worker never posts its result, so the chunk timeout *is* the
-#: detection latency; the engine clamps its timeout to this under chaos
-#: so fault-injection runs stay fast.
-WORKER_DEATH_TIMEOUT = 15.0
-
 #: Injected slow-I/O pause (small: chaos soaks run whole test suites).
 SLOW_IO_SECONDS = 0.002
-
-_EXIT_CODE = 17  # distinctive worker-death exit status (debuggability)
 
 
 class InjectedFault(OSError):
@@ -135,11 +121,6 @@ class ChaosInjector:
         return True
 
     # -- fault helpers (one per kind) -----------------------------------------
-
-    def maybe_kill(self, site: str) -> None:
-        """Fire ``worker_death``: the process exits without cleanup."""
-        if self.fires(site, "worker_death"):
-            os._exit(_EXIT_CODE)
 
     def maybe_sleep(self, site: str) -> None:
         """Fire ``slow_io``: a short injected stall."""

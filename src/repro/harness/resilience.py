@@ -1,21 +1,22 @@
 """Reusable failure policies for long-running campaigns.
 
-Three small primitives, composed by :mod:`repro.nvct.parallel` and
-:mod:`repro.nvct.campaign` into the crash-safe campaign engine:
+Three small primitives, used by the ``repro work`` worker
+(:mod:`repro.service.worker`) and the trial loop
+(:mod:`repro.nvct.campaign`):
 
 * :class:`RetryPolicy` — bounded retries with exponential backoff and
   *seeded* jitter: the delay for ``(key, attempt)`` is a pure function of
   the policy seed, so retry schedules replay exactly under a fixed seed
   (the same property the crash-point sampler has).
 * :class:`CircuitBreaker` — after ``threshold`` consecutive failures the
-  breaker opens and the caller degrades (the parallel engine drops its
-  worker pool and finishes serially in the parent, which never fails).
+  breaker opens and the caller stops (a ``repro work`` worker that fails
+  every chunk it touches exits instead of burning leases).
 * :func:`call_with_deadline` — a per-trial wall-clock deadline via
   ``SIGALRM`` where available (Unix main thread), raising
   :class:`~repro.errors.TrialTimeout`; elsewhere the call runs
   unbounded rather than silently misbehaving.
 
-Every retry and breaker trip publishes to the :mod:`repro.obs` registry
+Every breaker trip publishes to the :mod:`repro.obs` registry
 when telemetry is on, and costs nothing when it is off.
 """
 
@@ -33,7 +34,6 @@ from repro.util.rng import derive_seed
 __all__ = [
     "RetryPolicy",
     "CircuitBreaker",
-    "POOL_CHUNK_RETRY",
     "WORKER_RETRY",
     "new_breaker",
     "call_with_deadline",
@@ -72,9 +72,9 @@ class CircuitBreaker:
     """Consecutive-failure trip wire.
 
     ``record_failure`` returns ``True`` the moment the breaker opens;
-    once open it stays open (the degraded mode — serial classification —
-    is always correct, so there is nothing to probe half-open for within
-    one campaign).
+    once open it stays open (its owner, a ``repro work`` worker, exits
+    and leaves its chunks to other workers, so there is nothing to probe
+    half-open for).
     """
 
     def __init__(self, threshold: int = 3):
@@ -106,14 +106,12 @@ class CircuitBreaker:
 # These presets are the only place retry policy is set: callers use them
 # as they are, and nobody else constructs a policy or a breaker.
 
-#: A failed or timed-out pool chunk: two resubmissions, short backoff.
-POOL_CHUNK_RETRY = RetryPolicy()
 #: A ``repro work`` worker reconnecting to a restarting scheduler.
 WORKER_RETRY = RetryPolicy(max_retries=8, base_delay=0.1, max_delay=2.0)
 
 
 def new_breaker() -> CircuitBreaker:
-    """A fresh breaker (one per pool fan-out or worker)."""
+    """A fresh breaker (one per ``repro work`` worker)."""
     return CircuitBreaker(threshold=3)
 
 
@@ -123,7 +121,7 @@ def call_with_deadline(fn: Callable[[], T], deadline: float | None) -> T:
     Uses ``SIGALRM``/``setitimer``, which only works on Unix in the main
     thread; anywhere else (Windows, worker threads) the deadline is not
     enforceable this way and the call simply runs unbounded — the
-    parallel engine's chunk timeout is the backstop there.
+    ``--jobs`` pool's chunk timeout is the backstop there.
     """
     if not deadline or deadline <= 0:
         return fn()

@@ -16,7 +16,6 @@ from repro.memsim.blocks import BLOCK_SIZE, block_span, bytes_to_blocks
 from repro.memsim.config import CacheLevelConfig, HierarchyConfig
 from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.hierarchy import CacheHierarchy
-from repro.memsim.reference import ReferenceCache
 from repro.memsim.stats import CacheStats, MemoryStats
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "HierarchyConfig",
     "SetAssociativeCache",
     "CacheHierarchy",
-    "ReferenceCache",
     "CacheStats",
     "MemoryStats",
 ]

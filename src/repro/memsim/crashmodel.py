@@ -42,8 +42,9 @@ a superset of ADR's, which is a superset of the empty set).
 Determinism: the only randomness is the torn-prefix draw, taken from a
 generator derived as ``derive_rng(seed, "crash-model", spec, counter)``
 per crash point — same seed, same model, same point ⇒ bit-identical
-crash image.  :mod:`repro.memsim.reference` carries a slow pure-Python
-mirror of the survivor-plan selection as the per-model test oracle.
+crash image.  The test-tree oracle ``tests/memsim/reference_oracle.py``
+carries a slow pure-Python mirror of the survivor-plan selection as the
+per-model check.
 """
 
 from __future__ import annotations

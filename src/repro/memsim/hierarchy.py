@@ -1,7 +1,8 @@
 """Inclusive multi-level cache hierarchy, vectorized.
 
-Semantics (validated against :class:`repro.memsim.reference.ReferenceHierarchy`
-by property-based tests):
+Semantics (validated against the test-tree oracle
+``tests/memsim/reference_oracle.py`` (``ReferenceHierarchy``) by
+property-based tests):
 
 * write-back, write-allocate at every level;
 * inclusive: a block resident at level *i* is resident at every level below;

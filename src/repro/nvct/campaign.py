@@ -428,8 +428,10 @@ def _classify_trial(
 ) -> CrashTestRecord:
     """Quarantined classification: a poison trial becomes a ``FAILED``
     record carrying its exception instead of hanging or killing the
-    campaign.  ``trial_timeout`` bounds one trial's wall time (Unix main
-    thread; elsewhere the parallel engine's chunk timeout is the backstop).
+    campaign.  ``trial_timeout`` bounds one trial's wall time through
+    ``SIGALRM``: in the parent and in every ``--jobs`` pool worker (each
+    runs trials on its main thread).  Where ``SIGALRM`` is unavailable the
+    trial runs unbounded, and the pool's chunk timeout is the backstop.
     """
     from repro.harness.resilience import call_with_deadline
 
@@ -729,20 +731,6 @@ class PreparedShard:
             )
         return cls(factory, plan, golden_iterations, run_stats, store)
 
-    def classify(
-        self, indices: "Sequence[int]", trial_timeout: float | None = None
-    ) -> "Iterator[tuple[int, CrashTestRecord]]":
-        """Classify trials ``indices`` (ascending) in process.  Golden
-        snapshots are *borrowed* zero-copy views, one trial at a time."""
-        assert self.store is not None
-        return zip(
-            indices,
-            _trial_loop(
-                self.factory, self.store, self.golden_iterations, self.cfg, indices,
-                trial_timeout,
-            ),
-        )
-
     def result(self, completed: "Mapping[int, CrashTestRecord]") -> CampaignResult:
         """Assemble the campaign result from the committed records."""
         from repro.memsim.crashmodel import get_model
@@ -821,32 +809,34 @@ def record_shards(
 def run_shard(
     shard: PreparedShard,
     jobs: int | None = None,
-    chunk_timeout: float | None = None,
     trial_timeout: float | None = None,
 ) -> CampaignResult:
     """The single-shard path every local run goes through: classify what
-    the recorded shard's journal does not already hold (inline, or
+    the recorded shard's journal does not already hold (one
+    :func:`~repro.nvct.parallel.classify_snapshots` call, inline or
     through the pool at ``jobs`` > 1), commit every record through the
     ledger, assemble the result."""
+    from repro.memsim.golden import GoldenSnapshotSource
     from repro.nvct.journal import TrialLedger, campaign_header
-    from repro.nvct.parallel import classify_pooled, resolve_jobs
+    from repro.nvct.parallel import classify_snapshots
 
     factory, plan = shard.factory, shard.plan
+    assert shard.store is not None
     ledger = TrialLedger.open(
         plan.journal, campaign_header(factory, plan.cfg), plan.n_snaps
     )
     try:
         missing = ledger.missing(range(plan.n_snaps))
-        n_jobs = resolve_jobs(jobs)
         with phase_span(
             "classify", factory, tests=plan.n_snaps,
             replayed=plan.n_snaps - len(missing),
         ):
-            if n_jobs > 1 and len(missing) > 1:
-                classify_pooled(shard, missing, ledger.add, n_jobs, chunk_timeout)
-            else:
-                for i, rec in shard.classify(missing, trial_timeout):
-                    ledger.add(i, rec)
+            classify_snapshots(
+                factory, GoldenSnapshotSource(shard.store, missing),
+                shard.golden_iterations, shard.cfg, jobs=jobs,
+                record_sink=lambda local, rec: ledger.add(missing[local], rec),
+                trial_timeout=trial_timeout,
+            )
     finally:
         ledger.close()
     return shard.result(ledger.records)
@@ -856,7 +846,6 @@ def run_campaign(
     factory: AppFactory,
     cfg: CampaignConfig,
     jobs: int | None = None,
-    chunk_timeout: float | None = None,
     journal: "str | Path | None" = None,
     trial_timeout: float | None = None,
 ) -> CampaignResult:
@@ -864,8 +853,7 @@ def run_campaign(
 
     ``jobs`` fans the classification phase out over worker processes
     (default: ``REPRO_JOBS``, else serial); the record sequence is
-    bit-identical at any job count.  ``chunk_timeout`` bounds one chunk's
-    wall time before the engine falls back to serial classification.
+    bit-identical at any job count.
 
     ``journal`` points at a write-ahead JSONL journal
     (:mod:`repro.nvct.journal`): completed trials are fsync'd as they
@@ -885,6 +873,4 @@ def run_campaign(
         )
     with phase_span("campaign", factory, tests=cfg.n_tests):
         (shard,), _ = plan_shards(factory, cfg, journal=journal)
-        return run_shard(
-            PreparedShard.record(factory, shard), jobs, chunk_timeout, trial_timeout
-        )
+        return run_shard(PreparedShard.record(factory, shard), jobs, trial_timeout)

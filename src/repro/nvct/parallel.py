@@ -14,12 +14,13 @@ worker replays those images itself as borrowed views.  Per-chunk
 records are merged back in chunk order, so a parallel campaign is
 *bit-identical* to a serial one under the same seed.
 
-Workers are plain ``multiprocessing.Pool`` processes with
-``maxtasksperchild`` recycling (long campaigns keep worker memory flat).
-Every pool-level failure — a worker crash, an unpicklable factory or
-store, a chunk exceeding ``chunk_timeout`` — degrades gracefully: the
-remaining work is computed serially in the parent, so parallelism is
-strictly an optimization and never changes results or raises new errors.
+Classification is pure, so the serial trial loop is always a correct
+answer and the pool is only an optimization with one failure path: when
+a chunk raises, or has not landed within :data:`DEFAULT_CHUNK_TIMEOUT`
+(a dead worker's chunk never lands), or the pool cannot start at all
+(an unpicklable factory or store), the pool ends and the parent
+classifies every chunk that has not landed, in crash-point order.
+Parallelism never changes results or raises new errors.
 
 ``REPRO_JOBS`` (or ``--jobs`` on the CLI) selects the worker count;
 ``0`` means one worker per CPU, unset/``1`` means serial.
@@ -40,25 +41,17 @@ __all__ = [
     "resolve_jobs",
     "chunk_indices",
     "classify_snapshots",
-    "classify_pooled",
     "DEFAULT_CHUNK_TIMEOUT",
 ]
 
 if TYPE_CHECKING:  # avoid import cycles at runtime
     from repro.apps.base import AppFactory
     from repro.memsim.golden import GoldenSnapshotSource, GoldenStore
-    from repro.nvct.campaign import (
-        CampaignConfig,
-        CrashTestRecord,
-        PreparedShard,
-    )
+    from repro.nvct.campaign import CampaignConfig, CrashTestRecord
 
-#: Seconds one chunk may take before the engine abandons the pool and
-#: falls back to serial.
+#: Seconds the parent waits for the next chunk before it abandons the
+#: pool and classifies the rest itself.
 DEFAULT_CHUNK_TIMEOUT = 600.0
-
-#: Tasks a worker serves before being replaced (bounds leaked memory).
-MAX_TASKS_PER_CHILD = 32
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -114,6 +107,7 @@ def _classify_worker_init(
     store: "GoldenStore",
     golden_iterations: int,
     cfg: "CampaignConfig",
+    trial_timeout: float | None,
 ) -> None:
     global _worker_loop
     from repro.nvct.campaign import _trial_loop
@@ -122,17 +116,14 @@ def _classify_worker_init(
     # handler, and Pool.terminate() SIGTERMs them: a worker must simply
     # die there, not print a KeyboardInterrupt traceback.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _worker_loop = functools.partial(_trial_loop, factory, store, golden_iterations, cfg)
+    _worker_loop = functools.partial(
+        _trial_loop, factory, store, golden_iterations, cfg, trial_timeout=trial_timeout
+    )
 
 
-def _classify_chunk(task: tuple[int, list[int]]) -> tuple[int, list["CrashTestRecord"]]:
-    from repro.harness.chaos import injector as chaos_injector
-
+def _classify_chunk(chunk: list[int]) -> list["CrashTestRecord"]:
     assert _worker_loop is not None
-    chunk_id, chunk = task
-    if (ch := chaos_injector()) is not None:
-        ch.maybe_kill("parallel.worker")
-    return chunk_id, list(_worker_loop(chunk))
+    return list(_worker_loop(chunk))
 
 
 def classify_snapshots(
@@ -141,42 +132,33 @@ def classify_snapshots(
     golden_iterations: int,
     cfg: "CampaignConfig",
     jobs: int | None = None,
-    chunk_timeout: float = DEFAULT_CHUNK_TIMEOUT,
     record_sink: "Callable[[int, CrashTestRecord], None] | None" = None,
+    trial_timeout: float | None = None,
 ) -> list["CrashTestRecord"]:
     """Classify every trial of ``source``, fanning out over ``jobs`` processes.
 
     ``source`` is a :class:`~repro.memsim.golden.GoldenSnapshotSource`: a
     golden store plus the ascending (possibly gapped) crash-image indices
-    to classify.  The pool initializer hands every worker the factory,
-    the store, the golden iteration count and the config once; a task is
-    ``(chunk_id, trial indices)`` for one :func:`chunk_indices` cut, and
-    the worker replays those images from its own store as borrowed views.
-    No crash image is copied, packed or shipped per task.
+    to classify.  At ``jobs`` <= 1 this is the one inline
+    :func:`~repro.nvct.campaign._trial_loop` over them.  Otherwise the
+    pool initializer hands every worker the factory, the store, the
+    golden iteration count, the config and ``trial_timeout`` once; a task
+    is the trial indices of one :func:`chunk_indices` cut, and the worker
+    replays those images from its own store as borrowed views.  No crash
+    image is copied, packed or shipped per task.
 
-    Bit-identical to the inline ``[_classify(...) for snap in
-    store.snapshots(indices)]`` under any job count: classification is
-    pure (plain-mode restart, no shared state, no RNG) and records are
-    merged in crash-point order.
-
-    Failure handling is layered: a failed or timed-out chunk is
-    resubmitted under ``POOL_CHUNK_RETRY`` (exponential backoff, seeded
-    jitter); a :class:`~repro.harness.resilience.CircuitBreaker` trips after
-    repeated consecutive failures and degrades the rest of the fan-out to
-    serial execution in the parent; any chunk still missing at the end is
-    classified in-process.  Parallelism stays strictly an optimization —
-    it never changes results or raises new errors.
+    Bit-identical under any job count: classification is pure
+    (plain-mode restart, no shared state, no RNG) and records are merged
+    in crash-point order.  A chunk that raises or has not landed within
+    :data:`DEFAULT_CHUNK_TIMEOUT` ends the pool, and the parent
+    classifies every chunk that has not landed.
 
     ``record_sink(position, record)`` is invoked for every record as soon
     as its chunk lands (journaling hook); positions index
     ``source.indices``.  A run of equal images split across chunks
-    restarts once per chunk (:func:`~repro.nvct.campaign._trial_loop`).
+    restarts once per chunk.  ``trial_timeout`` bounds one trial's wall
+    time, in the parent and in every worker alike.
     """
-    import time
-
-    from repro.harness.chaos import WORKER_DEATH_TIMEOUT
-    from repro.harness.chaos import injector as chaos_injector
-    from repro.harness.resilience import POOL_CHUNK_RETRY, new_breaker
     from repro.nvct.campaign import _trial_loop
 
     jobs = resolve_jobs(jobs)
@@ -184,7 +166,9 @@ def classify_snapshots(
 
     def classify_serial(lo: int, hi: int) -> list:
         out = []
-        for rec in _trial_loop(factory, store, golden_iterations, cfg, indices[lo:hi]):
+        for rec in _trial_loop(
+            factory, store, golden_iterations, cfg, indices[lo:hi], trial_timeout
+        ):
             if record_sink is not None:
                 record_sink(lo + len(out), rec)
             out.append(rec)
@@ -193,92 +177,36 @@ def classify_snapshots(
     if jobs <= 1 or len(indices) < 2:
         return classify_serial(0, len(indices))
 
-    breaker = new_breaker()
-    if (ch := chaos_injector()) is not None and "worker_death" in ch.kinds:
-        # A killed worker never posts its result; the chunk timeout is the
-        # detection latency, so clamp it to keep fault-injection runs fast.
-        chunk_timeout = min(chunk_timeout, WORKER_DEATH_TIMEOUT)
-
     factory.golden()  # warm before fork so workers inherit it
     chunks = chunk_indices(len(indices), jobs)
-    tasks = [(ci, indices[lo:hi]) for ci, (lo, hi) in enumerate(chunks)]
-    done: dict[int, list] = {}
-    retries = 0
+    out: list = []
+    landed = 0
     try:
         with _pool_context().Pool(
             processes=min(jobs, len(chunks)),
             initializer=_classify_worker_init,
-            initargs=(factory, store, golden_iterations, cfg),
-            maxtasksperchild=MAX_TASKS_PER_CHILD,
+            initargs=(factory, store, golden_iterations, cfg, trial_timeout),
         ) as pool:
-            pending = {ci: pool.apply_async(_classify_chunk, (task,)) for ci, task in enumerate(tasks)}
-            for ci in range(len(chunks)):
-                if not breaker.allow():
-                    break  # degraded to serial: the parent finishes the rest
-                attempt = 0
-                while True:
-                    try:
-                        index, records = pending[ci].get(timeout=chunk_timeout)
-                    except Exception:
-                        tripped = breaker.record_failure()
-                        if tripped or attempt >= POOL_CHUNK_RETRY.max_retries:
-                            break
-                        retries += 1
-                        if (reg := registry()) is not None:
-                            reg.counter("resilience.retries", unit="retries").inc()
-                        time.sleep(POOL_CHUNK_RETRY.delay(f"chunk-{ci}", attempt))
-                        attempt += 1
-                        pending[ci] = pool.apply_async(_classify_chunk, (tasks[ci],))
-                        continue
-                    done[index] = records
-                    breaker.record_success()
-                    if record_sink is not None:
-                        lo, _hi = chunks[index]
-                        for offset, rec in enumerate(records):
-                            record_sink(lo + offset, rec)
-                    break
+            results = pool.imap(_classify_chunk, [indices[lo:hi] for lo, hi in chunks])
+            for lo, _hi in chunks:
+                records = results.next(timeout=DEFAULT_CHUNK_TIMEOUT)
+                if record_sink is not None:
+                    for offset, rec in enumerate(records):
+                        record_sink(lo + offset, rec)
+                out.extend(records)
+                landed += 1
     except Exception:
-        pass  # pool-level failure: serial recovery below fills the gaps
-    out: list = []
-    for ci, (lo, hi) in enumerate(chunks):
-        if ci in done:
-            out.extend(done[ci])
-        else:
-            out.extend(classify_serial(lo, hi))
+        pass  # the pool is done: the parent classifies what has not landed
+    for lo, hi in chunks[landed:]:
+        out.extend(classify_serial(lo, hi))
     if (reg := registry()) is not None:
         # Pool utilisation: how much of the fan-out actually ran in
-        # workers vs. fell back to serial recovery in the parent.
+        # workers vs. fell back to the parent.
         reg.gauge("parallel.jobs", unit="workers").set(jobs)
         reg.counter("parallel.chunks_total", unit="chunks").inc(len(chunks))
-        reg.counter("parallel.chunks_parallel", unit="chunks").inc(len(done))
+        reg.counter("parallel.chunks_parallel", unit="chunks").inc(landed)
         reg.counter("parallel.chunks_serial_fallback", unit="chunks").inc(
-            len(chunks) - len(done)
+            len(chunks) - landed
         )
-        reg.counter("parallel.chunk_retries", unit="retries").inc(retries)
-        if chunks:
-            reg.gauge("parallel.pool_utilization", unit="ratio").set(
-                len(done) / len(chunks)
-            )
+        reg.gauge("parallel.pool_utilization", unit="ratio").set(landed / len(chunks))
     return out
-
-
-def classify_pooled(
-    shard: "PreparedShard",
-    indices: Sequence[int],
-    sink: "Callable[[int, CrashTestRecord], object]",
-    jobs: int,
-    chunk_timeout: float | None = None,
-) -> None:
-    """The process-pool executor over a prepared shard: classify trials
-    ``indices`` through :func:`classify_snapshots` (workers replay the
-    shard's golden store themselves; only indices cross the pool) and
-    hand each ``(index, record)`` to ``sink`` as its chunk lands."""
-    from repro.memsim.golden import GoldenSnapshotSource
-
-    assert shard.store is not None
-    classify_snapshots(
-        shard.factory, GoldenSnapshotSource(shard.store, indices),
-        shard.golden_iterations, shard.cfg,
-        jobs=jobs, chunk_timeout=chunk_timeout or DEFAULT_CHUNK_TIMEOUT,
-        record_sink=lambda local, rec: sink(indices[local], rec),
-    )

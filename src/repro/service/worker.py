@@ -278,8 +278,6 @@ def _execute_chunk(
     clock: Callable[[], float],
 ) -> bool:
     """Run one granted chunk end to end; ``True`` iff the commit was acked."""
-    from repro.harness.chaos import injector as chaos_injector
-
     spec = grant["spec"]
     chunk_id = int(grant["chunk"])
     token = int(grant["token"])
@@ -293,10 +291,6 @@ def _execute_chunk(
     heartbeat_every = max(deadline_s / 3.0, 1e-6)
     last_beat = clock()
     for index, record_doc in executor.run(indices):
-        if (ch := chaos_injector()) is not None:
-            # The service.worker death site: a worker dying between two
-            # trials of a chunk, detected only by its missed heartbeats.
-            ch.maybe_kill("service.worker")
         conn.send(
             {"op": "record", "chunk": chunk_id, "token": token,
              "index": index, "record": record_doc}

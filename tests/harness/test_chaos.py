@@ -35,7 +35,7 @@ def test_env_spec_parsing(monkeypatch):
     for bad in ("nope", "1", "a:b", "1:2.0", "1:0.5:badkind"):
         monkeypatch.setenv(chaos.ENV_VAR, bad)
         chaos.reset()
-        with pytest.raises(UsageError, match="known kinds: worker_death") as excinfo:
+        with pytest.raises(UsageError, match="known kinds: corrupt_read") as excinfo:
             chaos.injector()
         assert repr(bad) in str(excinfo.value)
 
@@ -135,7 +135,7 @@ def test_parallel_campaign_identical_under_chaos():
     chaos.disable()
     baseline = run_campaign(get_factory("EP"), cfg, jobs=1)
     chaos.enable(3, 0.2)
-    noisy = run_campaign(get_factory("EP"), cfg, jobs=2, chunk_timeout=2.0)
+    noisy = run_campaign(get_factory("EP"), cfg, jobs=2)
     chaos.disable()
     assert noisy.records == baseline.records
 

@@ -2,11 +2,11 @@
 
 A direct, one-block-at-a-time implementation of the inclusive write-back
 write-allocate LRU hierarchy, following the canonical round-phase
-serialization documented in :mod:`repro.memsim.rounds`.  It exists purely
-as a test oracle: the property-based tests drive identical access
-sequences through this model and through the vectorized
-:class:`repro.memsim.hierarchy.CacheHierarchy` and require identical final
-state and NVM write-back event streams.
+serialization documented in :mod:`repro.memsim.rounds`.  It is a test
+oracle, so it lives in the test tree: the property-based tests drive
+identical access sequences through this model and through the vectorized
+:class:`repro.memsim.hierarchy.CacheHierarchy` and require identical
+final state and NVM write-back event streams.
 """
 
 from __future__ import annotations

@@ -18,8 +18,8 @@ from repro.memsim.crashmodel import (
     get_model,
     in_flight_block,
 )
-from repro.memsim.reference import reference_survivor_plan
 from repro.util.rng import derive_rng
+from tests.memsim.reference_oracle import reference_survivor_plan
 
 
 def _dirty_state(draw_blocks, draw_seqs):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.memsim.config import CacheLevelConfig, HierarchyConfig
 from repro.memsim.hierarchy import CacheHierarchy
-from repro.memsim.reference import ReferenceHierarchy
+from tests.memsim.reference_oracle import ReferenceHierarchy
 
 MAX_BLOCK = 64
 

@@ -1,6 +1,8 @@
 """Parallel campaign engine: determinism, chunking, fallback paths."""
 
 import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -60,7 +62,7 @@ def test_pool_worker_init_restores_default_sigterm():
     try:
         _install_sigterm_handler()
         assert signal.getsignal(signal.SIGTERM) is not signal.SIG_DFL
-        parallel._classify_worker_init(get_factory("EP"), None, 1, CampaignConfig())
+        parallel._classify_worker_init(get_factory("EP"), None, 1, CampaignConfig(), None)
         assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
     finally:
         signal.signal(signal.SIGTERM, original)
@@ -84,14 +86,35 @@ def test_parallel_records_bit_identical(app):
     assert serial.recomputability() == parallel.recomputability()
 
 
-def test_parallel_engine_timeout_falls_back_serially():
+def test_parallel_engine_timeout_falls_back_serially(monkeypatch):
     # A zero-ish timeout abandons the pool immediately; the fallback must
     # still produce the exact serial record sequence.
     factory = get_factory("EP")
     cfg = CampaignConfig(n_tests=8, seed=3)
     serial = run_campaign(factory, cfg, jobs=1)
-    degraded = run_campaign(factory, cfg, jobs=2, chunk_timeout=1e-9)
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK_TIMEOUT", 1e-9)
+    degraded = run_campaign(factory, cfg, jobs=2)
     assert serial.records == degraded.records
+
+
+def test_trial_timeout_reaches_pool_workers():
+    """``trial_timeout`` bounds every trial a pool worker runs, exactly as
+    it bounds the inline loop's: the same trials end ``FAILED``."""
+    from repro.nvct.campaign import Response
+
+    factory = get_factory("EP")
+    cfg = CampaignConfig(n_tests=8, seed=3)
+    with metrics.enabled() as reg:
+        failed = {
+            jobs: sum(
+                rec.response is Response.FAILED
+                for rec in run_campaign(factory, cfg, jobs=jobs, trial_timeout=1e-4).records
+            )
+            for jobs in (1, 2)
+        }
+    assert failed[1] > 0
+    assert failed[2] == failed[1]
+    assert reg.counter("parallel.chunks_parallel", unit="chunks").value > 0
 
 
 def test_classify_snapshots_matches_inline_classification():
@@ -161,40 +184,40 @@ def test_spawn_pool_matches_serial(monkeypatch):
     """Without ``fork`` (macOS, Windows) each worker receives the golden
     store pickled once through the pool initializer; records must not
     change, and the chunks must really run in the workers."""
-    from repro.harness import chaos
-
-    # Spawned workers read REPRO_CHAOS afresh; a worker death would hide
-    # the pool behind the serial fallback this test rules out.
-    monkeypatch.delenv(chaos.ENV_VAR, raising=False)
-    chaos.disable()
     monkeypatch.setattr(parallel, "_pool_context", lambda: multiprocessing.get_context("spawn"))
     factory = get_factory("EP")
     cfg = CampaignConfig(n_tests=6, seed=13)
-    try:
-        serial = run_campaign(factory, cfg, jobs=1)
-        with metrics.enabled() as reg:
-            spawned = run_campaign(factory, cfg, jobs=2)
-    finally:
-        chaos.reset()
+    serial = run_campaign(factory, cfg, jobs=1)
+    with metrics.enabled() as reg:
+        spawned = run_campaign(factory, cfg, jobs=2)
     assert spawned.records == serial.records
     pooled = reg.counter("parallel.chunks_parallel", unit="chunks").value
     assert pooled == reg.counter("parallel.chunks_total", unit="chunks").value > 0
 
 
-def test_worker_death_chaos_never_changes_records():
-    """Injected worker deaths (os._exit in the pool) are absorbed by chunk
-    retries and the serial-fallback path without touching the results."""
-    from repro.harness import chaos
+def test_dead_pool_worker_never_changes_records(monkeypatch):
+    """A pool worker that dies mid-chunk never posts its chunk; the parent
+    waits out the chunk timeout, ends the pool and classifies every chunk
+    that has not landed itself, without touching the results."""
+    from repro.nvct import campaign
 
     factory = get_factory("EP")
     cfg = CampaignConfig(n_tests=8, seed=7)
-    chaos.disable()
     serial = run_campaign(factory, cfg, jobs=1)
-    chaos.enable(13, 0.3, kinds=["worker_death"])
-    try:
-        # short chunk timeout: a killed worker never posts its result, so
-        # the timeout is the death-detection latency
-        survived = run_campaign(factory, cfg, jobs=2, chunk_timeout=2.0)
-    finally:
-        chaos.reset()
+    parent, trial_loop = os.getpid(), campaign._trial_loop
+
+    def dying_trial_loop(factory, store, golden_iterations, cfg, indices, trial_timeout=None):
+        # Workers look the loop up after fork; every chunk but the first dies.
+        if os.getpid() != parent and indices[0] != 0:
+            os._exit(17)
+        return trial_loop(factory, store, golden_iterations, cfg, indices, trial_timeout)
+
+    monkeypatch.setattr(campaign, "_trial_loop", dying_trial_loop)
+    monkeypatch.setattr(parallel, "DEFAULT_CHUNK_TIMEOUT", 2.0)
+    start = time.monotonic()
+    with metrics.enabled() as reg:
+        survived = run_campaign(factory, cfg, jobs=2)
+    elapsed = time.monotonic() - start
     assert survived.records == serial.records
+    assert reg.counter("parallel.chunks_serial_fallback", unit="chunks").value > 0
+    assert elapsed < 60.0
