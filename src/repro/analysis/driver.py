@@ -8,10 +8,6 @@
   iterations under a flush-everything-at-loop-end plan — the strictest
   schedule, so every commit-point invariant is exercised — and validates
   the resulting event stream;
-* the engine self-lint (:mod:`repro.analysis.lint_engine`) checks the
-  harness's own durability idioms — fsync discipline, rename publishing,
-  bare ``open(..., "w")`` — over ``repro/harness`` and the campaign
-  journal;
 * findings whose stable key appears in the baseline allowlist are
   suppressed (reported separately), everything else is active.
 
@@ -57,7 +53,6 @@ class AnalysisReport:
     suppressed: list[Finding] = field(default_factory=list)  # baselined
     files_analyzed: int = 0
     apps_traced: int = 0
-    engine_files_linted: int = 0
 
     @property
     def errors(self) -> list[Finding]:
@@ -70,7 +65,6 @@ class AnalysisReport:
         lines = [
             f"analysis: {self.files_analyzed} files, "
             f"{self.apps_traced} apps traced, "
-            f"{self.engine_files_linted} engine files linted, "
             f"{len(self.findings)} active finding(s), "
             f"{len(self.suppressed)} baselined"
         ]
@@ -101,7 +95,6 @@ def analyze(
     paths: Iterable[Path | str] | None = None,
     apps: Sequence[str] | None = None,
     dynamic: bool = True,
-    engine_lint: bool = True,
     baseline: Baseline | Path | str | None = DEFAULT_BASELINE_PATH,
 ) -> AnalysisReport:
     """Run the full analyzer.
@@ -131,13 +124,6 @@ def analyze(
         for name in names:
             findings.extend(_trace_app(name))
             apps_traced += 1
-    engine_files = 0
-    if engine_lint:
-        from repro.analysis.lint_engine import default_engine_targets, lint_paths
-
-        targets = default_engine_targets()
-        findings.extend(lint_paths(targets))
-        engine_files = len(targets)
     if not isinstance(baseline, Baseline):
         baseline = Baseline.load(baseline)
     active, suppressed = baseline.split(findings)
@@ -146,5 +132,4 @@ def analyze(
         suppressed=suppressed,
         files_analyzed=len(file_list),
         apps_traced=apps_traced,
-        engine_files_linted=engine_files,
     )

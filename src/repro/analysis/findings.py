@@ -85,21 +85,6 @@ RULES: dict[str, tuple[str, str]] = {
         "has unpersisted stores; dynamic: persist events disagree with "
         "the plan's region/iteration schedule",
     ),
-    "write-without-fsync": (
-        "engine-lint",
-        "durable artifact written through a handle that never reaches an "
-        "os.fsync: a crash can lose or tear the write",
-    ),
-    "rename-without-dir-fsync": (
-        "engine-lint",
-        "os.replace/os.rename publish without fsyncing the parent "
-        "directory: the rename itself may not survive a crash",
-    ),
-    "bare-open-w": (
-        "engine-lint",
-        'bare open(..., "w") on a durable artifact: use the atomic '
-        "writer (temp file + fsync + rename) instead",
-    ),
 }
 
 
@@ -139,14 +124,12 @@ class Baseline:
         return Baseline(keys=set(data.get("allow", [])), path=p)
 
     def save(self, path: Path | str | None = None) -> Path:
+        from repro.obs.export import write_text
+
         p = Path(path) if path is not None else self.path
         if p is None:
             raise ValueError("baseline has no path")
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(
-            json.dumps({"version": 1, "allow": sorted(self.keys)}, indent=2) + "\n"
-        )
-        return p
+        return write_text(p, json.dumps({"version": 1, "allow": sorted(self.keys)}, indent=2))
 
     def allows(self, finding: Finding) -> bool:
         return finding.key in self.keys

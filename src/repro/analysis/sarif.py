@@ -78,8 +78,8 @@ def to_sarif(report: "AnalysisReport") -> dict:
             "shortDescription": {"text": description},
             "properties": {"pass": pass_name},
             "defaultConfiguration": {
-                # ordering rules and engine-lint hygiene default to their
-                # catalog severity; SARIF wants it on the rule too
+                # each rule defaults to its catalog severity; SARIF
+                # wants it on the rule too
                 "level": "error" if rule_id not in _WARNING_RULES else "warning",
             },
         }
@@ -104,7 +104,6 @@ def to_sarif(report: "AnalysisReport") -> dict:
                 "properties": {
                     "filesAnalyzed": report.files_analyzed,
                     "appsTraced": report.apps_traced,
-                    "engineFilesLinted": report.engine_files_linted,
                 },
             }
         ],
@@ -117,8 +116,6 @@ _WARNING_RULES = {
     "dead-persist",
     "redundant-persist",
     "unpersisted-at-exit",
-    "rename-without-dir-fsync",
-    "bare-open-w",
 }
 
 

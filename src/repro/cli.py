@@ -16,9 +16,8 @@ Commands
     The Sec. 7 system-efficiency model for given MTBF/checkpoint cost.
 ``analyze``
     Crash-consistency and instrumentation-escape analyzer over the
-    benchmark apps (static AST pass + dynamic trace pass) plus the
-    engine durability self-lint; ``--strict`` is the CI gate,
-    and ``--sarif`` exports SARIF 2.1.0.
+    benchmark apps (static AST pass + dynamic trace pass);
+    ``--strict`` is the CI gate, and ``--sarif`` exports SARIF 2.1.0.
 ``stats``
     Dump a machine-readable ``bench.json`` produced by ``campaign
     --stats`` (before/after performance comparison is ``bench/run.py``
@@ -250,10 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     an.add_argument(
         "--update-baseline", action="store_true",
         help="write all current findings to the baseline file and exit",
-    )
-    an.add_argument(
-        "--no-self-lint", action="store_true",
-        help="skip the engine durability self-lint (harness + journal)",
     )
     an.add_argument(
         "--sarif", metavar="FILE", default=None,
@@ -693,7 +688,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             paths=args.paths or None,
             apps=args.apps,
             dynamic=not args.no_dynamic,
-            engine_lint=not args.no_self_lint,
             baseline=None,
         )
         baseline = Baseline(
@@ -707,7 +701,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         paths=args.paths or None,
         apps=args.apps,
         dynamic=not args.no_dynamic,
-        engine_lint=not args.no_self_lint,
         baseline=baseline_path,
     )
     print(report.render())

@@ -218,26 +218,20 @@ class ArtifactCache:
         self.index.forget(self._rel(path))
 
     def _read(self, kind: str, key: str, ext: str, decode) -> Any | None:
-        from repro.harness.chaos import injector as chaos_injector
-
         path = self._path(kind, key, ext)
         if not path.exists():
             self._count("misses")
             return None
         try:
             data = path.read_bytes()
-            if (ch := chaos_injector()) is not None:
-                ch.maybe_sleep("cache.read")
-                ch.check_io("cache.read")
-                data = ch.corrupt("cache.read", data)
-        except Exception:
+        except OSError:
             # Transient I/O failure: the entry itself may be fine — miss,
             # but leave it in place.
             self._count("errors")
             self._count("misses")
             return None
         try:
-            payload = store_mod.read_payload(data, site="store.read")
+            payload = store_mod.read_payload(data)
             artifact = decode(payload)
         except Exception:
             # Envelope/CRC failure or undecodable payload: the bytes on
@@ -256,19 +250,13 @@ class ArtifactCache:
 
         The write itself is :func:`repro.harness.store.atomic_write_bytes`
         (payload fsync'd → ``os.replace`` → directory fsync, temp file
-        unlinked on failure).  A failure at any point (including an
-        injected one) is *counted*, not raised — the caller's artifact is
-        already computed and the campaign goes on.  A successful store
-        updates the LRU index and, when a quota is configured,
-        immediately enforces it.
+        unlinked on failure).  A failure at any point is *counted*, not
+        raised — the caller's artifact is already computed and the
+        campaign goes on.  A successful store updates the LRU index and,
+        when a quota is configured, immediately enforces it.
         """
-        from repro.harness.chaos import injector as chaos_injector
-
         path = self._path(kind, key, ext)
         try:
-            if (ch := chaos_injector()) is not None:
-                ch.maybe_sleep("cache.write")
-                ch.check_io("cache.write")  # simulated crash before publish
             store_mod.atomic_write_bytes(path, store_mod.pack_record(payload))
         except Exception:
             self._count("store_errors")

@@ -35,11 +35,11 @@ them:
   and, with ``--repair``, quarantines the bad ones and rebuilds the LRU
   index.
 
-Chaos sites: :func:`read_payload` consults the fault injector at
-``store.read`` for the ``bitflip`` (single flipped bit in the raw bytes)
-and ``stale_version`` (header reports an unknown schema) kinds, so the
-whole self-healing path is exercisable deterministically under
-``REPRO_CHAOS``.
+Every write to disk goes through one of the funnels here
+(:func:`atomic_write_bytes`, :func:`quarantine_file`,
+:func:`repair_journal`) or the journal's
+(:class:`~repro.nvct.journal.SealedJournal`).  The test tree checks
+them by enumerating crash states (``tests/harness/test_crash_states.py``).
 """
 
 from __future__ import annotations
@@ -74,6 +74,7 @@ __all__ = [
     "open_json_doc",
     "seal_line",
     "open_line",
+    "fsync_dir",
     "atomic_write_bytes",
     "quarantine_file",
     "quarantine_bytes",
@@ -187,21 +188,8 @@ def unpack_record(data: bytes) -> tuple[dict, bytes]:
     return header, payload
 
 
-def read_payload(data: bytes, site: str = "store.read") -> bytes:
-    """Verified payload of the enveloped record ``data``.
-
-    The chaos injector is consulted at ``site`` for the ``bitflip`` and
-    ``stale_version`` kinds, so the corruption-recovery path is testable
-    deterministically.
-    """
-    from repro.harness.chaos import injector as chaos_injector
-
-    if (ch := chaos_injector()) is not None:
-        data = ch.bitflip(site, data)
-        if ch.fires(site, "stale_version"):
-            raise SnapshotCorruptError(
-                "chaos: injected stale/foreign schema_version at " + site
-            )
+def read_payload(data: bytes) -> bytes:
+    """Verified payload of the enveloped record ``data``."""
     _, payload = unpack_record(data)
     return payload
 
@@ -277,7 +265,8 @@ def open_line(doc: dict) -> dict:
 # -- atomic durable writes -----------------------------------------------------
 
 
-def _fsync_dir(path: Path) -> None:
+def fsync_dir(path: Path) -> None:
+    """Make the entries of directory ``path`` durable (best effort)."""
     try:
         fd = os.open(path, os.O_RDONLY)
     except OSError:
@@ -310,7 +299,7 @@ def atomic_write_bytes(path: str | Path, data: bytes | Iterable[bytes | memoryvi
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        _fsync_dir(path.parent)
+        fsync_dir(path.parent)
     except Exception:
         try:
             os.unlink(tmp)
@@ -355,8 +344,8 @@ def quarantine_file(path: str | Path, root: str | Path | None = None) -> Path | 
         shutil.move(str(path), str(target))
     except OSError:
         return None
-    _fsync_dir(target.parent)  # make the move itself durable …
-    _fsync_dir(path.parent)  # … and the disappearance from the source dir
+    fsync_dir(target.parent)  # make the move itself durable …
+    fsync_dir(path.parent)  # … and the disappearance from the source dir
     bump("store.quarantined", unit="records")
     return target
 

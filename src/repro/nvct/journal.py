@@ -147,28 +147,44 @@ class SealedJournal:
     #: how refusal messages name this kind of journal
     WHAT = "journal"
 
-    #: Write attempts per append before giving up.  Transient faults can
-    #: arrive back to back (the chaos schedule at seed 7 proves it), so a
-    #: single absorbed failure is not enough; three bounded attempts ride
-    #: out a double fault while a persistently unwritable journal — which
-    #: has lost its crash-safety guarantee — still fails loudly.
+    #: Write attempts per append before giving up.  A failed write or
+    #: fsync is retried on a fresh handle from the end of the last durable
+    #: line; three bounded attempts ride out a double fault while a
+    #: persistently unwritable journal — which has lost its crash-safety
+    #: guarantee — still fails loudly.
     APPEND_ATTEMPTS = 3
 
     def __init__(self, path: str | Path, header: dict):
         self.path = Path(path)
         self.header = header
         self._fh = None  # type: ignore[assignment]
+        self._durable = 0  # byte offset just past the last fsync'd line
 
     # -- lifecycle ------------------------------------------------------------
 
     @classmethod
     def create(cls, path: str | Path, header: dict):
         """Start a fresh journal (truncating any previous file)."""
+        from repro.harness.store import fsync_dir
+
         journal = cls(path, header)
         journal.path.parent.mkdir(parents=True, exist_ok=True)
         journal._fh = open(journal.path, "wb")
         journal._append(header)
+        fsync_dir(journal.path.parent)  # the new file's own entry
         return journal
+
+    @staticmethod
+    def _unstarted(path: Path) -> bool:
+        """Whether ``path`` holds no complete line — missing, empty, or a
+        header write a crash cut short — so a resume starts afresh.  The
+        cut-short bytes are quarantined first."""
+        from repro.harness.store import quarantine_bytes
+
+        raw = path.read_bytes() if path.exists() else b""
+        if raw and b"\n" not in raw:
+            quarantine_bytes(raw, path.parent, path.name + ".tail")
+        return b"\n" not in raw
 
     @classmethod
     def _refuse_foreign(cls, path: Path, found: dict, header: dict) -> None:
@@ -212,6 +228,7 @@ class SealedJournal:
         journal._fh = open(path, "r+b")
         journal._fh.truncate(valid)  # drop the quarantined tail from the live file
         journal._fh.seek(valid)
+        journal._durable = valid
         return journal
 
     def close(self) -> None:
@@ -232,30 +249,37 @@ class SealedJournal:
     # -- the write-ahead append ----------------------------------------------
 
     def _write_line(self, doc: dict) -> None:
-        from repro.harness.chaos import injector as chaos_injector
         from repro.harness.store import seal_line
 
         assert self._fh is not None, f"{self.WHAT} is closed"
         line = json.dumps(seal_line(doc), sort_keys=True).encode("utf-8") + b"\n"
-        if (ch := chaos_injector()) is not None:
-            ch.maybe_sleep("journal.append")
-            ch.check_io("journal.append")
         self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        self._durable += len(line)
 
     def _append(self, doc: dict) -> None:
-        """Durably append one line (fsync before returning).  Transient
-        I/O failures are absorbed by reopening the file and retrying, at
-        most :attr:`APPEND_ATTEMPTS` times in total; then they propagate."""
+        """Durably append one line (fsync before returning).
+
+        A failed attempt may still have landed its bytes (a write whose
+        fsync failed), so a retry closes the handle, reopens the file and
+        truncates it back to the last durable line before writing again:
+        the line is on disk once.  At most :attr:`APPEND_ATTEMPTS`
+        attempts in total; then the error propagates."""
         for attempt in range(self.APPEND_ATTEMPTS):
             try:
                 self._write_line(doc)
-                break
+                return
             except OSError:
                 if attempt == self.APPEND_ATTEMPTS - 1:
                     raise
-                self._fh = open(self.path, "ab")
+            try:
+                self._fh.close()
+            except OSError:
+                pass  # the failed attempt's buffered bytes are cut off below
+            self._fh = open(self.path, "r+b")
+            self._fh.truncate(self._durable)
+            self._fh.seek(self._durable)
 
 
 class CampaignJournal(SealedJournal):
@@ -267,15 +291,16 @@ class CampaignJournal(SealedJournal):
     ) -> tuple["CampaignJournal", dict[int, "CrashTestRecord"]]:
         """Resume ``path`` if it journals this campaign, else start fresh.
 
-        Missing or empty file → fresh journal, no completed trials.  An
-        existing journal for a *different* campaign raises
+        Missing or empty file, or only a torn header line → fresh
+        journal, no completed trials.  An existing journal for a
+        *different* campaign raises
         :class:`~repro.errors.JournalError` instead of silently
         discarding its contents.  An invalid tail — a torn in-flight
         append or a record that fails its CRC — is quarantined beside
         the journal and truncated away; the affected trials re-run.
         """
         path = Path(path)
-        if not path.exists() or path.stat().st_size == 0:
+        if cls._unstarted(path):
             return cls.create(path, header), {}
         found, records, valid = load_journal(path)
         if found is None:

@@ -228,7 +228,7 @@ class LeaseJournal(SealedJournal):
         a different queue and cannot be replayed onto this one.
         """
         path = Path(path)
-        if not path.exists() or path.stat().st_size == 0:
+        if cls._unstarted(path):
             return cls.create(path, header), []
         raw = path.read_bytes()
         found, lines, valid = scan_journal(raw)

@@ -17,17 +17,6 @@ from repro.nvct.plan import PersistencePlan
 SMALL = ExperimentSettings(n_tests=5, planner_tests=8, refinement_tests=5)
 
 
-@pytest.fixture(autouse=True)
-def _no_chaos():
-    """These tests assert exact hit/miss accounting, which REPRO_CHAOS
-    perturbs by design; cache-under-chaos coverage lives in test_chaos.py."""
-    from repro.harness import chaos
-
-    chaos.disable()
-    yield
-    chaos.reset()
-
-
 @pytest.fixture
 def cache(tmp_path):
     return ArtifactCache(tmp_path / "cache")
@@ -154,3 +143,49 @@ def test_from_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c"))
     cache = ArtifactCache.from_env()
     assert cache is not None and cache.root.exists()
+
+
+# -- I/O faults (the recording seam raises them at the real call) ----------------
+
+
+def _ep3():
+    factory = get_factory("EP")
+    cfg = CampaignConfig(n_tests=3, seed=6)
+    return campaign_key(factory, cfg), run_campaign(factory, cfg)
+
+
+def test_os_error_read_is_transient_and_never_quarantines(tmp_path):
+    """A failed read of an entry is a counted miss; the entry itself is
+    intact and MUST stay in place (quarantine is for bad bytes only)."""
+    from tests.harness.recording_fs import RecordingFS
+
+    key, result = _ep3()
+    cache = ArtifactCache(tmp_path / "store")
+    cache.put_campaign(key, result)
+    fs = RecordingFS(tmp_path)
+    fs.fail("read", path=f"{key}.json")
+    with fs.recording():
+        assert cache.get_campaign(key) is None  # transient failure -> miss
+    stats = cache.stats()
+    assert stats["errors"] == 1 and stats["misses"] == 1
+    assert stats["quarantined"] == 0
+    assert not (tmp_path / "store" / "quarantine").exists()
+    assert cache.get_campaign(key) is not None  # entry survived untouched
+
+
+@pytest.mark.parametrize("kind", ["fsync", "rename"])
+def test_os_error_write_abandons_store_cleanly(tmp_path, kind):
+    """A store whose fsync or publishing rename fails is counted, its temp
+    file unlinked, and nothing is published."""
+    from tests.harness.recording_fs import RecordingFS
+
+    key, result = _ep3()
+    cache = ArtifactCache(tmp_path / "store")
+    fs = RecordingFS(tmp_path)
+    fs.fail(kind, path=".tmp")
+    with fs.recording():
+        cache.put_campaign(key, result)
+    assert cache.stats()["store_errors"] == 1 and cache.stats()["stores"] == 0
+    assert any(op.kind == "unlink" and op.path.endswith(".tmp") for op in fs.ops)
+    assert not list((tmp_path / "store").rglob("*.tmp"))
+    assert not list((tmp_path / "store").rglob(f"{key}.json"))

@@ -52,10 +52,12 @@ def _config(model: str, **kw) -> CampaignConfig:
     return CampaignConfig(n_tests=N_TESTS, seed=2, crash_model=model, **kw)
 
 
-def _serve_scripted(cfg, journal, factory=FACTORY):
+def _serve_scripted(cfg, journal, factory=FACTORY, resume=False):
     """Drain the campaign through one scripted lease -> record -> commit
     worker and return the scheduler's assembled result."""
-    sched = CampaignScheduler(factory, cfg, journal=journal, chunk_size=SCRIPTED_CHUNK)
+    sched = CampaignScheduler(
+        factory, cfg, journal=journal, chunk_size=SCRIPTED_CHUNK, resume=resume
+    )
     sched.prepare()
     executors: dict[int, ChunkExecutor] = {}
     try:

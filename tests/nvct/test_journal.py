@@ -322,10 +322,8 @@ def test_journal_line_without_crc_ends_the_journal(tmp_path):
 def test_header_write_rides_the_append_retry(tmp_path, monkeypatch):
     """One transient ``OSError`` on the very first line must not kill
     ``create``: the header gets the same bounded retry as every trial."""
-    from repro.harness import chaos
     from repro.harness.store import open_line
 
-    chaos.disable()  # the one fault here is the planted one
     real_write_line = CampaignJournal._write_line
     attempts = []
 
@@ -338,10 +336,74 @@ def test_header_write_rides_the_append_retry(tmp_path, monkeypatch):
     monkeypatch.setattr(CampaignJournal, "_write_line", flaky)
     path = tmp_path / "j.jsonl"
     header = _header()
-    try:
-        CampaignJournal.create(path, header).close()
-    finally:
-        chaos.reset()
+    CampaignJournal.create(path, header).close()
     assert attempts == ["header", "header"]
     (line,) = path.read_bytes().splitlines()
     assert open_line(json.loads(line)) == header
+
+
+# -- a failed fsync after the line landed (the recording seam's faults) ----------
+
+
+def _raw_lines(path) -> list:
+    """Every intact line as ``"header"`` or its trial index, in file order."""
+    from repro.nvct.journal import scan_journal
+
+    _, lines, _ = scan_journal(path.read_bytes())
+    return [doc["index"] if doc["kind"] == "trial" else doc["kind"] for doc, _ in lines]
+
+
+@pytest.fixture(scope="module")
+def ep6():
+    """EP x6 recorded once, and its clean (unjournaled) result."""
+    from repro.nvct.campaign import PreparedShard, plan_shards, run_shard
+
+    (plan,), _ = plan_shards(FACTORY, CampaignConfig(n_tests=6, seed=1))
+    shard = PreparedShard.record(FACTORY, plan)
+    return shard, campaign_to_dict(run_shard(shard))
+
+
+@pytest.mark.parametrize("position", range(7))
+def test_failed_append_fsync_journals_each_index_once(tmp_path, ep6, position):
+    """The fsync of append ``position`` (0: the header) fails after its
+    line landed: the retry must rewrite that line in place, not add it
+    again, and the campaign must equal a clean run."""
+    from dataclasses import replace
+
+    from repro.nvct.campaign import run_shard
+    from tests.harness.recording_fs import RecordingFS
+
+    shard, clean = ep6
+    path = tmp_path / "j.jsonl"
+    fs = RecordingFS(tmp_path)
+    fs.fail("fsync", path="j.jsonl", skip=position)
+    with fs.recording():
+        result = run_shard(replace(shard, plan=replace(shard.plan, journal=path)))
+    assert _raw_lines(path) == ["header", *range(6)]
+    assert campaign_to_dict(result) == clean
+
+
+ATTEMPTS = CampaignJournal.APPEND_ATTEMPTS
+
+
+@pytest.mark.parametrize("failures", [ATTEMPTS - 1, ATTEMPTS])
+def test_append_absorbs_all_but_the_last_failed_attempt(tmp_path, failures):
+    """Up to ``APPEND_ATTEMPTS - 1`` failed fsyncs in a row are absorbed;
+    the next one propagates.  Either way each attempt rewrote the same
+    line, so it is on disk once."""
+    from tests.harness.recording_fs import RecordingFS
+
+    path = tmp_path / "j.jsonl"
+    fs = RecordingFS(tmp_path)
+    fs.fail("fsync", path="j.jsonl", skip=1, times=failures)  # the first trial's attempts
+    with fs.recording():
+        journal = CampaignJournal.create(path, _header())
+        if failures < ATTEMPTS:
+            journal.append(0, _record(0))
+        else:
+            with pytest.raises(OSError, match="injected fsync failure"):
+                journal.append(0, _record(0))
+        journal.close()
+    writes = [op for op in fs.ops if op.kind == "write"]
+    assert len(writes) == 1 + min(failures + 1, ATTEMPTS)  # the header, then each attempt
+    assert _raw_lines(path) == ["header", 0]

@@ -193,6 +193,22 @@ def test_packed_array_crc_detects_silent_corruption():
         unpack_snapshot(packed)
 
 
+def test_torn_line_caught_by_snapshot_crc():
+    """A write torn inside one 64-byte line (an 8-byte-aligned suffix of
+    the line zeroed, length kept) must fail the snapshot array's CRC."""
+    import numpy as np
+
+    from repro.nvct.serialize import _pack_array, _unpack_array
+
+    packed = _pack_array(np.arange(64, dtype=np.float64) + 1.0)
+    data = packed["data"]
+    lo, cut = 3 * 64, 3 * 64 + 24
+    packed["data"] = data[:cut] + b"\x00" * (lo + 64 - cut) + data[lo + 64 :]
+    assert len(packed["data"]) == len(data) and packed["data"] != data
+    with pytest.raises(SnapshotCorruptError, match="checksum"):
+        _unpack_array(packed)
+
+
 def test_packed_array_without_crc_is_refused():
     import numpy as np
 

@@ -304,7 +304,7 @@ def test_analyze_reports_findings(capsys, tmp_path):
 
 
 def test_analyze_unknown_app_exits_2(capsys):
-    code = main(["analyze", "--no-dynamic", "--no-self-lint", "--apps", "NOPE"])
+    code = main(["analyze", "--no-dynamic", "--apps", "NOPE"])
     err = capsys.readouterr().err
     assert code == 2
     assert "unknown application 'NOPE'" in err
@@ -316,8 +316,7 @@ def test_analyze_sarif_export(capsys, tmp_path):
     bad.write_text(BUGGY_APP)
     sarif = tmp_path / "report.sarif"
     code, out = run_cli(
-        capsys, "analyze", str(bad), "--no-dynamic", "--no-self-lint",
-        "--sarif", str(sarif),
+        capsys, "analyze", str(bad), "--no-dynamic", "--sarif", str(sarif),
     )
     assert code == 1
     assert "sarif report" in out

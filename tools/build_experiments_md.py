@@ -246,41 +246,40 @@ asserts >= 5x over the test tree's copy-and-diff oracle
 """
 
 
-def _chaos_section() -> str:
-    """Static recipe: reproducing a campaign under injected failures."""
-    return """## Recipe — campaigns under injected failures
+def _crash_section() -> str:
+    """Static recipe: reproducing a campaign across crashes of the harness."""
+    return """## Recipe — campaigns across crashes of the harness
 
 The paper studies applications that survive crashes; the harness applies
 the same standard to itself.  To reproduce any experiment *while the
-harness is being failed on purpose*:
+harness is being killed on purpose*:
 
 ```bash
-# 1. A long campaign with a write-ahead journal, under 5% fault injection
-#    (worker kills, payload truncation, cache corruption, I/O errors —
-#    deterministic per seed):
-REPRO_CHAOS=7:0.05 python -m repro campaign MG --tests 2000 --jobs 0 \\
-    --resume mg.journal --save mg-chaos.json
+# 1. A long campaign with a write-ahead journal:
+python -m repro campaign MG --tests 2000 --jobs 0 \\
+    --resume mg.journal --save mg-resumed.json
 
 # 2. Kill it at any point (Ctrl-C exits 130; SIGKILL is fine too), then
 #    rerun the same command: journaled trials are skipped, and the final
 #    report is bit-identical to an uninterrupted run.
 
-# 3. The control run, no chaos, no interruption:
+# 3. The control run, no interruption:
 python -m repro campaign MG --tests 2000 --jobs 0 --save mg-clean.json
-diff mg-chaos.json mg-clean.json   # identical
+diff mg-resumed.json mg-clean.json   # identical
 
-# 4. The CI soak (fixed seed, engine test subset + resume smoke):
-REPRO_CHAOS=7:0.05 PYTHONPATH=src python -m pytest -q \\
-    tests/nvct/test_parallel.py tests/nvct/test_journal.py \\
-    tests/harness/test_cache.py tests/harness/test_chaos.py \\
-    tests/harness/test_resilience.py
+# 4. Every crash state of the harness's own writes (CI's durability job):
+PYTHONPATH=src python -m pytest -q \\
+    tests/harness/test_crash_states.py tests/harness/test_write_funnels.py
 ```
 
-Injected faults may change *timing* (retries, serial fallback) but never
-*results*: classification is pure, corrupted snapshot payloads fail the
-chunk and are reclassified from the parent's pristine copy, and torn
-cache entries read as misses.  See the *Resilience, chaos & the campaign
-journal* section of `docs/API.md`.
+Step 4 records every write, fsync and rename a journaled campaign, a
+resume over a torn tail, a cache round trip, `doctor fsck --repair` and
+a served campaign make, then crashes before every op with un-synced
+writes kept, dropped or torn: recovery must land on the state before or
+after each write, finish to the serial `--save` bytes with each trial
+journaled once, and read every cache entry as a miss or the right
+result.  See the *Resilience & the campaign journal* section of
+`docs/API.md`.
 """
 
 
@@ -429,7 +428,7 @@ def main() -> int:
         return check()
     missing: list[str] = []
     parts = _render_sections(missing)
-    parts.append(_chaos_section())
+    parts.append(_crash_section())
     parts.append(_service_section())
     parts.append(GOLDEN_NOTE)
     parts.append(_equivalence_section())

@@ -189,12 +189,9 @@ class Soak:
     def verify(self) -> None:
         sys.path.insert(0, str(ROOT / "src"))
         from repro.apps.registry import get_factory
-        from repro.harness import chaos
         from repro.nvct.campaign import CampaignConfig, run_campaign
         from repro.nvct.journal import scan_journal
         from repro.nvct.serialize import save_campaign
-
-        chaos.disable()  # the oracle runs clean, whatever REPRO_CHAOS says
 
         # Exactly-once, counted on the raw journal lines (a dict-shaped
         # loader would silently absorb duplicates; the raw lines cannot lie).
