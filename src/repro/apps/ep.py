@@ -18,6 +18,8 @@ Regions (Table 1 lists 2): ``R1`` generation, ``R2`` accumulation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.apps.base import Application
@@ -27,6 +29,25 @@ __all__ = ["EP"]
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
 _MASK = (1 << 64) - 1
+
+
+@lru_cache(maxsize=8)
+def _lcg_coefficients(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """LCG trajectory coefficients ``(A^i, C_i)`` for ``i = 1..count``, so
+    that ``s_i = A^i s_0 + C_i`` and a whole batch vectorizes (modulo 2^64
+    via uint64 wraparound).  Built once per count; the arrays are
+    read-only because every EP instance shares them."""
+    apow = np.empty(count, dtype=np.uint64)
+    cpre = np.empty(count, dtype=np.uint64)
+    a, c = 1, 0
+    for i in range(count):
+        a = (a * _LCG_A) & _MASK
+        c = (c * _LCG_A + _LCG_C) & _MASK
+        apow[i] = a
+        cpre[i] = c
+    apow.flags.writeable = False
+    cpre.flags.writeable = False
+    return apow, cpre
 
 
 class EP(Application):
@@ -60,19 +81,7 @@ class EP(Application):
         # Sequential generator state: a plain Python attribute — the
         # "stack" state the paper's failure model does not persist.
         self._lcg_state = self.seed & _MASK
-        # Per-batch LCG trajectory coefficients: s_i = A^i s_0 + C_i, so a
-        # whole batch vectorizes (modulo-2^64 via uint64 wraparound).
-        count = 2 * self.batch_size
-        apow = np.empty(count, dtype=np.uint64)
-        cpre = np.empty(count, dtype=np.uint64)
-        a, c = 1, 0
-        for i in range(count):
-            a = (a * _LCG_A) & _MASK
-            c = (c * _LCG_A + _LCG_C) & _MASK
-            apow[i] = a
-            cpre[i] = c
-        self._apow = apow
-        self._cpre = cpre
+        self._apow, self._cpre = _lcg_coefficients(2 * self.batch_size)
 
     def _lcg_batch(self, count: int) -> np.ndarray:
         """Draw ``count`` uniforms in [0,1) advancing the sequential state."""

@@ -3,12 +3,22 @@
 The simulator processes *rounds*: arrays of block ids that map to pairwise
 distinct sets.  Because LRU state is independent per set, any grouping of
 an access sequence that preserves each set's subsequence order is exact;
-rounds let every update be a handful of NumPy operations over a
-``[n_round, ways]`` slab instead of a Python loop per access.
+rounds let every update be a handful of NumPy operations instead of a
+Python loop per access.
 
 State per (set, way): ``tags`` (block id, -1 invalid), ``dirty`` flag, and
 a monotonically increasing ``stamp`` used for LRU victim choice (invalid
 ways carry stamp -1 so they are always preferred victims).
+
+Lookups go through an inverse index, ``_where[block] = way`` (-1 when the
+block is absent), one small integer per block id.  A block's set is a
+function of its id, so ``(block & set_mask, _where[block])`` names its
+slot, and a lookup is one gather instead of a ``[n, ways]`` tag compare.
+The index changes only where residency does -- ``install`` (victims to -1,
+installed blocks to their way), ``remove`` and ``invalidate_all`` -- and
+grows on demand to the largest installed id.  Its last entry is a
+sentinel that no resident block reaches, so ids past the end gather
+(clipped) as absent.
 """
 
 from __future__ import annotations
@@ -33,6 +43,8 @@ class SetAssociativeCache:
         self.dirty = np.zeros((self.num_sets, self.ways), dtype=bool)
         self.stamp = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
         self._clock = 0
+        # Smallest signed type that holds every way index and -1.
+        self._where = np.full(1, -1, dtype=np.min_scalar_type(-self.ways))
         self.stats = CacheStats()
 
     # -- pure queries ------------------------------------------------------
@@ -41,15 +53,10 @@ class SetAssociativeCache:
         return blocks & self._set_mask
 
     def lookup(self, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Presence mask and hit way for each block (no state change)."""
-        if blocks.size == 0:
-            empty = np.empty(0, dtype=bool)
-            return empty, np.empty(0, dtype=np.int64)
-        sets = self.sets_of(blocks)
-        match = self.tags[sets] == blocks[:, None]
-        present = match.any(axis=1)
-        way = match.argmax(axis=1)
-        return present, way
+        """Presence mask and hit way (-1 when absent) for each block (no
+        state change)."""
+        way = self._where.take(blocks, mode="clip")
+        return way >= 0, way
 
     def contains(self, blocks: np.ndarray) -> np.ndarray:
         present, _ = self.lookup(np.asarray(blocks, dtype=np.int64))
@@ -68,13 +75,23 @@ class SetAssociativeCache:
 
     # -- state transitions (round granularity) -----------------------------
 
-    def refresh(self, blocks: np.ndarray, ways: np.ndarray, set_dirty: bool) -> None:
-        """LRU-refresh hit blocks; optionally mark them dirty (store hit)."""
+    def refresh(
+        self, blocks: np.ndarray, ways: np.ndarray, set_dirty: bool, round_size: int = 0
+    ) -> None:
+        """LRU-refresh hit blocks; optionally mark them dirty (store hit).
+
+        With ``round_size``, ``blocks`` are consecutive rounds of that many
+        blocks (the last may be shorter) and each round takes its own clock
+        tick, exactly as one ``refresh`` per round would."""
         if blocks.size == 0:
             return
         sets = self.sets_of(blocks)
-        self._clock += 1
-        self.stamp[sets, ways] = self._clock
+        if round_size:
+            self.stamp[sets, ways] = self._clock + 1 + np.arange(blocks.size) // round_size
+            self._clock += -(-blocks.size // round_size)
+        else:
+            self._clock += 1
+            self.stamp[sets, ways] = self._clock
         if set_dirty:
             self.dirty[sets, ways] = True
 
@@ -94,6 +111,13 @@ class SetAssociativeCache:
         vd = self.dirty[sets, victim_way]
         valid = vt >= 0
         self._clock += 1
+        top = int(blocks.max()) + 2
+        if top > self._where.size:
+            grown = np.full(max(top, 2 * self._where.size), -1, dtype=self._where.dtype)
+            grown[: self._where.size] = self._where
+            self._where = grown
+        self._where[vt[valid]] = -1
+        self._where[blocks] = victim_way
         self.tags[sets, victim_way] = blocks
         self.dirty[sets, victim_way] = dirty
         self.stamp[sets, victim_way] = self._clock
@@ -115,6 +139,7 @@ class SetAssociativeCache:
             self.tags[sets, w] = -1
             self.dirty[sets, w] = False
             self.stamp[sets, w] = -1
+            self._where[blocks[present]] = -1
             self.stats.invalidations += int(present.sum())
         return present, was_dirty
 
@@ -155,3 +180,4 @@ class SetAssociativeCache:
         self.tags[:, :] = -1
         self.dirty[:, :] = False
         self.stamp[:, :] = -1
+        self._where[:] = -1

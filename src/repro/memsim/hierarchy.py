@@ -19,6 +19,17 @@ Accesses are processed in *rounds* of block ids with pairwise-distinct
 sets at the smallest level (set counts are powers of two, so distinctness
 at the smallest level implies it everywhere), which makes per-set LRU
 order exact while every update is a NumPy slab operation.
+
+A contiguous range longer than one round first looks its leading blocks
+(no more than level 0 holds) up at level 0 in one gather through the
+cache's inverse way index.  The whole rounds before the first miss are
+applied together: in the round loop each of them is one ``refresh`` of
+level 0 -- one clock tick, no residency change, no lower level touched --
+and the slots it re-stamps are distinct, because distinct resident
+blocks occupy distinct (set, way) slots and nothing is evicted in
+between.  Stamping round ``r`` with ``clock + 1 + r`` in one assignment
+therefore leaves the exact state, NVM event stream and stats of the
+loop; the rounds from the first miss on take the loop.
 """
 
 from __future__ import annotations
@@ -131,8 +142,31 @@ class CacheHierarchy:
 
     def access(self, block_lo: int, block_hi: int, write: bool) -> None:
         """Access the contiguous block range ``[block_lo, block_hi)``, in order."""
+        if block_hi - block_lo > self._round:
+            block_lo = self._access_hit_prefix(block_lo, block_hi, write)
         for rnd in iter_rounds_contiguous(block_lo, block_hi, self._round):
             self._access_round(rnd, write)
+
+    def _access_hit_prefix(self, block_lo: int, block_hi: int, write: bool) -> int:
+        """Apply the leading rounds of ``[block_lo, block_hi)`` that hit
+        level 0 throughout as one batched ``refresh`` (exact: see the
+        module docstring); return where the round loop resumes."""
+        l0 = self.levels[0]
+        # Distinct blocks that all hit are all resident: at most L0's capacity.
+        blocks = np.arange(block_lo, min(block_hi, block_lo + l0.num_sets * l0.ways), dtype=np.int64)
+        present, way = l0.lookup(blocks)
+        first_miss = int(present.argmin())
+        n = blocks.size if present[first_miss] else first_miss // self._round * self._round
+        if n == 0:
+            return block_lo
+        l0.refresh(blocks[:n], way[:n], set_dirty=write, round_size=self._round)
+        if write:
+            l0.stats.write_accesses += n
+            l0.stats.write_hits += n
+        else:
+            l0.stats.read_accesses += n
+            l0.stats.read_hits += n
+        return block_lo + n
 
     def access_blocks(self, blocks: np.ndarray, write: bool) -> None:
         """Access an arbitrary ordered sequence of block ids.

@@ -37,11 +37,14 @@ from __future__ import annotations
 
 import enum
 import math
+import signal
+import threading
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, TypeVar
 
 import numpy as np
 
+from repro.errors import TrialTimeout
 from repro.memsim.config import CacheLevelConfig, HierarchyConfig
 from repro.memsim.stats import MemoryStats
 from repro.nvct.plan import PersistencePlan
@@ -383,8 +386,6 @@ def _classify(
     golden_iterations: int,
     cfg: CampaignConfig,
 ) -> CrashTestRecord:
-    from repro.errors import TrialTimeout
-
     app = factory.make(runtime=None)
     state = snap.consistent_state if cfg.verified_mode else snap.nvm_state
     assert state is not None
@@ -419,6 +420,35 @@ def _classify(
     )
 
 
+T = TypeVar("T")
+
+
+def call_with_deadline(fn: Callable[[], T], deadline: float | None) -> T:
+    """Run ``fn`` with a wall-clock deadline, raising :class:`TrialTimeout`.
+
+    Uses ``SIGALRM``/``setitimer``, which only works on Unix in the main
+    thread; anywhere else (Windows, worker threads) the deadline is not
+    enforceable this way and the call simply runs unbounded.
+    """
+    if not deadline or deadline <= 0:
+        return fn()
+    if threading.current_thread() is not threading.main_thread() or not hasattr(
+        signal, "setitimer"
+    ):
+        return fn()
+
+    def _alarm(signum: int, frame: Any) -> None:
+        raise TrialTimeout(f"trial exceeded its {deadline:g}s deadline")
+
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, deadline)
+    try:
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _classify_trial(
     factory: AppFactory,
     snap: Snapshot,
@@ -433,8 +463,6 @@ def _classify_trial(
     runs trials on its main thread).  Where ``SIGALRM`` is unavailable the
     trial runs unbounded, and the pool's chunk timeout is the backstop.
     """
-    from repro.harness.resilience import call_with_deadline
-
     try:
         return call_with_deadline(
             lambda: _classify(factory, snap, golden_iterations, cfg), trial_timeout

@@ -26,6 +26,10 @@ Robustness posture:
   chunk retries elsewhere, but a worker that fails every chunk it
   touches stops burning leases and exits loudly
   (:class:`~repro.errors.ServiceError`).
+
+This module is the one place that decides retry and breaker policy:
+``WORKER_RETRY`` and :func:`new_breaker` are the only presets, and
+nothing else constructs a :class:`RetryPolicy` or a breaker.
 """
 
 from __future__ import annotations
@@ -38,14 +42,23 @@ from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import ServiceError
 from repro.nvct.campaign import CampaignConfig
+from repro.obs import registry as obs_registry
 from repro.obs.metrics import bump
 from repro.service.protocol import LineReader, encode
+from repro.util.rng import derive_seed
 
 if TYPE_CHECKING:
     from repro.apps.base import AppFactory
     from repro.memsim.golden import GoldenStore
 
-__all__ = ["ChunkExecutor", "run_worker"]
+__all__ = [
+    "ChunkExecutor",
+    "CircuitBreaker",
+    "RetryPolicy",
+    "WORKER_RETRY",
+    "new_breaker",
+    "run_worker",
+]
 
 #: How long a worker keeps retrying a dead socket before concluding the
 #: scheduler is gone for good (exit 0: a finished campaign tears the
@@ -56,6 +69,75 @@ DEFAULT_IDLE_TIMEOUT_S = 30.0
 #: the scheduler answers in microseconds unless it is dead, and a dead
 #: scheduler should be detected, not waited on forever.
 REPLY_TIMEOUT_S = 60.0
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Exponential backoff with seeded jitter.
+
+    ``max_retries`` counts *re*-tries: an operation runs at most
+    ``max_retries + 1`` times.  The policy only *decides* (how many
+    attempts, how long to back off); the caller owns its retry loop.
+    """
+
+    max_retries: int = 2
+    base_delay: float = 0.05
+    max_delay: float = 2.0
+    seed: int = 0
+
+    def delay(self, key: str, attempt: int) -> float:
+        """Backoff before retry ``attempt`` (0-based) of operation ``key``.
+
+        Deterministic: ``min(max_delay, base_delay·2^attempt)`` scaled by
+        a seeded jitter factor in ``[0.5, 1.0]`` — jitter decorrelates
+        concurrent retriers, and a fixed seed replays the schedule exactly.
+        """
+        cap = min(self.max_delay, self.base_delay * (2.0**attempt))
+        u = (derive_seed(self.seed, "retry", key, attempt) % 2**53) / 2**53
+        return cap * (0.5 + 0.5 * u)
+
+
+class CircuitBreaker:
+    """Consecutive-failure trip wire.
+
+    ``record_failure`` returns ``True`` the moment the breaker opens;
+    once open it stays open (its owner, a ``repro work`` worker, exits
+    and leaves its chunks to other workers, so there is nothing to probe
+    half-open for).  A trip bumps ``resilience.breaker_trips`` when
+    telemetry is on.
+    """
+
+    def __init__(self, threshold: int = 3):
+        if threshold < 1:
+            raise ValueError(f"breaker threshold must be >= 1, got {threshold}")
+        self.threshold = threshold
+        self.consecutive_failures = 0
+        self.total_failures = 0
+        self.tripped = False
+
+    def allow(self) -> bool:
+        return not self.tripped
+
+    def record_success(self) -> None:
+        self.consecutive_failures = 0
+
+    def record_failure(self) -> bool:
+        self.total_failures += 1
+        self.consecutive_failures += 1
+        if not self.tripped and self.consecutive_failures >= self.threshold:
+            self.tripped = True
+            if (reg := obs_registry()) is not None:
+                reg.counter("resilience.breaker_trips", unit="trips").inc()
+        return self.tripped
+
+
+#: Reconnect backoff of a worker whose scheduler is restarting.
+WORKER_RETRY = RetryPolicy(max_retries=8, base_delay=0.1, max_delay=2.0)
+
+
+def new_breaker() -> CircuitBreaker:
+    """A fresh breaker (one per ``repro work`` worker)."""
+    return CircuitBreaker(threshold=3)
 
 
 @dataclass
@@ -170,8 +252,6 @@ def _connect(
     delays come from the (seeded, deterministic) ``WORKER_RETRY`` policy;
     the idle timeout bounds the total wait.
     """
-    from repro.harness.resilience import WORKER_RETRY
-
     start = clock()
     attempt = 0
     while True:
@@ -201,7 +281,6 @@ def run_worker(
     cannot execute chunks at all; a merely *finished* (or vanished)
     scheduler is a clean return.
     """
-    from repro.harness.resilience import new_breaker
     from repro.obs import maybe_span, registry
 
     path = str(socket_path)

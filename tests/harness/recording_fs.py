@@ -19,8 +19,15 @@ every op before ``k`` that was made durable and chooses for the rest:
   (destination) entry is fsync'd; metadata reaches the disk in program
   order, so a crash drops a suffix of the un-synced ones.
 
-Directories count as durable once made (``mkdir`` is not logged), and
-deletions outside the two modules (the scheduler's ``Path.unlink`` of a
+Directories count as durable once made: ``mkdir`` is not logged, and
+``atomic_write_bytes`` fsyncs only a file's own parent, never a new
+ancestor's (a cache shard ``aa/``, ``quarantine/``).  This is the ext4
+ordered-data-mode assumption: its journal commits metadata in order, so
+the fsync that makes a file or its directory entry durable also commits
+the earlier ``mkdir`` of every directory on its path.  On a file system
+without that ordering a crash could lose a fresh directory with its
+entries; for the artifact cache that is a miss, not a wrong result.
+Deletions outside the two modules (the scheduler's ``Path.unlink`` of a
 published store) are not logged either.
 
 :func:`funnel_violations` is Silhouette's pre-or-post rule applied per

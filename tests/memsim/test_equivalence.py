@@ -25,6 +25,8 @@ def configs():
             [(2, 2), (4, 2)],
             [(2, 1), (4, 1)],
             [(2, 2), (4, 2), (8, 2)],
+            # L1 holds 4 rounds, so ranges can open with several all-hit rounds
+            [(2, 4), (8, 2)],
         ]
     )
 
@@ -44,7 +46,7 @@ ops = st.lists(
         st.tuples(
             st.just("range"),
             st.integers(0, MAX_BLOCK - 1),
-            st.integers(1, 16),
+            st.integers(1, 40),
             st.booleans(),
         ),
         st.tuples(

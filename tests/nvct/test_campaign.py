@@ -1,10 +1,19 @@
 """Campaign machinery: determinism, snapshot prefix property, classification."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.apps.base import AppFactory, Application
-from repro.nvct.campaign import CampaignConfig, Response, run_campaign, measure_run
+from repro.errors import TrialTimeout
+from repro.nvct.campaign import (
+    CampaignConfig,
+    Response,
+    call_with_deadline,
+    measure_run,
+    run_campaign,
+)
 from repro.nvct.plan import PersistencePlan
 
 
@@ -132,3 +141,12 @@ def test_campaign_snapshot_counter_is_within_window():
     res = run_campaign(factory(), CampaignConfig(n_tests=20, seed=11))
     assert all(t.counter >= res.run_stats.window_begin for t in res.records)
     assert all(t.counter <= res.run_stats.total_accesses for t in res.records)
+
+
+def test_call_with_deadline_passthrough_and_timeout():
+    assert call_with_deadline(lambda: 41 + 1, None) == 42
+    assert call_with_deadline(lambda: "fast", 5.0) == "fast"
+    with pytest.raises(TrialTimeout):
+        call_with_deadline(lambda: time.sleep(10), 0.05)
+    # the timer is disarmed afterwards: a later slow-ish call survives
+    assert call_with_deadline(lambda: time.sleep(0.01) or "ok", 5.0) == "ok"

@@ -29,7 +29,7 @@ def test_work_parser_flags():
     )
     assert args.command == "work" and args.name == "w1"
     assert args.idle_timeout == 5.0
-    # Retry policy is set only by the presets in repro.harness.resilience.
+    # Retry policy is set only by the presets in repro.service.worker.
     with pytest.raises(SystemExit):
         build_parser().parse_args(["work", "--socket", "s.sock", "--max-retries", "2"])
 
