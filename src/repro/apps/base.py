@@ -20,7 +20,7 @@ loop iterator.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -37,7 +37,6 @@ class RunResult:
 
     iterations: int  # total iterations completed (including pre-restart ones)
     converged: bool
-    metrics: dict[str, float] = field(default_factory=dict)
 
 
 class Application(abc.ABC):
@@ -130,7 +129,7 @@ class Application(abc.ABC):
         ws.main_loop_end()
         if isinstance(ws.runtime, Runtime):
             ws.runtime.finalize()
-        return RunResult(iterations=it, converged=converged, metrics=self.reference_outcome())
+        return RunResult(iterations=it, converged=converged)
 
     # -- restart ----------------------------------------------------------------------
 

@@ -27,6 +27,12 @@ Regions (Table 1 lists 8): R1 key generation, R2 bucket mapping,
 R3 histogram update, R4 reservation (position computation + offsets
 advance), R5 scatter into the store, R6 partial verification,
 R7 digest sampling, R8 monitoring.
+
+R4 stable-sorts the bucket ids in the smallest unsigned dtype that holds
+``n_buckets - 1`` (``uint16`` at the default 512 buckets), where NumPy's
+stable sort is a radix sort instead of the timsort it runs on ``int64``.
+A stable sorting permutation is unique, so ``order`` is the same array
+either way.
 """
 
 from __future__ import annotations
@@ -65,6 +71,7 @@ class IS(Application):
         # Per-bucket capacity with slack over the expected fill.
         expected = nit * n_keys / n_buckets
         self.bucket_cap = int(expected * 1.35)
+        self._bucket_dtype = np.min_scalar_type(n_buckets - 1)
 
     def nominal_iterations(self) -> int:
         return self.nit
@@ -101,7 +108,7 @@ class IS(Application):
         with ws.region("R4"):
             # Reserve per-bucket space, then fill: positions derive from the
             # pre-advance offsets.
-            order = np.argsort(buckets, kind="stable")
+            order = np.argsort(buckets.astype(self._bucket_dtype), kind="stable")
             sorted_buckets = buckets[order]
             offs = self.offsets.read().copy()
             group_start = np.searchsorted(sorted_buckets, np.arange(self.n_buckets))

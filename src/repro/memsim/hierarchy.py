@@ -72,17 +72,7 @@ class CacheHierarchy:
     def _writeback(self, blocks: np.ndarray, source: str) -> None:
         if blocks.size == 0:
             return
-        n = int(blocks.size)
-        self.stats.nvm_writes += n
-        if source == "evict":
-            self.stats.nvm_writes_from_evictions += n
-        elif source == "flush":
-            self.stats.nvm_writes_from_flushes += n
-        elif source == "nt":
-            self.stats.nvm_writes_from_nt += n
-        else:
-            self.stats.nvm_writes_from_drain += n
-        self.stats.nvm_writeback_events += 1
+        self.stats.count_writeback(int(blocks.size), source)
         if self._sink is not None:
             self._sink(blocks)
 

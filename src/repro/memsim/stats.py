@@ -99,6 +99,21 @@ class MemoryStats:
             d[name] = cs.as_dict()
         return d
 
+    def count_writeback(self, blocks: int, source: str) -> None:
+        """Count one NVM write-back event of ``blocks`` dirty blocks from
+        ``source`` (``"evict"``, ``"flush"``, ``"nt"`` or ``"drain"``): the
+        one accounting every hierarchy's write path shares."""
+        self.nvm_writes += blocks
+        if source == "evict":
+            self.nvm_writes_from_evictions += blocks
+        elif source == "flush":
+            self.nvm_writes_from_flushes += blocks
+        elif source == "nt":
+            self.nvm_writes_from_nt += blocks
+        else:
+            self.nvm_writes_from_drain += blocks
+        self.nvm_writeback_events += 1
+
     def publish(self, reg: "MetricRegistry", prefix: str = "memsim") -> None:
         """Add NVM-side and per-level counters to the telemetry registry."""
         reg.counter(f"{prefix}.nvm_writes", unit="blocks").inc(self.nvm_writes)

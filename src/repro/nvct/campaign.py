@@ -461,7 +461,7 @@ def _classify_trial(
     campaign.  ``trial_timeout`` bounds one trial's wall time through
     ``SIGALRM``: in the parent and in every ``--jobs`` pool worker (each
     runs trials on its main thread).  Where ``SIGALRM`` is unavailable the
-    trial runs unbounded, and the pool's chunk timeout is the backstop.
+    trial runs unbounded: nothing else bounds it.
     """
     try:
         return call_with_deadline(

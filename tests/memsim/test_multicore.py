@@ -137,3 +137,34 @@ def test_shared_counter_updates_by_alternating_cores():
     assert rec.events == []
     h.flush(0, 1)
     assert rec.events == [0]
+
+
+def test_writeback_events_are_counted_like_the_single_core_hierarchy():
+    # Both hierarchies count through MemoryStats.count_writeback: one event
+    # per non-empty sink call, blocks split by source.
+    from repro.memsim.config import HierarchyConfig
+    from repro.memsim.hierarchy import CacheHierarchy
+
+    calls = []
+    h = make(sink=lambda blocks: calls.append(blocks.size))
+    single = CacheHierarchy(
+        HierarchyConfig((CacheLevelConfig("L1", 2 * 2 * 64, 2), CacheLevelConfig("LLC", 8 * 2 * 64, 2)))
+    )
+    h.access(0, 0, 8, write=True)
+    single.access(0, 8, write=True)
+    h.flush(0, 4)
+    single.flush(0, 4)
+    h.writeback_all()
+    single.writeback_all()
+    nvm = {k: v for k, v in h.stats.as_dict().items() if k.startswith("nvm_writes")}
+    assert nvm == {
+        "nvm_writes": 8,
+        "nvm_writes_from_evictions": 0,
+        "nvm_writes_from_flushes": 4,
+        "nvm_writes_from_drain": 4,
+        "nvm_writes_from_nt": 0,
+    }
+    assert calls == [4, 4]
+    assert h.stats.nvm_writeback_events == len(calls) > 0
+    nvm_single = {k: v for k, v in single.stats.as_dict().items() if k.startswith("nvm_")}
+    assert {k: v for k, v in h.stats.as_dict().items() if k.startswith("nvm_")} == nvm_single
