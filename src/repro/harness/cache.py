@@ -13,13 +13,14 @@ invalidation logic is needed.
 
 Formats: campaigns and run statistics round-trip through the JSON dicts
 of :mod:`repro.nvct.serialize`; planning reports (deeply nested result
-objects) are pickled.  Every entry is wrapped in the integrity envelope
-of :mod:`repro.harness.store` (schema version + payload CRC-32 + git
-sha), verified on every read.  A corrupted or unreadable entry is
-**quarantined** (moved under ``quarantine/``, never silently deleted),
-counted, and treated as a miss — the artifact is recomputed and
-rewritten, never raised to the caller.  An entry without the envelope is
-bad bytes like any other.
+objects) are pickled.  Every entry is a sealed file of
+:mod:`repro.harness.store`: the magic, one CRC-sealed header line
+(``kind``, schema version, payload CRC-32, git sha, creation time), then
+the payload, all verified on every read.  A corrupted or unreadable
+entry is **quarantined** (moved under ``quarantine/``, never silently
+deleted), counted, and treated as a miss — the artifact is recomputed
+and rewritten, never raised to the caller.  An entry without the seal,
+or in an older layout, is bad bytes like any other.
 
 Enable by pointing ``REPRO_CACHE_DIR`` at a directory (created on
 demand); :class:`~repro.harness.context.ExperimentContext` then consults
@@ -141,15 +142,15 @@ def plan_report_key(factory: "AppFactory", cfg: "EasyCrashConfig") -> str:
 class ArtifactCache:
     """On-disk artifact store with hit/miss/error accounting.
 
-    Layout: ``root/<kind>/<key[:2]>/<key>.{json,pkl}``, each entry in
-    the :mod:`repro.harness.store` integrity envelope.  Writes are
+    Layout: ``root/<kind>/<key[:2]>/<key>.{json,pkl}``, each entry a
+    :mod:`repro.harness.store` sealed file.  Writes are
     atomic and durable: the payload is fsync'd to a same-directory temp
     file and published with ``os.replace`` (the directory is fsync'd
     too), so a crash or concurrent session can at worst lose a store —
     never leave a torn entry.  A failed store is counted
     (``store_errors``) and swallowed: the cache is an accelerator, and a
     flaky disk must not take the campaign down with it.  Reads whose
-    envelope fails verification or that decode to garbage are
+    head or payload fails verification or that decode to garbage are
     quarantined, counted as errors *and* misses — the artifact is
     recomputed and rewritten, never raised to the caller.
 
@@ -231,10 +232,10 @@ class ArtifactCache:
             self._count("misses")
             return None
         try:
-            payload = store_mod.read_payload(data)
-            artifact = decode(payload)
+            _, offset = store_mod.open_head(data, store_mod.ENTRY_KIND)
+            artifact = decode(data[offset:])
         except Exception:
-            # Envelope/CRC failure or undecodable payload: the bytes on
+            # Header/CRC failure or undecodable payload: the bytes on
             # disk are bad.  Quarantine the entry and fall through to a
             # recompute — one flipped bit costs one recomputation.
             self._quarantine(path)
@@ -246,7 +247,7 @@ class ArtifactCache:
         return artifact
 
     def _write(self, kind: str, key: str, ext: str, payload: bytes) -> bool:
-        """Atomically publish one enveloped entry; returns whether it landed.
+        """Atomically publish one sealed entry; returns whether it landed.
 
         The write itself is :func:`repro.harness.store.atomic_write_bytes`
         (payload fsync'd → ``os.replace`` → directory fsync, temp file
@@ -257,7 +258,13 @@ class ArtifactCache:
         """
         path = self._path(kind, key, ext)
         try:
-            store_mod.atomic_write_bytes(path, store_mod.pack_record(payload))
+            head = store_mod.seal_head(
+                store_mod.ENTRY_KIND,
+                payload_crc32=store_mod.crc32(payload),
+                git_sha=store_mod.store_git_sha(),
+                created_at=store_mod.created_at(),
+            )
+            store_mod.atomic_write_bytes(path, [head, payload])
         except Exception:
             self._count("store_errors")
             return False

@@ -4,18 +4,23 @@ The paper's premise is that persisted state survives failures *only if
 you can trust what you read back*: EasyCrash verifies recomputed results
 at the application level, and WITCHER-style testing shows how silently
 corrupt persistent state escapes naive checks.  Our own durable
-artifacts — :class:`~repro.harness.cache.ArtifactCache` entries, the
-campaign journal, bench.json documents, packed snapshot payloads — are
-atomically *written* but were historically never integrity-checked on
-*read*.  This module closes that gap with one envelope shared by all of
-them:
+artifacts — :class:`~repro.harness.cache.ArtifactCache` entries,
+published golden stores, ``--stats`` documents, the campaign and lease
+journals — are atomically *written*; this module makes every one of them
+verified on *read*, with one sealing primitive used two ways:
 
-* **Record envelope** (:func:`pack_record` / :func:`unpack_record`): a
-  magic prefix, one JSON header line ``{schema_version, payload_crc32,
-  git_sha, created_at}``, then the raw payload bytes.  The CRC is
-  verified on every read; a mismatch or an unreadable header raises the
-  typed :class:`~repro.errors.SnapshotCorruptError`.
-* **One readable format**: bytes without the envelope (no magic, no
+* **The sealed line** (:func:`seal_line` / :func:`open_line`): a JSON
+  object gains a ``crc`` field over its canonical dump.  Journal lines,
+  wire messages and ``--stats`` documents are sealed lines.
+* **The sealed file** (:func:`seal_head` / :func:`open_head`): the only
+  on-disk layout of binary artifacts — :data:`MAGIC`, one sealed JSON
+  header line ``{kind, schema_version, ...}``, then the raw payload.
+  ``kind`` tells a cache entry (:data:`ENTRY_KIND`, whose header also
+  carries ``payload_crc32``, ``git_sha`` and ``created_at``) from a
+  published golden store (whose header carries a per-array crc32
+  table).  A mismatch or an unreadable header raises the typed
+  :class:`~repro.errors.SnapshotCorruptError`.
+* **One readable format**: bytes without the seal (no magic, no
   ``crc``) and unknown (newer/foreign) schema versions are refused as
   corrupt — a reader must never wave through state it cannot verify,
   nor guess at a format it does not understand.
@@ -45,6 +50,7 @@ them by enumerating crash states (``tests/harness/test_crash_states.py``).
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import shutil
 import sys
@@ -63,17 +69,14 @@ __all__ = [
     "STORE_SCHEMA_VERSION",
     "QUOTA_ENV_VAR",
     "QUARANTINE_DIRNAME",
+    "ENTRY_KIND",
     "crc32",
     "created_at",
     "store_git_sha",
-    "pack_record",
-    "is_enveloped",
-    "unpack_record",
-    "read_payload",
-    "seal_json_doc",
-    "open_json_doc",
     "seal_line",
     "open_line",
+    "seal_head",
+    "open_head",
     "fsync_dir",
     "atomic_write_bytes",
     "quarantine_file",
@@ -92,12 +95,15 @@ __all__ = [
     "preflight",
 ]
 
-#: Envelope magic: every enveloped artifact starts with these bytes.
+#: Every sealed file (:func:`seal_head`) starts with these bytes.
 MAGIC = b"%REPRO-STORE%"
 
-#: Current envelope schema version.  Bump when the header or payload
-#: framing changes.
-STORE_SCHEMA_VERSION = 1
+#: Current sealed-header schema version.  Bump when the header or a
+#: payload layout changes.
+STORE_SCHEMA_VERSION = 2
+
+#: Header ``kind`` of an artifact-cache entry.
+ENTRY_KIND = "cache-entry"
 
 #: Cache disk quota in bytes (optional ``k``/``m``/``g`` suffix).
 QUOTA_ENV_VAR = "REPRO_CACHE_QUOTA"
@@ -108,16 +114,14 @@ QUARANTINE_DIRNAME = "quarantine"
 #: Name of the LRU index file at a cache root.
 INDEX_NAME = "index.json"
 
-_HEADER_LIMIT = 4096  # an envelope header line never legitimately exceeds this
-
 
 def crc32(data: bytes | memoryview) -> int:
-    """Unsigned CRC-32 of ``data`` (the envelope checksum)."""
+    """Unsigned CRC-32 of ``data`` (every store checksum)."""
     return zlib.crc32(data) & 0xFFFFFFFF
 
 
 def created_at() -> str:
-    """UTC timestamp for envelope headers (ISO-8601, second precision)."""
+    """UTC timestamp for sealed headers (ISO-8601, second precision)."""
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
@@ -134,132 +138,84 @@ def store_git_sha() -> str:
     return _git_sha_cache
 
 
-# -- the record envelope -------------------------------------------------------
-
-
-def _header(payload: bytes, schema_version: int) -> dict:
-    return {
-        "schema_version": schema_version,
-        "payload_crc32": crc32(payload),
-        "git_sha": store_git_sha(),
-        "created_at": created_at(),
-    }
-
-
-def pack_record(payload: bytes, schema_version: int = STORE_SCHEMA_VERSION) -> bytes:
-    """Wrap ``payload`` in the store envelope (header line + raw bytes)."""
-    header = json.dumps(_header(payload, schema_version), sort_keys=True)
-    return MAGIC + header.encode("utf-8") + b"\n" + payload
-
-
-def is_enveloped(data: bytes) -> bool:
-    return data.startswith(MAGIC)
-
-
-def unpack_record(data: bytes) -> tuple[dict, bytes]:
-    """Split and verify an enveloped record: ``(header, payload)``.
-
-    Raises :class:`SnapshotCorruptError` on a malformed header, an
-    unknown (foreign) schema version, or a CRC mismatch — and fires the
-    ``store.crc_failures`` counter for the checksum case.
-    """
-    if not is_enveloped(data):
-        raise SnapshotCorruptError("store record lacks the envelope magic")
-    newline = data.find(b"\n", len(MAGIC))
-    if newline < 0 or newline > _HEADER_LIMIT:
-        raise SnapshotCorruptError("store record header is unterminated")
-    try:
-        header = json.loads(data[len(MAGIC):newline])
-        version = int(header["schema_version"])
-        expected = int(header["payload_crc32"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise SnapshotCorruptError(f"store record header is unreadable ({exc!r})") from exc
-    payload = data[newline + 1:]
-    if version != STORE_SCHEMA_VERSION:
-        raise SnapshotCorruptError(
-            f"store record has foreign schema_version {version} "
-            f"(this build reads {STORE_SCHEMA_VERSION})"
-        )
-    if crc32(payload) != expected:
-        bump("store.crc_failures", unit="records")
-        raise SnapshotCorruptError(
-            f"store record failed its checksum (crc32 {crc32(payload)} != {expected})"
-        )
-    return header, payload
-
-
-def read_payload(data: bytes) -> bytes:
-    """Verified payload of the enveloped record ``data``."""
-    _, payload = unpack_record(data)
-    return payload
-
-
-# -- JSON-document envelope (bench.json stays a valid JSON file) ---------------
-
-JSON_ENVELOPE_KEY = "__repro_store__"
-
-
 def _canonical_json(payload: object) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def seal_json_doc(payload: object) -> dict:
-    """Wrap a JSON-serializable payload in an in-document envelope.
-
-    Unlike :func:`pack_record` this keeps the artifact a plain JSON file
-    (external tooling can still parse it); the CRC covers the canonical
-    compact dump of the payload, so pretty-printing does not matter.
-    """
-    return {
-        JSON_ENVELOPE_KEY: _header(_canonical_json(payload), STORE_SCHEMA_VERSION),
-        "payload": payload,
-    }
-
-
-def open_json_doc(doc: object) -> object:
-    """Verify and unwrap :func:`seal_json_doc`'s envelope."""
-    if not isinstance(doc, dict) or JSON_ENVELOPE_KEY not in doc:
-        raise SnapshotCorruptError("store document lacks the envelope")
-    header = doc[JSON_ENVELOPE_KEY]
-    try:
-        version = int(header["schema_version"])
-        expected = int(header["payload_crc32"])
-        payload = doc["payload"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotCorruptError(f"store document header is unreadable ({exc!r})") from exc
-    if version != STORE_SCHEMA_VERSION:
-        raise SnapshotCorruptError(
-            f"store document has foreign schema_version {version}"
-        )
-    if crc32(_canonical_json(payload)) != expected:
-        bump("store.crc_failures", unit="records")
-        raise SnapshotCorruptError("store document failed its checksum")
-    return payload
-
-
-# -- JSONL line envelope (the campaign journal) --------------------------------
+# -- the sealed line -----------------------------------------------------------
 
 
 def seal_line(doc: dict) -> dict:
-    """Add a per-record CRC field covering the canonical dump of ``doc``."""
+    """Add a ``crc`` field covering the canonical dump of ``doc``."""
     return {**doc, "crc": crc32(_canonical_json(doc))}
 
 
-def open_line(doc: dict) -> dict:
+def open_line(doc: object) -> dict:
     """Verify and strip a line CRC.
 
-    Raises :class:`SnapshotCorruptError` when the CRC is absent or does
-    not match (the latter fires ``store.crc_failures``) — the caller
-    treats the journal as ending at the previous line, exactly like a
-    torn tail.
+    Raises :class:`SnapshotCorruptError` when ``doc`` is not a JSON
+    object, its CRC is absent, or the CRC does not match (the latter
+    fires ``store.crc_failures``).  A journal treats such a line as its
+    end, exactly like a torn tail.
     """
-    if "crc" not in doc:
-        raise SnapshotCorruptError("journal line lacks its checksum")
+    if not isinstance(doc, dict) or "crc" not in doc:
+        raise SnapshotCorruptError("sealed line lacks its checksum")
     body = {k: v for k, v in doc.items() if k != "crc"}
     if crc32(_canonical_json(body)) != doc["crc"]:
         bump("store.crc_failures", unit="records")
-        raise SnapshotCorruptError("journal line failed its checksum")
+        raise SnapshotCorruptError("sealed line failed its checksum")
     return body
+
+
+# -- the sealed file: magic, one sealed header line, raw payload ---------------
+
+
+def seal_head(kind: str, **fields: object) -> bytes:
+    """The head of a sealed file: :data:`MAGIC`, then one
+    :func:`seal_line`-sealed JSON line ``{kind, schema_version, **fields}``
+    and a newline.  The raw payload follows the head.
+
+    A ``payload_crc32`` field, when the writer includes one, is the
+    :func:`crc32` of every byte after the head; :func:`open_head`
+    verifies it.
+    """
+    header = seal_line({**fields, "kind": kind, "schema_version": STORE_SCHEMA_VERSION})
+    return MAGIC + json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+
+
+def open_head(data: bytes | mmap.mmap, kind: str) -> tuple[dict, int]:
+    """Verify the head of a sealed file: ``(header, payload_offset)``.
+
+    Checks the magic, the header line's CRC, the ``schema_version``, the
+    ``kind``, and the payload's ``payload_crc32`` when the header has
+    one.  Anything else — no magic, an unterminated or unreadable line, a
+    CRC mismatch (``store.crc_failures`` fires), a foreign schema version
+    or another kind of file — raises :class:`SnapshotCorruptError`.
+    """
+    if data[: len(MAGIC)] != MAGIC:
+        raise SnapshotCorruptError("no store magic before the header")
+    end = data.find(b"\n", len(MAGIC))
+    if end < 0:
+        raise SnapshotCorruptError("header line is unterminated")
+    try:
+        line = json.loads(data[len(MAGIC) : end])
+    except ValueError as exc:
+        raise SnapshotCorruptError(f"header is unreadable ({exc})") from exc
+    header = open_line(line)
+    if header.get("schema_version") != STORE_SCHEMA_VERSION:
+        raise SnapshotCorruptError(
+            f"header has foreign schema_version {header.get('schema_version')!r} "
+            f"(this build reads {STORE_SCHEMA_VERSION})"
+        )
+    if header.get("kind") != kind:
+        raise SnapshotCorruptError(f"header is of a {header.get('kind')!r}, not a {kind!r}")
+    offset = end + 1
+    if "payload_crc32" in header and crc32(memoryview(data)[offset:]) != header["payload_crc32"]:
+        bump("store.crc_failures", unit="records")
+        raise SnapshotCorruptError(
+            f"payload failed its checksum (crc32 != {header['payload_crc32']})"
+        )
+    return header, offset
 
 
 # -- atomic durable writes -----------------------------------------------------
@@ -536,18 +492,13 @@ class Verdict:
 
 
 def _classify_entry(path: Path) -> Verdict:
-    if path.suffix == ".tmp":
-        return Verdict(path, "orphaned-tmp", "in-flight temp file with no owner")
     try:
-        data = path.read_bytes()
+        header, _ = open_head(path.read_bytes(), ENTRY_KIND)
     except OSError as exc:
         return Verdict(path, "corrupt", f"unreadable: {exc}")
-    try:
-        header, _ = unpack_record(data)
     except SnapshotCorruptError as exc:
-        if "foreign schema_version" in str(exc):
-            return Verdict(path, "foreign-version", str(exc))
-        return Verdict(path, "corrupt", str(exc))
+        foreign = "foreign schema_version" in str(exc)
+        return Verdict(path, "foreign-version" if foreign else "corrupt", str(exc))
     return Verdict(path, "ok", f"schema v{header['schema_version']}")
 
 

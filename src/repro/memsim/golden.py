@@ -59,7 +59,6 @@ Telemetry: ``golden.deltas_recorded`` / ``golden.delta_bytes`` /
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -74,13 +73,12 @@ if TYPE_CHECKING:  # imported lazily at runtime (nvct depends on memsim)
     from repro.nvct.heap import DataObject, PersistentHeap
     from repro.nvct.runtime import Snapshot
 
-__all__ = ["GoldenRecorder", "GoldenStore", "GoldenSnapshotSource", "STORE_MAGIC"]
+__all__ = ["GoldenRecorder", "GoldenStore", "GoldenSnapshotSource"]
 
 _ARANGE_B = np.arange(BLOCK_SIZE, dtype=np.int64)
 
-#: First line of a published store file; one sealed JSON header line follows.
-STORE_MAGIC = b"%REPRO-GOLDEN-STORE%\n"
-_STORE_FORMAT = 1
+#: Header ``kind`` of a published store file (:func:`repro.harness.store.seal_head`).
+_STORE_KIND = "golden-store"
 _ALIGN = 64  # every array of a published store starts on this boundary
 
 
@@ -561,17 +559,17 @@ class GoldenStore:
     def publish(self, path: str | Path, *, key: str, node: int) -> Path:
         """Write the store to ``path`` as one file other processes can map.
 
-        Layout: :data:`STORE_MAGIC`; one CRC-sealed JSON header line
-        holding the campaign ``key``, the shard ``node``, every image's
-        metadata, whether the store carries crash-model overlays and
-        consistent copies, and the array table (kind, object, image,
-        dtype, shape, offset, length and crc32 per array); zero padding
-        to a 64-byte boundary; then each array's raw bytes at a 64-byte
-        aligned offset from there.  The arrays stream from their own
-        buffers through the atomic write funnel — no joined copy, no
-        pickle.
+        Layout: a :func:`repro.harness.store.seal_head` head of kind
+        ``golden-store`` whose header holds the campaign ``key``, the
+        shard ``node``, every image's metadata, whether the store carries
+        crash-model overlays and consistent copies, and the array table
+        (kind, object, image, dtype, shape, offset, length and crc32 per
+        array); zero padding to a 64-byte boundary; then each array's raw
+        bytes at a 64-byte aligned offset from there.  The arrays stream
+        from their own buffers through the atomic write funnel — no joined
+        copy, no pickle.
         """
-        from repro.harness.store import atomic_write_bytes, crc32, seal_line
+        from repro.harness.store import atomic_write_bytes, crc32, seal_head
 
         table: list[dict] = []
         chunks: list[bytes | memoryview] = []
@@ -588,27 +586,27 @@ class GoldenStore:
             })
             chunks.append(buf)
             offset += buf.nbytes
-        header = {
-            "format": _STORE_FORMAT,
-            "key": key,
-            "node": int(node),
-            "metas": [
+        head = seal_head(
+            _STORE_KIND,
+            key=key,
+            node=int(node),
+            metas=[
                 [int(m.counter), int(m.iteration), str(m.region),
                  [[n, float(r)] for n, r in m.rates.items()]]
                 for m in self._metas
             ],
-            "extras": self._extras is not None,
-            "consistent": self._consistent is not None,
-            "arrays": table,
-        }
-        head = STORE_MAGIC + json.dumps(seal_line(header), sort_keys=True).encode("utf-8") + b"\n"
+            extras=self._extras is not None,
+            consistent=self._consistent is not None,
+            arrays=table,
+        )
         return atomic_write_bytes(path, [head + bytes(-len(head) % _ALIGN), *chunks])
 
     @classmethod
     def open(cls, path: str | Path, *, key: str, node: int) -> "GoldenStore":
         """Map a :meth:`publish`\\ ed file read-only and verify all of it.
 
-        Checks the magic, the header CRC, that the file was published for
+        Checks the head (:func:`repro.harness.store.open_head`: magic,
+        header CRC, schema version, kind), that the file was published for
         campaign ``key`` and shard ``node``, and every array's bounds and
         crc32.  Each array becomes a read-only ``np.frombuffer`` view over
         the mapping: zero-copy, and still valid after the file is replaced
@@ -618,7 +616,7 @@ class GoldenStore:
         """
         import mmap
 
-        from repro.harness.store import crc32, open_line
+        from repro.harness.store import crc32, open_head
         from repro.obs.metrics import bump
 
         try:
@@ -631,16 +629,9 @@ class GoldenStore:
                 f"{path}: cannot map the golden store ({exc.strerror or exc}) — "
                 "workers must share the scheduler's filesystem"
             ) from exc
-        if mm[: len(STORE_MAGIC)] != STORE_MAGIC:
-            raise SnapshotCorruptError(f"{path}: not a published golden store")
-        end = mm.find(b"\n", len(STORE_MAGIC))
         try:
-            if end < 0:
-                raise ValueError("unterminated header line")
-            header = open_line(json.loads(mm[len(STORE_MAGIC) : end]))
-            if header["format"] != _STORE_FORMAT:
-                raise ValueError(f"unknown format {header['format']!r}")
-        except (ValueError, KeyError, TypeError) as exc:
+            header, offset = open_head(mm, _STORE_KIND)
+        except SnapshotCorruptError as exc:
             raise SnapshotCorruptError(f"{path}: golden store header failed its check ({exc})") from exc
         if header.get("key") != key or header.get("node") != node:
             raise SnapshotCorruptError(
@@ -648,7 +639,7 @@ class GoldenStore:
                 f"(key {str(header.get('key'))[:12]}…, node {header.get('node')}; "
                 f"expected key {key[:12]}…, node {node})"
             )
-        data = -(-(end + 1) // _ALIGN) * _ALIGN
+        data = -(-offset // _ALIGN) * _ALIGN
         view = memoryview(mm)
         try:
             metas = [

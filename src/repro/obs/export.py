@@ -1,7 +1,8 @@
 """Machine-readable telemetry artifacts: bench.json and JSONL traces.
 
-The exchange format is deliberately tiny — a ``bench.json`` file is an
-enveloped JSON array of flat records::
+The exchange format is deliberately tiny — a ``bench.json`` file is one
+sealed JSON object (:func:`repro.harness.store.seal_line`),
+``{"records": [...], "crc": ...}``, holding flat records::
 
     {"metric": "campaign.throughput", "value": 41.7, "unit": "tests/s",
      "scale": "quick", "git_sha": "d4b5b51"}
@@ -123,16 +124,17 @@ def validate_bench(records: object) -> list[dict[str, object]]:
 
 
 def load_bench(path: str | Path) -> list[dict[str, object]]:
-    """Load a bench document, verifying its integrity envelope.
+    """Load a bench document, verifying its seal.
 
-    The payload CRC written by :func:`write_bench` is checked — a
-    mismatch or a missing envelope raises the typed
+    The ``crc`` written by :func:`write_bench` covers every record — a
+    mismatch, or a document that is not a sealed object (a bare array,
+    an older layout), raises the typed
     :class:`~repro.errors.SnapshotCorruptError`.
     """
-    from repro.harness.store import open_json_doc
+    from repro.harness.store import open_line
 
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return validate_bench(open_json_doc(doc))
+    return validate_bench(open_line(doc).get("records"))
 
 
 # -- the one writer ------------------------------------------------------------
@@ -156,15 +158,15 @@ def write_json(path: str | Path, obj: object) -> Path:
 
 
 def write_bench(path: str | Path, records: Sequence[dict[str, object]]) -> Path:
-    """Write a bench document wrapped in the store's in-document envelope.
+    """Write a bench document: one sealed JSON object ``{"records": [...]}``.
 
-    The file stays a plain JSON document (external tooling can still
-    parse it — the records live under ``"payload"``), but gains a header
-    with a payload CRC that :func:`load_bench` verifies.
+    The file stays a plain JSON document (external tooling reads
+    ``"records"``); its ``crc`` field, which :func:`load_bench`
+    verifies, covers every record.
     """
-    from repro.harness.store import seal_json_doc
+    from repro.harness.store import seal_line
 
-    return write_json(path, seal_json_doc(validate_bench(list(records))))
+    return write_json(path, seal_line({"records": validate_bench(list(records))}))
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict[str, object]]) -> Path:

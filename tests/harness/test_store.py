@@ -1,4 +1,4 @@
-"""Integrity store: envelopes, strict readers, quarantine, quota GC, doctor.
+"""Integrity store: sealed files and lines, strict readers, quarantine, quota GC, doctor.
 
 The acceptance property for this layer is at the bottom: a campaign over
 a deliberately corrupted artifact store (flipped bytes in cached entries
@@ -23,22 +23,35 @@ from repro.harness.store import (
     crc32,
     fsck_cache,
     fsck_journal,
-    open_json_doc,
+    open_head,
     open_line,
-    pack_record,
     parse_quota,
     preflight,
     quarantine_bytes,
     quarantine_file,
-    read_payload,
     repair_cache,
     repair_journal,
     run_gc,
-    seal_json_doc,
+    seal_head,
     seal_line,
-    unpack_record,
 )
 from repro.obs import metrics
+from repro.obs.export import load_bench, write_bench
+
+#: A cache entry in the schema-1 layout: the magic, an *unsealed*
+#: header line (nothing covers ``git_sha`` or ``created_at``), the payload.
+OLD_LAYOUT_ENTRY = (
+    b'%REPRO-STORE%{"created_at": "2026-10-01T12:00:00Z", "git_sha": "737d117", '
+    b'"payload_crc32": 2339246701, "schema_version": 1}\n{"fine": true}'
+)
+
+#: A ``--stats`` document in the schema-1 layout: records under
+#: ``payload`` beside an unsealed ``__repro_store__`` header.
+OLD_LAYOUT_BENCH = (
+    '{"__repro_store__": {"created_at": "2026-10-01T12:00:00Z", "git_sha": "737d117", '
+    '"payload_crc32": 182675683, "schema_version": 1}, "payload": [{"git_sha": "737d117", '
+    '"metric": "x", "scale": "t", "unit": "tests/s", "value": 1.0}]}'
+)
 
 
 @pytest.fixture(autouse=True)
@@ -48,97 +61,136 @@ def _quiet_gates():
     metrics.reset()
 
 
-# -- record envelope -----------------------------------------------------------
+# -- the sealed file --------------------------------------------------------------
 
 
-def test_envelope_round_trip():
-    payload = b"the quick brown fox" * 100
-    record = pack_record(payload)
-    assert store.is_enveloped(record)
-    header, out = unpack_record(record)
-    assert out == payload
-    assert header["schema_version"] == store.STORE_SCHEMA_VERSION
-    assert header["payload_crc32"] == crc32(payload)
-    assert set(header) >= {"schema_version", "payload_crc32", "git_sha", "created_at"}
+def _entry(payload: bytes) -> bytes:
+    """``payload`` sealed the way the artifact cache seals an entry."""
+    return seal_head(store.ENTRY_KIND, payload_crc32=crc32(payload), git_sha="abc1234",
+                     created_at=store.created_at()) + payload
 
 
-def test_flipped_payload_bit_fails_checksum_and_counts():
-    record = bytearray(pack_record(b"x" * 256))
-    record[-7] ^= 0x01  # damage deep in the payload, header untouched
-    with metrics.enabled() as reg:
-        with pytest.raises(SnapshotCorruptError, match="checksum"):
-            unpack_record(bytes(record))
-        assert reg.counter("store.crc_failures").value == 1
+def _foreign(payload: bytes, version: int) -> bytes:
+    """A validly sealed entry written under another ``schema_version``."""
+    header = seal_line({"kind": store.ENTRY_KIND, "schema_version": version,
+                        "payload_crc32": crc32(payload)})
+    return store.MAGIC + json.dumps(header).encode() + b"\n" + payload
 
 
-def test_damaged_header_is_corrupt_not_a_crash():
-    record = pack_record(b"payload")
-    mangled = store.MAGIC + b'{"not json' + record[len(store.MAGIC):]
-    with pytest.raises(SnapshotCorruptError):
-        unpack_record(mangled)
-    with pytest.raises(SnapshotCorruptError, match="unterminated"):
-        unpack_record(store.MAGIC + b"x" * (store._HEADER_LIMIT + 10))
-
-
-def test_unenveloped_payload_is_refused():
-    bare = b'{"plain": "pre-envelope artifact"}'
-    with pytest.raises(SnapshotCorruptError, match="magic"):
-        read_payload(bare)
-
-
-def test_foreign_schema_version_is_refused():
-    record = pack_record(b"payload", schema_version=99)
-    with pytest.raises(SnapshotCorruptError, match="foreign schema_version"):
-        unpack_record(record)
-
-
-def test_unenveloped_cache_entry_is_quarantined_and_recomputed(tmp_path):
-    """A file without the envelope dropped into the cache is bad bytes
-    like any other: a miss, moved to ``quarantine/``, and the recompute
-    re-stores an enveloped entry."""
+def _cached_ep_campaign(root):
+    """An EP campaign stored in a cache at ``root``: ``(cache, key, result, entry)``."""
     from repro.apps.registry import get_factory
     from repro.harness.cache import ArtifactCache, campaign_key
     from repro.nvct.campaign import CampaignConfig, run_campaign
-    from repro.nvct.serialize import campaign_to_dict
 
     factory = get_factory("EP")
     cfg = CampaignConfig(n_tests=3, seed=4)
     result = run_campaign(factory, cfg)
     key = campaign_key(factory, cfg)
-    cache = ArtifactCache(tmp_path / "store")
+    cache = ArtifactCache(root)
     cache.put_campaign(key, result)
-    (entry,) = (p for p in (tmp_path / "store" / "campaign").rglob("*.json"))
+    (entry,) = root.rglob(f"{key}.json")
+    return cache, key, result, entry
+
+
+def test_envelope_round_trip():
+    payload = b"the quick brown fox" * 100
+    record = _entry(payload)
+    header, offset = open_head(record, store.ENTRY_KIND)
+    assert record[offset:] == payload
+    assert header["schema_version"] == store.STORE_SCHEMA_VERSION
+    assert header["payload_crc32"] == crc32(payload)
+    assert set(header) == {"kind", "schema_version", "payload_crc32", "git_sha", "created_at"}
+    with pytest.raises(SnapshotCorruptError, match="not a 'golden-store'"):
+        open_head(record, "golden-store")  # the kind tells the files apart
+
+
+def test_flipped_payload_bit_fails_checksum_and_counts():
+    record = bytearray(_entry(b"x" * 256))
+    record[-7] ^= 0x01  # damage deep in the payload, header untouched
+    with metrics.enabled() as reg:
+        with pytest.raises(SnapshotCorruptError, match="checksum"):
+            open_head(bytes(record), store.ENTRY_KIND)
+        assert reg.counter("store.crc_failures").value == 1
+
+
+def test_damaged_header_is_corrupt_not_a_crash(tmp_path):
+    record = _entry(b"payload")
+    mangled = store.MAGIC + b'{"not json' + record[len(store.MAGIC):]
+    with pytest.raises(SnapshotCorruptError):
+        open_head(mangled, store.ENTRY_KIND)
+    with pytest.raises(SnapshotCorruptError, match="unterminated"):
+        open_head(store.MAGIC + b"x" * 5000, store.ENTRY_KIND)
+    # One flipped byte inside the header's git_sha or created_at value
+    # still parses as JSON: only the header's own CRC can catch it.
+    cache, key, _, entry = _cached_ep_campaign(tmp_path / "store")
+    pristine = entry.read_bytes()
+    header, _ = open_head(pristine, store.ENTRY_KIND)
+    for n, field in enumerate(("created_at", "git_sha"), start=1):
+        damaged = bytearray(pristine)
+        damaged[pristine.index(header[field].encode()) + 1] ^= 0x01
+        entry.write_bytes(bytes(damaged))
+        assert {v.path: v.verdict for v in fsck_cache(tmp_path / "store")} == {entry: "corrupt"}
+        assert cache.get_campaign(key) is None
+        assert cache.quarantined == n and not entry.exists()
+        quarantined = sorted((tmp_path / "store" / "quarantine").iterdir())
+        assert quarantined[-1].read_bytes() == bytes(damaged)
+
+
+def test_unenveloped_payload_is_refused():
+    bare = b'{"plain": "pre-envelope artifact"}'
+    with pytest.raises(SnapshotCorruptError, match="magic"):
+        open_head(bare, store.ENTRY_KIND)
+
+
+def test_foreign_schema_version_is_refused():
+    with pytest.raises(SnapshotCorruptError, match="foreign schema_version"):
+        open_head(_foreign(b"payload", 99), store.ENTRY_KIND)
+
+
+def test_unenveloped_cache_entry_is_quarantined_and_recomputed(tmp_path):
+    """A file without the seal, or in the schema-1 layout, dropped into
+    the cache is bad bytes like any other: ``corrupt`` to fsck, a miss,
+    moved to ``quarantine/``, and the recompute re-stores a sealed entry."""
+    from repro.nvct.serialize import campaign_to_dict
+
+    cache, key, result, entry = _cached_ep_campaign(tmp_path / "store")
     bare = json.dumps(campaign_to_dict(result)).encode()
-    entry.write_bytes(bare)
-
-    assert cache.get_campaign(key) is None
-    assert cache.stats()["quarantined"] == 1 and cache.stats()["misses"] == 1
-    (evidence,) = (tmp_path / "store" / "quarantine").iterdir()
-    assert evidence.read_bytes() == bare
-    cache.put_campaign(key, result)  # the recompute's re-store
-    assert store.is_enveloped(entry.read_bytes())
-    assert cache.get_campaign(key).records == result.records
-
-
-# -- JSON-document and JSONL-line envelopes ------------------------------------
+    for n, unsealed in enumerate((bare, OLD_LAYOUT_ENTRY), start=1):
+        entry.write_bytes(unsealed)
+        assert {v.path: v.verdict for v in fsck_cache(tmp_path / "store")} == {entry: "corrupt"}
+        assert cache.get_campaign(key) is None
+        assert cache.stats()["quarantined"] == n and cache.stats()["misses"] == n
+        evidence = sorted((tmp_path / "store" / "quarantine").iterdir())
+        assert evidence[-1].read_bytes() == unsealed
+        cache.put_campaign(key, result)  # the recompute's re-store
+        open_head(entry.read_bytes(), store.ENTRY_KIND)
+        assert cache.get_campaign(key).records == result.records
 
 
-def test_json_doc_envelope_round_trip_and_tamper():
-    payload = [{"metric": "x", "value": 1.5}]
-    doc = seal_json_doc(payload)
-    assert open_json_doc(doc) == payload
+# -- sealed JSON documents and lines ---------------------------------------------
+
+
+def test_json_doc_envelope_round_trip_and_tamper(tmp_path):
+    records = [{"metric": "x", "value": 1.5, "unit": "s", "scale": "t", "git_sha": "abc"}]
+    path = write_bench(tmp_path / "bench.json", records)
+    assert load_bench(path) == records
     # the file stays plain JSON: re-serialization/pretty-printing is fine
-    assert open_json_doc(json.loads(json.dumps(doc, indent=2))) == payload
-    tampered = json.loads(json.dumps(doc))
-    tampered["payload"][0]["value"] = 2.5
+    path.write_text(json.dumps(json.loads(path.read_text()), indent=2))
+    assert load_bench(path) == records
+    tampered = json.loads(path.read_text())
+    tampered["records"][0]["value"] = 2.5
+    path.write_text(json.dumps(tampered))
     with pytest.raises(SnapshotCorruptError, match="checksum"):
-        open_json_doc(tampered)
+        load_bench(path)
 
 
-def test_json_doc_without_envelope_is_refused():
-    for bare in ([{"metric": "x"}], {"payload": [{"metric": "x"}]}):
-        with pytest.raises(SnapshotCorruptError, match="envelope"):
-            open_json_doc(bare)
+def test_json_doc_without_envelope_is_refused(tmp_path):
+    path = tmp_path / "bench.json"
+    for unsealed in ('[{"metric": "x"}]', '{"records": [{"metric": "x"}]}', OLD_LAYOUT_BENCH, "7"):
+        path.write_text(unsealed)
+        with pytest.raises(SnapshotCorruptError, match="lacks its checksum"):
+            load_bench(path)
 
 
 def test_line_envelope_round_trip_tamper_and_legacy():
@@ -258,15 +310,15 @@ def _populate_cache_root(root):
     """A cache root with one of every verdict; returns {verdict: path}."""
     paths = {}
     ok = root / "campaign" / "aa" / "ok.json"
-    atomic_write_bytes(ok, pack_record(b'{"fine": true}'))
+    atomic_write_bytes(ok, _entry(b'{"fine": true}'))
     paths["ok"] = ok
     corrupt = root / "campaign" / "cc" / "corrupt.json"
-    damaged = bytearray(pack_record(b'{"fine": false}'))
+    damaged = bytearray(_entry(b'{"fine": false}'))
     damaged[-3] ^= 0xFF
     atomic_write_bytes(corrupt, bytes(damaged))
     paths["corrupt"] = corrupt
     foreign = root / "campaign" / "dd" / "foreign.json"
-    atomic_write_bytes(foreign, pack_record(b'{"future": 1}', schema_version=42))
+    atomic_write_bytes(foreign, _foreign(b'{"future": 1}', 42))
     paths["foreign-version"] = foreign
     tmp = root / "campaign" / "ee" / "orphan.tmp"
     atomic_write_bytes(tmp, b"half-written")
@@ -360,7 +412,8 @@ def test_cache_survives_on_disk_bitflips_and_foreign_versions(tmp_path):
     for round_ in range(8):
         raw = entry.read_bytes()
         if round_ % 4 == 3:
-            damaged = pack_record(read_payload(raw), schema_version=store.STORE_SCHEMA_VERSION + 1)
+            _, offset = open_head(raw, store.ENTRY_KIND)
+            damaged = _foreign(raw[offset:], store.STORE_SCHEMA_VERSION + 1)
         else:
             body = raw.index(b"\n") + 1  # the CRC covers the payload
             bit = rng.randrange(body * 8, len(raw) * 8)

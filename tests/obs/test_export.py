@@ -142,8 +142,7 @@ def test_bench_json_on_disk_is_pretty_and_newline_terminated(tmp_path):
     path = write_bench(tmp_path / "bench.json", [rec("x", 1.0)])
     text = path.read_text(encoding="utf-8")
     assert text.endswith("\n") and not text.endswith("\n\n")
-    # still a plain JSON document: the records live under "payload",
-    # beside the integrity header external tools can ignore
+    # still a plain JSON document: the records live under "records",
+    # beside the "crc" that seals them
     doc = json.loads(text)
-    assert doc["payload"] == [rec("x", 1.0)]
-    assert "payload_crc32" in doc["__repro_store__"]
+    assert doc == {"records": [rec("x", 1.0)], "crc": doc["crc"]}

@@ -3,14 +3,13 @@
 crash model, verified mode and two cores, and refuses a damaged, truncated
 or foreign file with a typed error instead of classifying from it."""
 
-import json
-
 import pytest
 
 from repro.apps.registry import get_factory
 from repro.errors import SnapshotCorruptError
 from repro.harness.cache import campaign_key
-from repro.memsim.golden import STORE_MAGIC, GoldenStore
+from repro.harness.store import MAGIC, open_head
+from repro.memsim.golden import GoldenStore
 from repro.nvct.campaign import CampaignConfig, PreparedShard, plan_shards
 
 CONFIGS = {
@@ -35,8 +34,8 @@ def _published(tmp_path, app, config):
 
 def _array_table(raw: bytes) -> tuple[list[dict], int]:
     """The file's array table and the offset its array section starts at."""
-    end = raw.index(b"\n", len(STORE_MAGIC))
-    return json.loads(raw[len(STORE_MAGIC) : end])["arrays"], -(-(end + 1) // 64) * 64
+    header, offset = open_head(raw, "golden-store")
+    return header["arrays"], -(-offset // 64) * 64
 
 
 def _same_state(a, b) -> bool:
@@ -89,7 +88,7 @@ def test_damaged_header_truncation_and_foreign_files_are_refused(tmp_path):
     store, path, key = _published(tmp_path, "EP", "whole-cache-loss")
     pristine = path.read_bytes()
     damaged = bytearray(pristine)
-    damaged[len(STORE_MAGIC) + 10] ^= 0x01
+    damaged[len(MAGIC) + 10] ^= 0x01
     path.write_bytes(damaged)
     with pytest.raises(SnapshotCorruptError, match="header"):
         GoldenStore.open(path, key=key, node=0)

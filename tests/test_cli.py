@@ -369,11 +369,19 @@ def test_stats_corrupt_bench_exits_3(tmp_path, capsys):
     write_bench(path, [{"metric": "x", "value": 1.0, "unit": "tests/s",
                         "scale": "t", "git_sha": "s"}])
     doc = json.loads(path.read_text())
-    doc["payload"][0]["value"] = 9.9  # tampered: CRC is now stale
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps({**doc, "records": [{**doc["records"][0], "git_sha": "f"}]}))
+    doc["records"][0]["value"] = 9.9  # tampered: CRC is now stale
     path.write_text(json.dumps(doc))
     bare = tmp_path / "bare.json"
-    bare.write_text(json.dumps(doc["payload"]))  # no envelope: nothing to verify
-    for damaged in (path, bare):
+    bare.write_text(json.dumps(doc["records"]))  # no seal: nothing to verify
+    old = tmp_path / "old.json"  # the schema-1 layout: an unsealed header beside the records
+    old.write_text(
+        '{"__repro_store__": {"created_at": "2026-10-01T12:00:00Z", "git_sha": "737d117", '
+        '"payload_crc32": 182675683, "schema_version": 1}, "payload": [{"git_sha": "737d117", '
+        '"metric": "x", "scale": "t", "unit": "tests/s", "value": 1.0}]}'
+    )
+    for damaged in (path, forged, bare, old):
         code = main(["stats", str(damaged)])
         err = capsys.readouterr().err
         assert code == 3
@@ -397,11 +405,12 @@ def test_doctor_preflight_ok(capsys, tmp_path, monkeypatch):
 
 
 def test_doctor_fsck_detects_then_repairs_truncated_entry(capsys, tmp_path, monkeypatch):
-    from repro.harness.store import atomic_write_bytes, pack_record
+    from repro.harness.store import ENTRY_KIND, atomic_write_bytes, crc32, seal_head
 
     root = tmp_path / "cache"
     entry = root / "campaign" / "aa" / "aabbcc.json"
-    atomic_write_bytes(entry, pack_record(b'{"fine": true}'))
+    payload = b'{"fine": true}'
+    atomic_write_bytes(entry, seal_head(ENTRY_KIND, payload_crc32=crc32(payload)) + payload)
     entry.write_bytes(entry.read_bytes()[:-4])  # truncated payload
     bare = root / "campaign" / "bb" / "bbccdd.json"
     atomic_write_bytes(bare, b'{"fine": true}')  # no envelope
