@@ -188,7 +188,7 @@ def test_ablation_crash_model(benchmark, ctx, results_dir):
                     crash_model=model,
                 )
                 camp = run_campaign(ctx.factory(name), cfg)
-                per_obj = camp.weighted_object_rates()
+                per_obj = camp.mean_object_rates()
                 rates[model] = sum(per_obj.values()) / max(1, len(per_obj))
                 recomp[model] = camp.recomputability()
             rows.append(

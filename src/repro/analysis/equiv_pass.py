@@ -68,16 +68,14 @@ def partition_signatures(signatures: list[tuple[int, ...]]) -> list[int]:
 class CrashPlan:
     """The equivalence partition of one campaign's sampled crash points.
 
-    ``points``/``weights`` are the deduplicated sampled crash points (the
-    exact set the campaign runs) and their multiplicities;
-    ``class_ids[i]`` assigns point *i* to an equivalence class;
+    ``points`` are the sampled crash points (the exact set the campaign
+    runs); ``class_ids[i]`` assigns point *i* to an equivalence class;
     ``reps[c]`` is the first point index of class *c*; ``tails[c]`` are
     sampled extra point indices of class *c*.
     """
 
     app: str
     points: list[int]
-    weights: list[int]
     class_ids: list[int]
     reps: list[int]
     tails: list[list[int]] = field(default_factory=list)
@@ -112,7 +110,6 @@ def plan_from_store(
     factory: "AppFactory",
     cfg: "CampaignConfig",
     points: "list[int]",
-    weights: "list[int]",
     store: "GoldenStore",
     tail: int = DEFAULT_TAIL,
 ) -> CrashPlan:
@@ -138,7 +135,6 @@ def plan_from_store(
     return CrashPlan(
         app=factory.name,
         points=[int(p) for p in points],
-        weights=[int(w) for w in weights],
         class_ids=class_ids,
         reps=reps,
         tails=tails,
@@ -163,6 +159,4 @@ def build_crash_plan(
     (shard,), _ = plan_shards(factory, cfg)
     store = PreparedShard.record(factory, shard).store
     assert store is not None
-    return plan_from_store(
-        factory, cfg, shard.points.tolist(), shard.weights.tolist(), store, tail=tail
-    )
+    return plan_from_store(factory, cfg, shard.points.tolist(), store, tail=tail)

@@ -491,15 +491,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     with scope as reg:
         factory, cfg = _campaign_config(args)
         if args.until_stable:
-            from repro.nvct.adaptive import recomputability_interval, run_campaign_until_stable
+            from repro.nvct.adaptive import run_campaign_until_stable
 
             stable = run_campaign_until_stable(
                 factory, cfg, round_size=args.tests, trial_timeout=args.trial_timeout
             )
             result = stable.result
-            lo, hi = recomputability_interval(result)
-            print(f"stabilized after {stable.rounds} rounds "
-                  f"({result.n_tests} tests); 95% CI: [{lo:.3f}, {hi:.3f}]")
+            print(f"stabilized after {stable.rounds} rounds ({result.n_tests} tests)")
         elif cfg.clustered:
             from repro.cluster import run_cluster_campaign
 

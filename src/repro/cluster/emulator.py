@@ -45,7 +45,7 @@ if TYPE_CHECKING:
 
     from repro.apps.base import AppFactory
     from repro.checkpoint.multilevel import MultiLevelCheckpointModel
-    from repro.nvct.campaign import CampaignConfig, CampaignResult, CrashTestRecord
+    from repro.nvct.campaign import CampaignConfig, CampaignResult
 
 __all__ = [
     "BURST_MTBF_S",
@@ -129,19 +129,6 @@ def trials_per_node(bursts: Sequence[Burst], nodes: int) -> list[int]:
     return counts
 
 
-def _slot_records(result: "CampaignResult") -> list["CrashTestRecord"]:
-    """Expand weighted records back to one record per sampled crash slot.
-
-    Records come back sorted by crash point with duplicates collapsed
-    into weights; the schedule consumes one slot per time it crashes the
-    node, in crash-point order, so a weight-w record fills w slots.
-    """
-    out: list["CrashTestRecord"] = []
-    for rec in result.records:
-        out.extend([rec] * rec.weight)
-    return out
-
-
 @dataclass
 class ClusterResult:
     """Everything one cluster campaign produced."""
@@ -160,17 +147,15 @@ class ClusterResult:
     def recovery_mix(self) -> dict[str, int]:
         return self.log.mix()
 
-    def recomputability(self) -> float:
-        """Weight-aware S1 fraction across every node's trials."""
+    def s1_count(self) -> int:
+        """Number of S1 trials across every node."""
         from repro.nvct.campaign import Response
 
-        total = hits = 0
-        for result in self.node_results.values():
-            for rec in result.records:
-                total += rec.weight
-                if rec.response is Response.S1:
-                    hits += rec.weight
-        return hits / total if total else float("nan")
+        return sum(r.response_counts()[Response.S1] for r in self.node_results.values())
+
+    def recomputability(self) -> float:
+        """S1 fraction across every node's trials."""
+        return self.s1_count() / self.n_tests if self.n_tests else float("nan")
 
     def to_dict(self) -> dict:
         from repro.nvct.serialize import record_to_dict
@@ -276,7 +261,7 @@ def cluster_result(
     from repro.memsim.crashmodel import get_model
 
     log = RecoveryOrchestrator(nodes=cfg.nodes, checkpoint=checkpoint).orchestrate(
-        bursts, {n: _slot_records(r) for n, r in node_results.items()}
+        bursts, {n: r.records for n, r in node_results.items()}
     )
     return ClusterResult(
         app=factory.name,

@@ -249,8 +249,7 @@ class RecoveryOrchestrator:
         measured trial record, and emit the recovery decision log.
 
         ``records_by_node`` maps node -> its trial records in burst-time
-        order (one per time the schedule crashes that node; weighted
-        records appear once per unit of weight).
+        order (one per time the schedule crashes that node).
         """
         cursor: dict[int, int] = {n: 0 for n in records_by_node}
         log = RecoveryLog(nodes=self.nodes)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.cluster.recovery import NVM_RESTART, ROLLBACK
+from repro.nvct.report import proportion
 from repro.util.tables import render_table
 
 if TYPE_CHECKING:
@@ -30,7 +31,7 @@ def cluster_summary(result: "ClusterResult") -> str:
         f"recovery mix: {mix[NVM_RESTART]} NVM restart(s), "
         f"{mix[ROLLBACK]} rollback(s) "
         f"({burst_mix[ROLLBACK]} coordinated-rollback burst(s))",
-        f"recomputability: {result.recomputability():.3f}",
+        f"recomputability: {proportion(result.s1_count(), result.n_tests, '.3f')}",
         f"modeled recovery time: {result.log.total_recovery_s():.1f}s",
     ]
     return "\n".join(lines)

@@ -21,11 +21,7 @@ from repro.nvct.managed import ManagedArray, ManagedScalar
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.runtime import Runtime, CountingRuntime, Snapshot
 from repro.nvct.characterize import AppCharacter, characterize
-from repro.nvct.adaptive import (
-    StableCampaign,
-    recomputability_interval,
-    run_campaign_until_stable,
-)
+from repro.nvct.adaptive import StableCampaign, run_campaign_until_stable
 from repro.nvct.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -47,7 +43,6 @@ __all__ = [
     "AppCharacter",
     "characterize",
     "StableCampaign",
-    "recomputability_interval",
     "run_campaign_until_stable",
     "CampaignConfig",
     "CampaignResult",

@@ -6,10 +6,11 @@ number of tests does not cause big variation (less than 5%) in the
 evaluation results."
 
 :func:`run_campaign_until_stable` implements exactly that: grow the
-campaign in rounds and stop when the recomputability estimate moves by
-less than the tolerance between consecutive rounds (and the binomial
-half-width confirms the precision).  :func:`recomputability_interval`
-provides bootstrap confidence intervals for any finished campaign.
+campaign in rounds and stop at the first round where the campaign holds
+at least ``min_tests`` tests and its recomputability estimate moved by
+less than the tolerance since the previous round (or at ``max_tests``).
+The printed summary of any campaign carries the Wilson interval of its
+recomputability (:func:`repro.util.stats.wilson_interval`).
 """
 
 from __future__ import annotations
@@ -17,19 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.nvct.campaign import CampaignConfig, CampaignResult, run_campaign
-from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # avoid a circular import (apps depend on nvct)
     from repro.apps.base import AppFactory
 
-__all__ = [
-    "StableCampaign",
-    "run_campaign_until_stable",
-    "recomputability_interval",
-]
+__all__ = ["StableCampaign", "run_campaign_until_stable"]
 
 
 @dataclass
@@ -95,25 +89,3 @@ def run_campaign_until_stable(
                 return StableCampaign(merged, tuple(history), rounds, True)
         if merged.n_tests >= max_tests:
             return StableCampaign(merged, tuple(history), rounds, False)
-
-
-def recomputability_interval(
-    result: CampaignResult,
-    confidence: float = 0.95,
-    n_boot: int = 2000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Bootstrap percentile confidence interval for the recomputability
-    (S1 rate) of a finished campaign."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must be in (0, 1)")
-    successes = result.success_vector()
-    n = successes.size
-    if n == 0:
-        return (float("nan"), float("nan"))
-    rng = derive_rng(seed, "bootstrap", result.app, n)
-    draws = rng.integers(0, n, size=(n_boot, n))
-    means = successes[draws].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    lo, hi = np.quantile(means, [alpha, 1.0 - alpha])
-    return (float(lo), float(hi))

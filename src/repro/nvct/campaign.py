@@ -94,13 +94,7 @@ class CrashTestRecord:
     """Outcome of one crash test.
 
     ``error`` is empty except for quarantined (``FAILED``) trials, where
-    it carries the harness exception that poisoned the trial.  ``weight``
-    is the number of sampled crash points this record stands for: crash
-    points are deduplicated before the trial fan-out (re-measuring the
-    same point re-derives the identical deterministic record), so a
-    collapsed duplicate becomes weight on the single trial instead of a
-    burned re-execution.  Uniform sampling is without replacement and
-    always yields weight 1; skewed (beta) distributions may collapse.
+    it carries the harness exception that poisoned the trial.
     """
 
     counter: int
@@ -109,7 +103,6 @@ class CrashTestRecord:
     rates: dict[str, float]
     response: Response
     extra_iterations: int = 0
-    weight: int = 1
     error: str = ""
 
 
@@ -230,31 +223,32 @@ class CampaignResult:
 
     # -- headline metrics ---------------------------------------------------
     #
-    # All aggregates are weight-aware: a record of weight w counts as w
-    # sampled crash points (duplicates collapsed before the fan-out).  The
-    # integer-sum formulations below are bit-identical to the historical
-    # unweighted ``np.mean`` versions whenever every weight is 1.
+    # Every record is one sampled crash point (the sampler never repeats
+    # a point), so every aggregate is a plain count over the records.
 
     @property
     def n_tests(self) -> int:
-        """Number of sampled crash points (collapsed duplicates included)."""
-        return int(sum(r.weight for r in self.records))
+        """Number of crash tests."""
+        return len(self.records)
+
+    def response_counts(self) -> dict[Response, int]:
+        """Number of tests per response."""
+        out = {resp: 0 for resp in Response}
+        for r in self.records:
+            out[r.response] += 1
+        return out
 
     def recomputability(self) -> float:
         """Fraction of tests with response S1 (the paper's definition)."""
-        total = sum(r.weight for r in self.records)
-        if not total:
+        if not self.records:
             return float("nan")
-        return sum(r.weight for r in self.records if r.response is Response.S1) / total
+        return self.response_counts()[Response.S1] / len(self.records)
 
     def response_fractions(self) -> dict[Response, float]:
-        out = {resp: 0.0 for resp in Response}
-        total = sum(r.weight for r in self.records)
-        if not total:
-            return out
-        for r in self.records:
-            out[r.response] += r.weight
-        return {k: v / total for k, v in out.items()}
+        counts = self.response_counts()
+        if not self.records:
+            return {k: 0.0 for k in counts}
+        return {k: v / len(self.records) for k, v in counts.items()}
 
     def mean_extra_iterations(self) -> float:
         """Average extra iterations among S2 tests (Table 1 restart
@@ -262,7 +256,7 @@ class CampaignResult:
         s2 = [r for r in self.records if r.response is Response.S2]
         if not s2:
             return float("nan")
-        return float(sum(r.extra_iterations * r.weight for r in s2) / sum(r.weight for r in s2))
+        return float(sum(r.extra_iterations for r in s2) / len(s2))
 
     # -- per-region views -----------------------------------------------------
 
@@ -271,9 +265,9 @@ class CampaignResult:
         hits: dict[str, int] = {}
         totals: dict[str, int] = {}
         for r in self.records:
-            totals[r.region] = totals.get(r.region, 0) + r.weight
+            totals[r.region] = totals.get(r.region, 0) + 1
             if r.response is Response.S1:
-                hits[r.region] = hits.get(r.region, 0) + r.weight
+                hits[r.region] = hits.get(r.region, 0) + 1
         return {k: hits.get(k, 0) / v for k, v in totals.items()}
 
     def region_time_shares(self) -> dict[str, float]:
@@ -303,34 +297,17 @@ class CampaignResult:
     def success_vector(self) -> np.ndarray:
         return np.array([1.0 if r.response is Response.S1 else 0.0 for r in self.records])
 
-    def weights_vector(self) -> np.ndarray:
-        """Per-record crash-point multiplicities, aligned with
-        :meth:`success_vector` / :meth:`object_rate_vectors` for weighted
-        selection models."""
-        return np.array([float(r.weight) for r in self.records])
+    def mean_object_rates(self) -> dict[str, float]:
+        """Mean inconsistent rate per candidate object.
 
-    def weighted_object_rates(self) -> dict[str, float]:
-        """Weight-aware mean inconsistent rate per candidate object.
-
-        Summation is ``math.fsum`` over each record's rate repeated
-        ``weight`` times: ``fsum`` returns the correctly rounded sum of
-        its inputs regardless of order or grouping, so any weight
-        redistribution that preserves the underlying rate multiset — in
-        particular collapsing w identical trials into one record of
-        weight w — yields the bit-identical double.
+        Summation is ``math.fsum``, the correctly rounded sum, so the
+        value does not depend on the order of the records.
         """
         if not self.records:
             return {}
-        import itertools
-
-        total = sum(r.weight for r in self.records)
         names = sorted(self.records[0].rates)
         return {
-            n: math.fsum(
-                x
-                for r in self.records
-                for x in itertools.repeat(r.rates.get(n, 0.0), r.weight)
-            ) / total
+            n: math.fsum(r.rates.get(n, 0.0) for r in self.records) / len(self.records)
             for n in names
         }
 
@@ -342,6 +319,10 @@ def _sample_crash_points(
     key: str,
     distribution: str = "uniform",
 ) -> np.ndarray:
+    """Sample ``min(n_tests, span)`` crash counters from ``window``,
+    strictly increasing: every draw is without replacement (``np.unique``
+    and a ``setdiff1d`` top-up for the skewed distributions), so no point
+    repeats and each one is one crash test."""
     lo, hi = window
     if hi <= lo:
         raise ValueError("empty crash window: application issued no main-loop accesses")
@@ -365,19 +346,6 @@ def _sample_crash_points(
     else:
         raise ValueError(f"unknown crash distribution {distribution!r}")
     return np.sort(points + lo + 1)
-
-
-def _dedupe_crash_points(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse duplicate crash points into ``(unique_points, weights)``.
-
-    Classification is deterministic, so re-running a trial at the same
-    counter value can only reproduce the same record; duplicates would
-    burn a whole restart re-measuring a known outcome.  The campaign
-    classifies each distinct point once and carries the multiplicity as
-    :attr:`CrashTestRecord.weight` instead.  ``unique_points`` come back
-    sorted — the order the instrumented run snapshots them in."""
-    pts = np.asarray(points, dtype=np.int64)
-    return np.unique(pts, return_counts=True)
 
 
 def _classify(
@@ -565,17 +533,16 @@ def _profile(factory: AppFactory) -> tuple[int, int]:
 
 def _sample(
     factory: AppFactory, cfg: CampaignConfig, window: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one shard's crash points from ``window``: ``(points, weights)``."""
+) -> np.ndarray:
+    """Sample one shard's crash points from ``window``."""
     # Node 0 keeps the historical sampling key; higher shards fold
     # their node index in — real SPMD ranks crash a burst at the same
     # wall clock but different instruction counters, and this is what
     # makes an N=1 cluster bit-identical to the plain campaign.
     sample_key = factory.name if cfg.node == 0 else f"{factory.name}#node{cfg.node}"
-    points = _sample_crash_points(
+    return _sample_crash_points(
         window, cfg.n_tests, cfg.seed, sample_key, cfg.distribution
     )
-    return _dedupe_crash_points(points)
 
 
 def campaign_points(
@@ -583,14 +550,14 @@ def campaign_points(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Profile one application and sample its campaign's crash points.
 
-    Returns ``(points, weights)``: the sorted deduplicated crash counters
-    the instrumented run will snapshot, and the multiplicity each point
-    carries (:attr:`CrashTestRecord.weight`).  This is *the* sampling
-    function — every :class:`ShardPlan` is built from it, so every way
-    of running a campaign snapshots exactly the points a serial run
-    does.
+    Returns ``(points, weights)``: the sorted distinct crash counters the
+    instrumented run will snapshot, and all-ones weights (the pair shape
+    the benchmark harness unpacks).  This is *the* sampling function —
+    every :class:`ShardPlan` is built from it, so every way of running a
+    campaign snapshots exactly the points a serial run does.
     """
-    return _sample(factory, cfg, _profile(factory))
+    points = _sample(factory, cfg, _profile(factory))
+    return points, np.ones(points.size, dtype=np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -602,7 +569,6 @@ class ShardPlan:
     cfg: CampaignConfig
     window: tuple[int, int]
     points: np.ndarray
-    weights: np.ndarray
     journal: "str | Path | None"
 
     @property
@@ -647,9 +613,8 @@ def plan_shards(
     shards = []
     window = _profile(factory) if node_cfgs else (0, 0)
     for node_cfg in node_cfgs:
-        points, weights = _sample(factory, node_cfg, window)
         path = node_journal_path(journal, node_cfg.node) if cluster and journal else journal
-        shards.append(ShardPlan(node_cfg, window, points, weights, path))
+        shards.append(ShardPlan(node_cfg, window, _sample(factory, node_cfg, window), path))
     return shards, bursts
 
 
@@ -766,10 +731,6 @@ class PreparedShard:
         plan = self.plan
         records = [completed.get(i) for i in range(plan.n_snaps)]
         assert all(r is not None for r in records)
-        # Weights derive deterministically from the seed, so re-applying
-        # them on a journal resume reproduces the uninterrupted result.
-        for rec, w in zip(records, plan.weights):
-            rec.weight = int(w)  # type: ignore[union-attr]
         if (reg := registry()) is not None:
             reg.counter("campaign.runs", unit="campaigns").inc()
             reg.counter("campaign.tests", unit="tests").inc(len(records))

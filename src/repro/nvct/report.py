@@ -10,23 +10,32 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nvct.campaign import CampaignResult, Response
+from repro.util.stats import wilson_interval
 from repro.util.tables import render_table
 
-__all__ = ["campaign_summary", "region_breakdown", "object_inconsistency_table"]
+__all__ = ["proportion", "campaign_summary", "region_breakdown", "object_inconsistency_table"]
+
+
+def proportion(successes: int, n: int, spec: str = ".1%") -> str:
+    """``successes / n`` and its Wilson 95 % interval, both in ``spec``."""
+    lo, hi = wilson_interval(successes, n)
+    p = successes / n if n else float("nan")
+    return f"{p:{spec}} [{lo:{spec}}, {hi:{spec}}] 95% CI"
 
 
 def campaign_summary(result: CampaignResult) -> str:
-    """One-paragraph summary: recomputability and response fractions."""
-    fr = result.response_fractions()
+    """One-paragraph summary: recomputability and response fractions,
+    each with its Wilson 95 % interval."""
+    counts, n = result.response_counts(), result.n_tests
     lines = [
-        f"Campaign: {result.app} ({result.n_tests} crash tests, "
+        f"Campaign: {result.app} ({n} crash tests, "
         f"plan active: {result.plan.is_active})",
-        f"  recomputability (S1): {result.recomputability():.1%}",
+        f"  recomputability (S1): {proportion(counts[Response.S1], n)}",
     ]
     for resp in Response:
-        if resp is Response.FAILED and fr[resp] == 0.0:
+        if resp is Response.FAILED and counts[resp] == 0:
             continue  # harness quarantine: only worth a line when nonzero
-        lines.append(f"  {resp.name} {resp.value}: {fr[resp]:.1%}")
+        lines.append(f"  {resp.name} {resp.value}: {proportion(counts[resp], n)}")
     extra = result.mean_extra_iterations()
     if not np.isnan(extra):
         lines.append(f"  mean extra iterations among S2: {extra:.1f}")

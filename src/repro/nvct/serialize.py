@@ -138,10 +138,6 @@ def record_to_dict(r: CrashTestRecord) -> dict:
         "response": r.response.name,
         "extra_iterations": r.extra_iterations,
     }
-    if r.weight != 1:
-        # Only collapsed duplicates carry a weight; the common case keeps
-        # the historical document shape byte for byte.
-        doc["weight"] = r.weight
     if r.error:
         doc["error"] = r.error
     return doc
@@ -155,7 +151,6 @@ def record_from_dict(r: dict) -> CrashTestRecord:
         rates={k: float(v) for k, v in r["rates"].items()},
         response=Response[r["response"]],
         extra_iterations=int(r["extra_iterations"]),
-        weight=int(r.get("weight", 1)),
         error=str(r.get("error", "")),
     )
 
@@ -170,7 +165,7 @@ def campaign_to_dict(result: CampaignResult) -> dict:
         "records": [record_to_dict(r) for r in result.records],
         "run_stats": run_stats_to_dict(result.run_stats),
     }
-    # Omit-if-default, like record weights: campaigns under the paper's
+    # Omit-if-default, like a record's ``error``: campaigns under the paper's
     # whole-cache-loss model keep the historical document shape byte for
     # byte.
     if result.crash_model != "whole-cache-loss":

@@ -1,10 +1,14 @@
-"""Rank statistics used by EasyCrash's data-object selection.
+"""Statistics over crash-test campaigns.
 
 The paper selects critical data objects with Spearman's rank correlation
 between each object's data-inconsistent rate and the recomputation outcome
 across a crash-test campaign (Sec. 5.1).  We implement the tie-corrected
-coefficient and its two-sided p-value (t approximation) from first
-principles; the test suite cross-checks against ``scipy.stats.spearmanr``.
+coefficient and its two-sided p-value (t approximation); the test suite
+cross-checks against ``scipy.stats.spearmanr``.
+
+A campaign's headline figures — recomputability and each response share —
+are binomial proportions over its tests; :func:`wilson_interval` gives
+their 95 % confidence interval in closed form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpearmanResult", "spearman", "rankdata_average"]
+__all__ = ["SpearmanResult", "spearman", "rankdata_average", "wilson_interval"]
+
+#: Standard normal quantile of the two-sided 95 % level, ``Phi^-1(0.975)``.
+Z_95 = 1.959963984540054
+
+
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """Wilson score 95 % interval for a proportion of ``successes`` in
+    ``n`` trials; ``(nan, nan)`` when ``n == 0``.
+
+    Unlike the normal (Wald) interval it keeps a nonzero width at 0 and
+    ``n`` successes.  The interval always holds ``successes / n`` and lies
+    in ``[0, 1]``; the bounds are clamped to both, which only absorbs
+    rounding (0 successes give a lower bound of exactly 0)."""
+    if n == 0:
+        return (float("nan"), float("nan"))
+    p = successes / n
+    z2 = Z_95 * Z_95
+    denom = 1.0 + z2 / n
+    center = (p + z2 / (2 * n)) / denom
+    half = Z_95 * math.sqrt(p * (1.0 - p) / n + z2 / (4 * n * n)) / denom
+    return (max(0.0, min(p, center - half)), min(1.0, max(p, center + half)))
 
 
 def rankdata_average(values: np.ndarray) -> np.ndarray:
@@ -63,71 +88,14 @@ def _student_t_sf(t: float, df: float) -> float:
         return float("nan")
     if math.isinf(t):
         return 0.0 if t > 0 else 1.0
-    x = df / (df + t * t)
-    # I_x(df/2, 1/2) = P(|T| > |t|); use the regularized incomplete beta
-    # through scipy when available, else a continued-fraction fallback.
-    try:
-        from scipy.special import betainc
+    # Imported here, not at module level: every campaign summary loads
+    # this module, and importing SciPy costs a few tenths of a second and
+    # about 20 MB that only a p-value needs.
+    from scipy.special import betainc
 
-        p_two_sided = float(betainc(df / 2.0, 0.5, x))
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        p_two_sided = _betainc_cf(df / 2.0, 0.5, x)
-    half = 0.5 * p_two_sided
+    # I_x(df/2, 1/2) = P(|T| > |t|) with x = df / (df + t^2).
+    half = 0.5 * float(betainc(df / 2.0, 0.5, df / (df + t * t)))
     return half if t >= 0 else 1.0 - half
-
-
-def _betainc_cf(a: float, b: float, x: float, max_iter: int = 200) -> float:
-    """Regularized incomplete beta by Lentz's continued fraction."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x, max_iter) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x, max_iter) / b
-
-
-def _betacf(a: float, b: float, x: float, max_iter: int) -> float:
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            break
-    return h
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> SpearmanResult:

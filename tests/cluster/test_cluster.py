@@ -16,7 +16,6 @@ from repro.cluster import (
     run_cluster_campaign,
     trials_per_node,
 )
-from repro.cluster.emulator import _slot_records
 from repro.cluster.topology import node_journal_path
 from repro.errors import JournalError, UsageError
 from repro.nvct.campaign import CampaignConfig, Response, run_campaign
@@ -113,7 +112,7 @@ def test_recovery_decisions_match_each_nodes_measured_image():
     # Every decision is exactly the acceptance check on that node's own
     # measured classification: S1/S2 restart from NVM, anything else
     # rolls back to the checkpoint.
-    slots = {n: _slot_records(r) for n, r in result.node_results.items()}
+    slots = {n: r.records for n, r in result.node_results.items()}
     cursor = {n: 0 for n in slots}
     for burst in result.log.bursts:
         for victim in burst.victims:
@@ -147,7 +146,7 @@ def test_coordinated_rollback_rewinds_surviving_peers():
 
 def test_orchestrator_rejects_schedule_campaign_disagreement():
     result = run_cluster_campaign(MG, MIXED_CFG)
-    slots = {n: _slot_records(r) for n, r in result.node_results.items()}
+    slots = {n: r.records for n, r in result.node_results.items()}
     node = next(iter(slots))
     slots[node] = slots[node] + [slots[node][-1]]  # one unconsumed record
     with pytest.raises(RuntimeError, match="disagree"):

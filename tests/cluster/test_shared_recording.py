@@ -127,7 +127,7 @@ def test_planted_divergent_split_falls_back_to_per_shard_recordings():
     own = window[0] + 2 * per_iteration  # right after it
     cfg = CampaignConfig(n_tests=1, nodes=2)
     plans = [
-        ShardPlan(replace(cfg, node=node), window, np.array([point]), np.ones(1, dtype=np.int64), None)
+        ShardPlan(replace(cfg, node=node), window, np.array([point]), None)
         for node, point in enumerate((foreign, own))
     ]
     alone = [PreparedShard.record(factory, plan) for plan in plans]

@@ -113,19 +113,16 @@ def legacy_runtime(cfg: CampaignConfig, crash_points) -> Runtime:
 def legacy_campaign(factory, cfg: CampaignConfig) -> CampaignResult:
     """One campaign, serially, over copy-and-diff snapshots: the
     reference result every engine path must reproduce exactly."""
-    points, weights = campaign_points(factory, cfg)
+    points, _ = campaign_points(factory, cfg)
     golden, _ = factory.golden()
     rt = legacy_runtime(cfg, points)
     with np.errstate(all="ignore"):
         iterations = factory.make(runtime=rt).run().iterations
     assert len(rt.snapshots) == points.size
-    records = [_classify_trial(factory, s, golden.iterations, cfg) for s in rt.snapshots]
-    for rec, w in zip(records, weights):
-        rec.weight = int(w)
     return CampaignResult(
         app=factory.name,
         plan=cfg.plan,
-        records=records,
+        records=[_classify_trial(factory, s, golden.iterations, cfg) for s in rt.snapshots],
         run_stats=_run_stats(rt, iterations),
         golden_iterations=golden.iterations,
         crash_model=get_model(cfg.crash_model).spec,

@@ -1,14 +1,10 @@
-"""Adaptive campaign sizing and bootstrap intervals."""
+"""Adaptive campaign sizing and the Wilson interval of its estimate."""
 
-import numpy as np
 import pytest
 
-from repro.nvct.adaptive import (
-    recomputability_interval,
-    run_campaign_until_stable,
-)
-from repro.nvct.campaign import CampaignConfig, run_campaign
-from repro.nvct.plan import PersistencePlan
+from repro.nvct.adaptive import run_campaign_until_stable
+from repro.nvct.campaign import CampaignConfig, Response, run_campaign
+from repro.util.stats import wilson_interval
 from tests.nvct.test_campaign import Counterloop, factory
 
 
@@ -60,39 +56,43 @@ def test_tolerance_validation():
         run_campaign_until_stable(factory(), CampaignConfig(), tolerance=0.0)
 
 
-def test_bootstrap_interval_contains_point_estimate():
+def s1_interval(result):
+    return wilson_interval(result.response_counts()[Response.S1], result.n_tests)
+
+
+def test_wilson_interval_contains_point_estimate():
     res = run_campaign(factory(), CampaignConfig(n_tests=60, seed=3))
-    lo, hi = recomputability_interval(res, confidence=0.95)
-    r = res.recomputability()
-    assert lo <= r <= hi
-    assert 0.0 <= lo <= hi <= 1.0
+    lo, hi = s1_interval(res)
+    assert lo <= res.recomputability() <= hi
+    assert 0.0 <= lo < hi <= 1.0
 
 
-def test_bootstrap_interval_narrows_with_more_tests():
+def test_wilson_interval_narrows_with_more_tests():
     small = run_campaign(factory(), CampaignConfig(n_tests=30, seed=3))
-    big_plan = PersistencePlan.none()
     stable = run_campaign_until_stable(
         factory(),
-        CampaignConfig(n_tests=60, seed=3, plan=big_plan),
+        CampaignConfig(n_tests=60, seed=3),
         tolerance=0.5,
         min_tests=120,
         max_tests=240,
         round_size=60,
     )
-    lo_s, hi_s = recomputability_interval(small)
-    lo_b, hi_b = recomputability_interval(stable.result)
-    assert (hi_b - lo_b) <= (hi_s - lo_s) + 0.02
+    lo_s, hi_s = s1_interval(small)
+    lo_b, hi_b = s1_interval(stable.result)
+    assert hi_b - lo_b < hi_s - lo_s
+    # At a fixed share, four times the tests halve the width, near enough.
+    for share in (0.0, 0.25, 0.5, 0.9, 1.0):
+        widths = [
+            (lambda lo, hi: hi - lo)(*wilson_interval(round(share * n), n))
+            for n in (20, 80, 320, 1280)
+        ]
+        assert all(b < a for a, b in zip(widths, widths[1:])), (share, widths)
 
 
-def test_bootstrap_is_deterministic():
+def test_wilson_interval_is_deterministic():
     res = run_campaign(factory(), CampaignConfig(n_tests=40, seed=4))
-    assert recomputability_interval(res) == recomputability_interval(res)
-
-
-def test_confidence_validation():
-    res = run_campaign(factory(), CampaignConfig(n_tests=10, seed=4))
-    with pytest.raises(ValueError):
-        recomputability_interval(res, confidence=1.5)
+    again = run_campaign(factory(), CampaignConfig(n_tests=40, seed=4))
+    assert s1_interval(res) == s1_interval(again)
 
 
 def test_rounds_honour_the_crash_model():

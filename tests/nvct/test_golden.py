@@ -11,9 +11,12 @@ simulation, parallel fan-out and journal resume.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.base import AppFactory, Application
 from repro.apps.registry import get_factory
@@ -23,7 +26,7 @@ from repro.nvct.campaign import (
     CrashTestRecord,
     CampaignResult,
     Response,
-    _dedupe_crash_points,
+    _sample_crash_points,
     run_campaign,
 )
 from repro.nvct.plan import PersistencePlan
@@ -303,54 +306,67 @@ def test_golden_resume_from_journal_mid_batch(tmp_path):
     assert _records_json(resumed) == _records_json(baseline)
 
 
-# -- crash-point dedupe and record weights ------------------------------------
+# -- crash-point sampling and record aggregates --------------------------------
 
 
-def test_dedupe_crash_points():
-    pts, weights = _dedupe_crash_points(np.array([7, 5, 5, 9, 5, 7]))
-    assert pts.tolist() == [5, 7, 9]
-    assert weights.tolist() == [3, 2, 1]
-    pts, weights = _dedupe_crash_points(np.array([], dtype=np.int64))
-    assert pts.size == 0 and weights.size == 0
+@settings(max_examples=150, deadline=None)
+@given(
+    lo=st.integers(0, 1000),
+    span=st.integers(1, 400),
+    n_tests=st.integers(1, 500),
+    seed=st.integers(0, 2**31),
+    distribution=st.sampled_from(["uniform", "early", "late"]),
+)
+def test_sampled_crash_points_are_strictly_increasing(lo, span, n_tests, seed, distribution):
+    """Every sampled point is one crash test: points never repeat, also
+    when the campaign asks for more tests than the window has points."""
+    points = _sample_crash_points((lo, lo + span), n_tests, seed, "app", distribution)
+    assert points.size == min(n_tests, span)
+    assert np.all(np.diff(points) > 0)
+    assert points[0] > lo and points[-1] <= lo + span
 
 
 def test_record_weight_round_trips_through_serialization():
-    rec = CrashTestRecord(10, 2, "R1", {"acc": 0.5}, Response.S2,
-                          extra_iterations=1, weight=3)
+    """A record's document has no ``weight`` key: every record is one
+    crash test, so the saved shape is the same for every campaign."""
+    rec = CrashTestRecord(10, 2, "R1", {"acc": 0.5}, Response.S2, extra_iterations=1)
     doc = record_to_dict(rec)
-    assert doc["weight"] == 3
+    assert set(doc) == {"counter", "iteration", "region", "rates", "response",
+                        "extra_iterations"}
     assert record_from_dict(doc) == rec
-    # weight-1 records keep the historical document shape
-    plain = CrashTestRecord(10, 2, "R1", {"acc": 0.5}, Response.S1)
-    assert "weight" not in record_to_dict(plain)
-    assert record_from_dict(record_to_dict(plain)) == plain
+    failed = CrashTestRecord(11, 2, "R1", {"acc": 0.5}, Response.FAILED, error="boom")
+    assert record_from_dict(record_to_dict(failed)) == failed
 
 
 def test_weighted_aggregations():
+    """Every aggregate counts each record once."""
     records = [
-        CrashTestRecord(1, 0, "R1", {}, Response.S1, weight=3),
-        CrashTestRecord(2, 0, "R1", {}, Response.S2, extra_iterations=2, weight=1),
-        CrashTestRecord(3, 0, "R2", {}, Response.S2, extra_iterations=5, weight=2),
-        CrashTestRecord(4, 0, "R2", {}, Response.S3, weight=2),
+        CrashTestRecord(1, 0, "R1", {"a": 0.1}, Response.S1),
+        CrashTestRecord(2, 0, "R1", {"a": 0.2}, Response.S1),
+        CrashTestRecord(3, 0, "R1", {"a": 0.3}, Response.S2, extra_iterations=2),
+        CrashTestRecord(4, 0, "R2", {"a": 0.4}, Response.S2, extra_iterations=5),
+        CrashTestRecord(5, 0, "R2", {"a": 0.5}, Response.S3),
     ]
     res = CampaignResult("x", PersistencePlan.none(), records,
                          run_stats=None, golden_iterations=4)
-    assert res.n_tests == 8
-    assert res.recomputability() == 3 / 8
+    assert res.n_tests == 5
+    assert res.recomputability() == 2 / 5
+    assert res.response_counts() == {
+        Response.S1: 2, Response.S2: 2, Response.S3: 1, Response.S4: 0, Response.FAILED: 0,
+    }
     fr = res.response_fractions()
-    assert fr[Response.S1] == 3 / 8
-    assert fr[Response.S2] == 3 / 8
-    assert fr[Response.S3] == 2 / 8
-    assert res.mean_extra_iterations() == (2 * 1 + 5 * 2) / 3
-    per = res.per_region_recomputability()
-    assert per == {"R1": 3 / 4, "R2": 0.0}
-    assert res.weights_vector().tolist() == [3.0, 1.0, 2.0, 2.0]
-
-
-def test_uniform_sampling_yields_unit_weights():
-    res = run_campaign(APPS["contig"](), CampaignConfig(n_tests=10, seed=2))
-    assert all(r.weight == 1 for r in res.records)
-    assert res.n_tests == 10
+    assert fr[Response.S1] == 2 / 5
+    assert fr[Response.S2] == 2 / 5
+    assert fr[Response.S3] == 1 / 5
+    assert fr[Response.S4] == 0.0
+    assert res.mean_extra_iterations() == (2 + 5) / 2
+    assert res.per_region_recomputability() == {"R1": 2 / 3, "R2": 0.0}
+    assert res.mean_object_rates() == {"a": math.fsum([0.1, 0.2, 0.3, 0.4, 0.5]) / 5}
+    assert res.success_vector().tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+    empty = CampaignResult("x", PersistencePlan.none(), [], run_stats=None, golden_iterations=4)
+    assert empty.n_tests == 0 and math.isnan(empty.recomputability())
+    assert set(empty.response_fractions().values()) == {0.0}
+    assert empty.mean_object_rates() == {}
 
 
 # -- zero-copy guarantees -----------------------------------------------------
@@ -399,7 +415,7 @@ def test_unpacked_snapshot_arrays_are_zero_copy_views():
 def test_borrowed_golden_views_are_read_only():
     fac = APPS["contig"]()
     cfg = CampaignConfig(n_tests=6, seed=4, verified_mode=True)
-    from repro.nvct.campaign import _instrumented_run, _sample_crash_points
+    from repro.nvct.campaign import _instrumented_run
     from repro.nvct.runtime import CountingRuntime
 
     counting = CountingRuntime()
@@ -408,7 +424,6 @@ def test_borrowed_golden_views_are_read_only():
         (counting.window_begin or 0, counting.counter), cfg.n_tests, cfg.seed,
         fac.name,
     )
-    points, _ = _dedupe_crash_points(points)
     rt, _ = _instrumented_run(fac, cfg, points)
     store = rt.golden_store()
     for snap in store.snapshots(range(store.n_images)):

@@ -45,16 +45,13 @@ def recorded(name):
 
 def restart_every_image(factory, cfg):
     """The reference records: the campaign's recording with every image
-    restarted on its own, weighted as a campaign weights them."""
+    restarted on its own."""
     (plan,), _ = plan_shards(factory, cfg)
     shard = PreparedShard.record(factory, plan)
-    records = [
+    return [
         campaign_mod._classify_trial(factory, snap, shard.golden_iterations, cfg)
         for snap in shard.store.snapshots(range(plan.n_snaps))
     ]
-    for rec, w in zip(records, plan.weights):
-        rec.weight = int(w)
-    return records
 
 
 @functools.lru_cache(maxsize=None)

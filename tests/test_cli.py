@@ -189,6 +189,8 @@ def test_campaign_multinode(capsys, tmp_path):
     assert code == 0
     assert "topology: 4 node(s), correlation 0.3" in out
     assert "recovery mix" in out
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("recomputability: ")]
+    assert line.endswith("] 95% CI")
     assert "Recovery mix by burst size" in out
     import json
 

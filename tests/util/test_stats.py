@@ -8,7 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.stats import rankdata_average, spearman
+from repro.util.stats import rankdata_average, spearman, wilson_interval
 
 
 def test_ranks_simple():
@@ -95,3 +95,19 @@ def test_property_rho_bounds_and_symmetry(xs, seed):
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         spearman(np.arange(3.0), np.arange(4.0))
+
+
+def test_wilson_interval_matches_scipy():
+    """Same Wilson score interval as SciPy's ``binomtest`` over a grid
+    that includes 0 and n successes and single-trial campaigns."""
+    for n in (1, 2, 3, 7, 20, 40, 101, 2000):
+        for k in sorted({0, 1, n // 3, n // 2, n - 1, n}):
+            ref = scipy.stats.binomtest(k, n).proportion_ci(method="wilson")
+            lo, hi = wilson_interval(k, n)
+            assert abs(lo - ref.low) <= 1e-12 and abs(hi - ref.high) <= 1e-12, (k, n)
+            assert 0.0 <= lo <= k / n <= hi <= 1.0
+
+
+def test_wilson_interval_without_tests_is_nan():
+    lo, hi = wilson_interval(0, 0)
+    assert math.isnan(lo) and math.isnan(hi)
