@@ -27,6 +27,7 @@ from repro.nvct.campaign import (
     CampaignResult,
     Response,
     _sample_crash_points,
+    campaign_points,
     run_campaign,
 )
 from repro.nvct.plan import PersistencePlan
@@ -324,6 +325,31 @@ def test_sampled_crash_points_are_strictly_increasing(lo, span, n_tests, seed, d
     assert points.size == min(n_tests, span)
     assert np.all(np.diff(points) > 0)
     assert points[0] > lo and points[-1] <= lo + span
+
+
+def test_dedupe_crash_points():
+    """No crash point needs deduplicating: a skewed draw that asks for more
+    tests than the window has points yields each point once, and the
+    weights ``campaign_points`` hands the benchmark harness are all ones."""
+    points = _sample_crash_points((5, 12), 50, 3, "app", "early")
+    assert points.tolist() == list(range(6, 13))
+    points, weights = campaign_points(
+        APPS["contig"](), CampaignConfig(n_tests=40, seed=2, distribution="late")
+    )
+    assert points.size == 40 and np.unique(points).size == points.size
+    assert weights.tolist() == [1] * points.size
+
+
+def test_uniform_sampling_yields_unit_weights():
+    """A uniform campaign runs one record per requested test, each at its
+    own crash counter, so every record counts once in the aggregates."""
+    res = run_campaign(APPS["contig"](), CampaignConfig(n_tests=10, seed=2))
+    counters = [r.counter for r in res.records]
+    assert res.n_tests == len(res.records) == 10
+    assert len(set(counters)) == 10
+    assert res.response_counts() == {
+        r: sum(rec.response is r for rec in res.records) for r in Response
+    }
 
 
 def test_record_weight_round_trips_through_serialization():

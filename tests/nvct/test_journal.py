@@ -208,7 +208,9 @@ def test_trial_timeout_quarantines_slow_trial(monkeypatch):
         return orig(factory, snap, golden_iterations, cfg)
 
     monkeypatch.setattr(campaign_mod, "_classify", sometimes_hangs)
-    result = run_campaign(FACTORY, CFG, jobs=1, trial_timeout=0.2)
+    # The deadline sits far above an ordinary trial and far below the 30 s
+    # hang, so only the hanging trial can trip it.
+    result = run_campaign(FACTORY, CFG, jobs=1, trial_timeout=2.0)
     failed = [r for r in result.records if r.response is Response.FAILED]
     assert len(failed) == 1
     assert failed[0].error.startswith(TrialTimeout.__name__)

@@ -124,9 +124,11 @@ def test_campaign_until_stable_honours_trial_timeout(capsys, tmp_path, monkeypat
 
     monkeypatch.setattr(campaign_mod, "_classify", sometimes_hangs)
     save = tmp_path / "stable.json"
+    # A kmeans trial takes ~0.1 s; the deadline sits far above that and far
+    # below the 30 s hang, so only the hanging trial can trip it.
     code, out = run_cli(
         capsys, "campaign", "kmeans", "--tests", "15", "--until-stable",
-        "--trial-timeout", "0.2", "--save", str(save),
+        "--trial-timeout", "2", "--save", str(save),
     )
     assert code == 0 and "stabilized after" in out
     failed = [r for r in load_campaign(save).records if r.response is Response.FAILED]
