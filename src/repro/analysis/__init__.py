@@ -15,23 +15,17 @@ WITCHER-style systematic crash-consistency checking):
 * :mod:`repro.analysis.trace_pass` — an event-stream validator over the
   runtime's persist/store events, catching dirty-at-commit objects,
   dead persists, and persist-schedule violations;
-* :mod:`repro.analysis.driver` — the front end that runs both passes,
-  applies the baseline allowlist, and powers ``repro analyze``.
+* :mod:`repro.analysis.driver` — the front end that runs both passes
+  and powers ``repro analyze``.
 """
 
-from repro.analysis.findings import (
-    Baseline,
-    Finding,
-    RULES,
-    Severity,
-)
+from repro.analysis.findings import Finding, RULES, Severity
 from repro.analysis.driver import AnalysisReport, analyze
 from repro.analysis.static_pass import analyze_source, analyze_paths
 from repro.analysis.trace_pass import TraceCollector, check_trace, run_traced
 
 __all__ = [
     "AnalysisReport",
-    "Baseline",
     "Finding",
     "RULES",
     "Severity",

@@ -1,4 +1,4 @@
-"""Analyzer front end: run both passes, apply the baseline, render.
+"""Analyzer front end: run both passes and render the report.
 
 ``analyze()`` is what ``repro analyze`` (and the CI gate) calls:
 
@@ -7,12 +7,10 @@
 * the dynamic pass runs each registry application for a few instrumented
   iterations under a flush-everything-at-loop-end plan — the strictest
   schedule, so every commit-point invariant is exercised — and validates
-  the resulting event stream;
-* findings whose stable key appears in the baseline allowlist are
-  suppressed (reported separately), everything else is active.
+  the resulting event stream.
 
-Exit policy (mirrored by the CLI): with ``--strict`` any active finding
-fails; without it only ``error``-severity findings do.
+Exit policy (mirrored by the CLI): with ``--strict`` any finding fails;
+without it only ``error``-severity findings do.
 """
 
 from __future__ import annotations
@@ -21,12 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.analysis.findings import (
-    Baseline,
-    DEFAULT_BASELINE_PATH,
-    Finding,
-    Severity,
-)
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.static_pass import analyze_paths
 from repro.analysis.trace_pass import check_trace, run_traced
 
@@ -49,8 +42,7 @@ def default_app_paths() -> list[Path]:
 class AnalysisReport:
     """Combined result of one analyzer invocation."""
 
-    findings: list[Finding] = field(default_factory=list)  # active
-    suppressed: list[Finding] = field(default_factory=list)  # baselined
+    findings: list[Finding] = field(default_factory=list)
     files_analyzed: int = 0
     apps_traced: int = 0
 
@@ -65,15 +57,10 @@ class AnalysisReport:
         lines = [
             f"analysis: {self.files_analyzed} files, "
             f"{self.apps_traced} apps traced, "
-            f"{len(self.findings)} active finding(s), "
-            f"{len(self.suppressed)} baselined"
+            f"{len(self.findings)} finding(s)"
         ]
         for f in sorted(self.findings, key=lambda f: (f.severity.value, f.rule, f.where)):
             lines.append("  " + f.render())
-        if self.suppressed:
-            lines.append("baselined (allowlisted) findings:")
-            for f in sorted(self.suppressed, key=lambda f: f.key):
-                lines.append(f"    {f.rule:20s} {f.key}")
         return "\n".join(lines)
 
 
@@ -95,15 +82,13 @@ def analyze(
     paths: Iterable[Path | str] | None = None,
     apps: Sequence[str] | None = None,
     dynamic: bool = True,
-    baseline: Baseline | Path | str | None = DEFAULT_BASELINE_PATH,
 ) -> AnalysisReport:
     """Run the full analyzer.
 
     ``paths`` defaults to the ``repro.apps`` sources; ``apps`` defaults
     to the whole registry (dynamic pass) and is validated against it —
     an unknown name raises :class:`~repro.errors.UsageError` (CLI exit
-    2) instead of a stack trace; ``baseline`` may be a loaded
-    :class:`Baseline`, a path, or ``None`` for no allowlist.
+    2) instead of a stack trace.
     """
     from repro.apps.registry import APP_NAMES, get_factory
     from repro.errors import UsageError
@@ -124,12 +109,8 @@ def analyze(
         for name in names:
             findings.extend(_trace_app(name))
             apps_traced += 1
-    if not isinstance(baseline, Baseline):
-        baseline = Baseline.load(baseline)
-    active, suppressed = baseline.split(findings)
     return AnalysisReport(
-        findings=active,
-        suppressed=suppressed,
+        findings=findings,
         files_analyzed=len(file_list),
         apps_traced=apps_traced,
     )

@@ -1,30 +1,24 @@
-"""Structured findings, the rule catalog, and the baseline allowlist.
+"""Structured findings and the rule catalog.
 
 A :class:`Finding` is one violation discovered by either pass.  Its
 ``key`` is deliberately line-number-free (rule + file/app + symbol), so
-baselines survive unrelated edits; its ``where`` carries the precise
-``file:line`` (static) or ``app/iteration/region`` (dynamic) coordinate
-for humans.
+SARIF consumers can match a finding across unrelated edits; its
+``where`` carries the precise ``file:line`` (static) or
+``app/iteration/region`` (dynamic) coordinate for humans.
 
-Intentional violations are suppressed in one of two ways:
-
-* inline — a ``# analysis: allow(<rule>[, <rule>...])`` comment on the
-  offending line or the line directly above it (static pass only);
-* baseline — the finding's ``key`` listed in the JSON baseline file
-  (``tools/analysis_baseline.json``), used mainly for dynamic findings
-  and bulk-adoption of the gate on legacy code.
+An intentional static violation is suppressed inline, with a
+``# analysis: allow(<rule>[, <rule>...])`` comment on the offending line
+or the line directly above it.  Dynamic findings have no suppression: a
+dynamic finding means the runtime disagrees with its own plan, which is
+an engine bug to fix.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-__all__ = ["Severity", "Finding", "RULES", "Baseline", "DEFAULT_BASELINE_PATH"]
-
-DEFAULT_BASELINE_PATH = Path("tools") / "analysis_baseline.json"
+__all__ = ["Severity", "Finding", "RULES"]
 
 
 class Severity(str, Enum):
@@ -54,21 +48,6 @@ RULES: dict[str, tuple[str, str]] = {
         "numpy array allocated as application state without registering "
         "it with the PersistentHeap",
     ),
-    "torn-commit": (
-        "static",
-        "multi-object commit group with no single atomic root: the final "
-        "persist of the group is not a one-word scalar marker",
-    ),
-    "unpersisted-at-exit": (
-        "static",
-        "object stored but never persisted before the iteration ends, in "
-        "a class that commits durability manually",
-    ),
-    "redundant-persist": (
-        "static",
-        "object re-persisted with no store since its previous persist: "
-        "flush latency with no durability gained",
-    ),
     "dirty-at-commit": (
         "dynamic",
         "cache blocks of a plan-persisted object still dirty after its "
@@ -80,10 +59,8 @@ RULES: dict[str, tuple[str, str]] = {
         "its previous flush (never-dirtied blocks)",
     ),
     "persist-order": (
-        "static+dynamic",
-        "static: scalar commit marker persisted while guarded data still "
-        "has unpersisted stores; dynamic: persist events disagree with "
-        "the plan's region/iteration schedule",
+        "dynamic",
+        "persist events disagree with the plan's region/iteration schedule",
     ),
 }
 
@@ -96,46 +73,7 @@ class Finding:
     severity: Severity
     where: str  # "path.py:123" or "app=MG it=2 region=R1"
     message: str
-    key: str  # stable baseline key (no line numbers)
+    key: str  # stable, line-number-free id (SARIF's reproKey)
 
     def render(self) -> str:
         return f"{self.severity.value:7s} {self.rule:20s} {self.where}: {self.message}"
-
-
-@dataclass
-class Baseline:
-    """Allowlist of finding keys accepted as intentional."""
-
-    keys: set[str] = field(default_factory=set)
-    path: Path | None = None
-
-    def __post_init__(self) -> None:
-        if self.path is not None:
-            self.path = Path(self.path)
-
-    @staticmethod
-    def load(path: Path | str | None) -> "Baseline":
-        if path is None:
-            return Baseline()
-        p = Path(path)
-        if not p.exists():
-            return Baseline(path=p)
-        data = json.loads(p.read_text())
-        return Baseline(keys=set(data.get("allow", [])), path=p)
-
-    def save(self, path: Path | str | None = None) -> Path:
-        from repro.obs.export import write_text
-
-        p = Path(path) if path is not None else self.path
-        if p is None:
-            raise ValueError("baseline has no path")
-        return write_text(p, json.dumps({"version": 1, "allow": sorted(self.keys)}, indent=2))
-
-    def allows(self, finding: Finding) -> bool:
-        return finding.key in self.keys
-
-    def split(self, findings: list[Finding]) -> tuple[list[Finding], list[Finding]]:
-        """Partition into (active, suppressed)."""
-        active = [f for f in findings if not self.allows(f)]
-        suppressed = [f for f in findings if self.allows(f)]
-        return active, suppressed

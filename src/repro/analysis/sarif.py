@@ -4,16 +4,9 @@ SARIF (Static Analysis Results Interchange Format) is the lingua franca
 CI systems ingest for code-scanning annotations.  One run object carries
 the whole analyzer invocation: the rule catalog from
 :data:`repro.analysis.findings.RULES` becomes ``tool.driver.rules``, and
-every finding — active *and* baselined — becomes a ``result``.
-
-Two repo-specific conventions ride on standard fields:
-
-* ``partialFingerprints.reproKey`` carries the finding's stable,
-  line-number-free baseline key, so SARIF consumers deduplicate results
-  across commits exactly the way the baseline allowlist does;
-* baselined findings are exported with a ``suppressions`` entry
-  (``kind: "external"``) instead of being dropped — the gate ignores
-  them but the dashboard still shows what was allowlisted.
+every finding becomes a ``result``.  ``partialFingerprints.reproKey``
+carries the finding's stable, line-number-free key, so SARIF consumers
+deduplicate results across commits.
 
 Static findings (``where`` = ``path:line``) get a physical location;
 dynamic findings (``where`` = ``app=MG it=2 region=R1``) have no source
@@ -46,7 +39,7 @@ SARIF_SCHEMA = (
 _WHERE_RE = re.compile(r"^(?P<path>[^:]+\.py):(?P<line>\d+)$")
 
 
-def _result(finding: Finding, suppressed: bool) -> dict:
+def _result(finding: Finding) -> dict:
     result: dict = {
         "ruleId": finding.rule,
         "level": finding.severity.value,
@@ -63,10 +56,6 @@ def _result(finding: Finding, suppressed: bool) -> dict:
                 }
             }
         ]
-    if suppressed:
-        result["suppressions"] = [
-            {"kind": "external", "justification": "baseline allowlist"}
-        ]
     return result
 
 
@@ -78,15 +67,13 @@ def to_sarif(report: "AnalysisReport") -> dict:
             "shortDescription": {"text": description},
             "properties": {"pass": pass_name},
             "defaultConfiguration": {
-                # each rule defaults to its catalog severity; SARIF
-                # wants it on the rule too
-                "level": "error" if rule_id not in _WARNING_RULES else "warning",
+                # the rule's worst severity: dead-persist only ever warns
+                "level": "warning" if rule_id == "dead-persist" else "error",
             },
         }
         for rule_id, (pass_name, description) in sorted(RULES.items())
     ]
-    results = [_result(f, suppressed=False) for f in report.findings]
-    results += [_result(f, suppressed=True) for f in report.suppressed]
+    results = [_result(f) for f in report.findings]
     return {
         "$schema": SARIF_SCHEMA,
         "version": SARIF_VERSION,
@@ -108,15 +95,6 @@ def to_sarif(report: "AnalysisReport") -> dict:
             }
         ],
     }
-
-
-#: rules whose findings are warnings by construction (kept in sync with
-#: the severities the passes emit; everything else defaults to error)
-_WARNING_RULES = {
-    "dead-persist",
-    "redundant-persist",
-    "unpersisted-at-exit",
-}
 
 
 def write_sarif(report: "AnalysisReport", path: str | Path) -> Path:

@@ -30,28 +30,6 @@ Rules
     that bypass the persistent heap (no access accounting, no NVM image,
     invisible to restart).
 
-Ordering rules (interprocedural, over the :mod:`~repro.analysis.
-callgraph` linearization of one ``_iterate`` pass; they activate only on
-*manual* ``persist()`` calls — plan-driven flushes are checked by the
-dynamic pass):
-
-``persist-order``
-    A scalar commit marker is persisted while another object it guards
-    still has unpersisted stores (WITCHER-style ordering invariant: the
-    marker becomes durable before the data it vouches for).
-``torn-commit``
-    A commit group (consecutive persists, no stores or region exits in
-    between) publishes two or more objects with no single atomic root —
-    the group's final persist must target a one-word scalar, the only
-    atomically-persistable object, for the commit to be all-or-nothing.
-``redundant-persist``
-    An object re-persisted with no store since its previous persist in
-    the same pass: pure flush latency, no durability gained.
-``unpersisted-at-exit``
-    In a class that opts into manual persistence, an object whose last
-    store of the pass is never followed by a persist — it leaves the
-    iteration volatile while sibling objects were committed.
-
 Suppression: ``# analysis: allow(<rule>)`` on the offending line or the
 line directly above.
 """
@@ -64,7 +42,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from repro.analysis.callgraph import ClassGraph, Op, build_class_graph, self_attr
 from repro.analysis.findings import Finding, Severity
 
 __all__ = ["analyze_source", "analyze_paths"]
@@ -165,11 +142,34 @@ def _is_app_class(info: _ClassInfo) -> bool:
     return "_iterate" in info.methods or "_allocate" in info.methods
 
 
-def _hot_methods(info: _ClassInfo, graph: ClassGraph | None = None) -> set[str]:
-    """Methods reachable from ``_iterate`` (the main-loop call graph)."""
-    if graph is None:
-        graph = build_class_graph(info.name, info.methods)
-    return graph.reachable("_iterate")
+def _self_attr(node: ast.AST) -> str | None:
+    """``self.<attr>`` -> attr name, else ``None``."""
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
+
+
+def _managed_attrs(info: _ClassInfo) -> set[str]:
+    """Attributes bound to ``self.ws.array/scalar/iterator(...)`` anywhere
+    in the class."""
+    out: set[str] = set()
+    for fn in info.methods.values():
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
+                continue
+            func = node.value.func
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr in {"array", "scalar", "iterator"}
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "ws"
+            ):
+                out.update(a for a in map(_self_attr, node.targets) if a is not None)
+    return out
 
 
 # -- region-name resolution ----------------------------------------------------
@@ -299,6 +299,25 @@ class _ClassAnalyzer:
             )
         )
 
+    # -- reachability ----------------------------------------------------------
+
+    def main_loop_entries(self) -> dict[str, set[bool]]:
+        """Methods reachable from ``_iterate`` through ``self.<method>()``
+        calls, each mapped to how it can be entered: ``True`` through a
+        call chain outside every ``with ws.region(...)`` block, ``False``
+        through one inside a region.  Each (method, flag) pair is expanded
+        once, so recursion terminates."""
+        entered: dict[str, set[bool]] = {}
+        work = [("_iterate", True)]
+        while work:
+            name, unprotected = work.pop()
+            if name not in self.info.methods or unprotected in entered.get(name, ()):
+                continue
+            entered.setdefault(name, set()).add(unprotected)
+            for callee, call_in_region in self._self_calls_with_region(self.info.methods[name]):
+                work.append((callee, unprotected and not call_in_region))
+        return entered
+
     # -- rule: raw-np-escape ---------------------------------------------------
 
     def check_np_escapes(self, hot: set[str]) -> None:
@@ -341,27 +360,10 @@ class _ClassAnalyzer:
 
     # -- rule: out-of-region-write ---------------------------------------------
 
-    def check_out_of_region_writes(self, hot: set[str], managed: set[str]) -> None:
-        if "_iterate" not in self.info.methods:
-            return
-        # entered[name] = {True} if ever called outside a region block,
-        # {False} if only inside; writes only matter on the True side.
-        entered: dict[str, set[bool]] = {"_iterate": {True}}
-        work = [("_iterate", True)]
-        seen: set[tuple[str, bool]] = set()
-        while work:
-            name, unprotected = work.pop()
-            if (name, unprotected) in seen or name not in self.info.methods:
-                continue
-            seen.add((name, unprotected))
-            fn = self.info.methods[name]
-            for callee, call_in_region in self._self_calls_with_region(fn):
-                callee_unprotected = unprotected and not call_in_region
-                entered.setdefault(callee, set()).add(callee_unprotected)
-                work.append((callee, callee_unprotected))
-        for name in sorted(hot):
-            if True not in entered.get(name, set()):
-                continue
+    def check_out_of_region_writes(self, unprotected: set[str], managed: set[str]) -> None:
+        """``unprotected``: main-loop methods some call chain enters
+        outside every region block."""
+        for name in sorted(unprotected):
             fn = self.info.methods[name]
             for node, in_region in self._managed_writes_with_region(fn, managed):
                 if in_region:
@@ -399,7 +401,7 @@ class _ClassAnalyzer:
     def _self_calls_with_region(self, fn: ast.FunctionDef):
         for node, in_region in self._walk_with_region_flag(fn):
             if isinstance(node, ast.Call):
-                attr = self_attr(node.func)
+                attr = _self_attr(node.func)
                 if attr is not None:
                     yield attr, in_region
 
@@ -414,7 +416,7 @@ class _ClassAnalyzer:
                 base = node.func.value
                 if isinstance(base, ast.Attribute) and base.attr == "arr":
                     base = base.value
-                if self_attr(base) in managed:
+                if _self_attr(base) in managed:
                     yield node, in_region
 
     # -- rule: region-mismatch -------------------------------------------------
@@ -462,117 +464,6 @@ class _ClassAnalyzer:
                         "_iterate",
                     )
 
-    # -- ordering rules (interprocedural, callgraph-linearized) ----------------
-
-    def check_persist_ordering(self, graph: ClassGraph) -> None:
-        """persist-order / torn-commit / redundant-persist /
-        unpersisted-at-exit over one linearized ``_iterate`` pass.
-
-        All four rules key on *manual* ``persist()`` calls — a class with
-        none (the plan-driven idiom every registry app uses) produces no
-        ordering findings, so the rules gate nothing retroactively.
-        """
-        seq = graph.linearize("_iterate")
-        if not any(op.kind == "persist" for op in seq):
-            return
-        data_kinds = {"array", "scalar"}
-        scalars = {a for a, k in graph.managed.items() if k == "scalar"}
-        tracked = {a for a, k in graph.managed.items() if k in data_kinds}
-
-        # pending[obj] = first store op since obj's last persist
-        pending: dict[str, Op] = {}
-        ever_persisted: set[str] = set()
-        for op in seq:
-            if op.kind == "store" and op.target in tracked:
-                pending.setdefault(op.target, op)
-            elif op.kind == "persist" and op.target in tracked:
-                if op.target in scalars:
-                    for guarded, store_op in sorted(pending.items()):
-                        if guarded == op.target:
-                            continue
-                        self._add(
-                            "persist-order",
-                            Severity.ERROR,
-                            op,
-                            f"commit marker `self.{op.target}` persisted while "
-                            f"`self.{guarded}` (stored at line "
-                            f"{store_op.lineno}) still has unpersisted data: "
-                            "a crash after this persist exposes a durable "
-                            "marker guarding volatile state — persist the "
-                            "data first, the marker last",
-                            f"{op.target}:{guarded}",
-                            op.method,
-                        )
-                if op.target not in pending and op.target in ever_persisted:
-                    self._add(
-                        "redundant-persist",
-                        Severity.WARNING,
-                        op,
-                        f"`self.{op.target}.persist()` with no store since "
-                        "its previous persist in the same pass: every line "
-                        "is already durable, the flush is dead cost",
-                        op.target,
-                        op.method,
-                    )
-                ever_persisted.add(op.target)
-                pending.pop(op.target, None)
-
-        self._check_torn_commits(seq, tracked, scalars)
-
-        # unpersisted-at-exit: stored after its last persist, never
-        # committed before the pass ends.
-        for obj, store_op in sorted(pending.items()):
-            self._add(
-                "unpersisted-at-exit",
-                Severity.WARNING,
-                store_op,
-                f"`self.{obj}` stored at line {store_op.lineno} but never "
-                "persisted before the iteration ends, in a class that "
-                "commits durability manually: the object stays volatile "
-                "while its siblings were persisted",
-                obj,
-                store_op.method,
-            )
-
-    def _check_torn_commits(
-        self, seq: list[Op], tracked: set[str], scalars: set[str]
-    ) -> None:
-        """Flag multi-object commit groups with no atomic root.
-
-        A *commit group* is a maximal run of persist ops with no store or
-        region exit in between.  Publishing >= 2 objects is all-or-nothing
-        only if the group's final persist targets a one-word scalar (the
-        single atomically-persistable word, stored last) — otherwise a
-        crash between the group's flushes leaves a torn logical commit.
-        """
-        group: list[Op] = []
-
-        def close_group() -> None:
-            targets = {op.target for op in group}
-            if len(targets) >= 2 and group[-1].target not in scalars:
-                first = group[0]
-                self._add(
-                    "torn-commit",
-                    Severity.ERROR,
-                    first,
-                    f"commit group persists {len(targets)} objects "
-                    f"({', '.join(sorted(targets))}) with no atomic root: "
-                    "the final persist of the group must be a one-word "
-                    "scalar marker for the multi-object commit to be "
-                    "all-or-nothing",
-                    "+".join(sorted(targets)),
-                    first.method,
-                )
-            group.clear()
-
-        for op in seq:
-            if op.kind == "persist" and op.target in tracked:
-                group.append(op)
-            elif group:
-                close_group()
-        if group:
-            close_group()
-
     # -- rule: unregistered-object ---------------------------------------------
 
     def check_unregistered_objects(self) -> None:
@@ -591,7 +482,7 @@ class _ClassAnalyzer:
             ):
                 continue
             for tgt in node.targets:
-                attr = self_attr(tgt)
+                attr = _self_attr(tgt)
                 if attr is None:
                     continue
                 self._add(
@@ -625,15 +516,14 @@ def _analyze_module(
                     regions = region_registry[base]
                     break
         analyzer = _ClassAnalyzer(info, path, lines, regions)
-        graph = build_class_graph(info.name, info.methods)
-        hot = _hot_methods(info, graph)
-        hot_unsanctioned = {m for m in hot if m not in SANCTIONED_METHODS}
-        managed = set(graph.managed)
-        analyzer.check_np_escapes(hot_unsanctioned)
-        analyzer.check_out_of_region_writes(hot_unsanctioned, managed)
-        analyzer.check_region_mismatch(hot_unsanctioned)
+        entered = analyzer.main_loop_entries()
+        hot = {m for m in entered if m not in SANCTIONED_METHODS}
+        analyzer.check_np_escapes(hot)
+        analyzer.check_out_of_region_writes(
+            {m for m in hot if True in entered[m]}, _managed_attrs(info)
+        )
+        analyzer.check_region_mismatch(hot)
         analyzer.check_unregistered_objects()
-        analyzer.check_persist_ordering(graph)
         findings.extend(analyzer.findings)
     return findings
 

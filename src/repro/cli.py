@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="crash-consistency / instrumentation-escape analyzer",
         description="Run the static (AST) and dynamic (trace) analysis "
         "passes over the application suite; see docs/API.md for the rule "
-        "catalog and the baseline/allowlist workflow.",
+        "catalog and the inline allow comment.",
     )
     an.add_argument(
         "paths", nargs="*",
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     an.add_argument(
         "--strict", action="store_true",
-        help="fail on any active finding, warnings included (the CI gate)",
+        help="fail on any finding, warnings included (the CI gate)",
     )
     an.add_argument(
         "--no-dynamic", action="store_true",
@@ -243,17 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="applications for the dynamic pass (default: the whole registry)",
     )
     an.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="baseline allowlist JSON (default: tools/analysis_baseline.json if present)",
-    )
-    an.add_argument(
-        "--update-baseline", action="store_true",
-        help="write all current findings to the baseline file and exit",
-    )
-    an.add_argument(
         "--sarif", metavar="FILE", default=None,
-        help="also write the report as SARIF 2.1.0 (active findings as "
-        "results, baselined ones with suppressions)",
+        help="also write the report as SARIF 2.1.0",
     )
 
     st = sub.add_parser(
@@ -676,30 +667,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from repro.analysis import analyze
-    from repro.analysis.findings import Baseline, DEFAULT_BASELINE_PATH
 
-    baseline_path = args.baseline or (
-        DEFAULT_BASELINE_PATH if DEFAULT_BASELINE_PATH.exists() else None
-    )
-    if args.update_baseline:
-        report = analyze(
-            paths=args.paths or None,
-            apps=args.apps,
-            dynamic=not args.no_dynamic,
-            baseline=None,
-        )
-        baseline = Baseline(
-            keys={f.key for f in report.findings},
-            path=args.baseline or DEFAULT_BASELINE_PATH,
-        )
-        out = baseline.save()
-        print(f"baseline updated: {len(baseline.keys)} key(s) -> {out}")
-        return 0
     report = analyze(
         paths=args.paths or None,
         apps=args.apps,
         dynamic=not args.no_dynamic,
-        baseline=baseline_path,
     )
     print(report.render())
     if args.sarif:
@@ -763,7 +735,11 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "cache_dir", None):
         os.environ["REPRO_CACHE_DIR"] = args.cache_dir
     try:
-        return _dispatch(args)
+        code = _dispatch(args)
+        # Inside the try, so a closed stdout surfaces here and not in the
+        # interpreter's exit-time flush.
+        sys.stdout.flush()
+        return code
     except KeyboardInterrupt:
         # Worker pools are terminated by the context managers unwinding and
         # every journal append was already fsync'd, so a Ctrl-C'd campaign
@@ -774,6 +750,16 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
         return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # The reader of stdout went away (`repro ... | head`): a normal
+        # end.  Close stdout, so the interpreter's exit-time flush skips
+        # it instead of raising again; closing flushes the unsent tail,
+        # which fails the same way.
+        try:
+            sys.stdout.close()
+        except BrokenPipeError:
+            pass
+        return 0
     except SnapshotCorruptError as exc:
         # Corruption that no self-healing path absorbed: distinct exit code
         # so automation can tell "data is damaged" (run doctor fsck) from

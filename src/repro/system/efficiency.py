@@ -242,7 +242,7 @@ def efficiency_measured_multinode(
 
 
 def efficiency_at_interval(p: SystemParams, interval_s: float) -> float:
-    """Baseline efficiency with an arbitrary checkpoint interval (not
+    """Plain C/R efficiency with an arbitrary checkpoint interval (not
     necessarily Young's), for interval-optimality studies."""
     return _efficiency(p, interval_s, p.total_time_s / p.mtbf_s)
 

@@ -8,12 +8,12 @@ from repro.analysis.sarif import SARIF_SCHEMA, SARIF_VERSION, to_sarif, write_sa
 
 
 def sample_report():
-    active = Finding(
-        rule="torn-commit",
+    static = Finding(
+        rule="raw-np-escape",
         severity=Severity.ERROR,
         where="src/repro/apps/mg.py:42",
-        message="multi-object commit group",
-        key="torn-commit:mg.py:MG._iterate:a+b",
+        message="raw array written",
+        key="raw-np-escape:mg.py:MG._iterate:self.u.np",
     )
     dynamic = Finding(
         rule="dirty-at-commit",
@@ -22,16 +22,15 @@ def sample_report():
         message="blocks still dirty",
         key="dirty-at-commit:MG:u",
     )
-    suppressed = Finding(
-        rule="redundant-persist",
+    warning = Finding(
+        rule="dead-persist",
         severity=Severity.WARNING,
-        where="src/repro/apps/cg.py:7",
-        message="re-persisted with no store",
-        key="redundant-persist:cg.py:CG._iterate:x",
+        where="app=CG it=1 region=loop_end",
+        message="flushed with no stores",
+        key="dead-persist:CG:x",
     )
     return AnalysisReport(
-        findings=[active, dynamic],
-        suppressed=[suppressed],
+        findings=[static, dynamic, warning],
         files_analyzed=2,
         apps_traced=1,
     )
@@ -55,12 +54,12 @@ def test_sarif_skeleton_is_valid_2_1_0():
 def test_sarif_results_carry_fingerprints_and_locations():
     doc = to_sarif(sample_report())
     results = doc["runs"][0]["results"]
-    assert len(results) == 3  # active + dynamic + suppressed
+    assert len(results) == 3
     by_rule = {r["ruleId"]: r for r in results}
 
-    static = by_rule["torn-commit"]
+    static = by_rule["raw-np-escape"]
     assert static["level"] == "error"
-    assert static["partialFingerprints"]["reproKey"].startswith("torn-commit:")
+    assert static["partialFingerprints"]["reproKey"].startswith("raw-np-escape:")
     (loc,) = static["locations"]
     phys = loc["physicalLocation"]
     assert phys["artifactLocation"]["uri"] == "src/repro/apps/mg.py"
@@ -71,11 +70,7 @@ def test_sarif_results_carry_fingerprints_and_locations():
     assert "locations" not in dynamic  # no source coordinate
     assert "app=MG" in dynamic["message"]["text"]
 
-    suppressed = by_rule["redundant-persist"]
-    assert suppressed["level"] == "warning"
-    assert suppressed["suppressions"] == [
-        {"kind": "external", "justification": "baseline allowlist"}
-    ]
+    assert by_rule["dead-persist"]["level"] == "warning"
 
 
 def test_write_sarif_roundtrips_as_json(tmp_path):

@@ -67,6 +67,69 @@ def test_raw_np_read_through_iterate_reachable_helper():
     assert findings[0].severity is Severity.WARNING
 
 
+DEEP_ESCAPE = """
+    class DeepApp:
+        REGIONS = ("R1",)
+
+        def _allocate(self):
+            self.u = self.ws.array("u", (8,))
+
+        def _kernel(self):
+            self.u.np[0] = 1.0  # two self-calls below _iterate
+
+        def _step(self):
+            self._kernel()
+
+        def _iterate(self, it):
+            with self.ws.region("R1"):
+                self._step()
+            return False
+"""
+
+
+def test_reachability_follows_self_call_chains():
+    findings = run(DEEP_ESCAPE)
+    assert [(f.rule, f.severity) for f in findings] == [
+        ("raw-np-escape", Severity.ERROR)
+    ]
+    assert findings[0].key == "raw-np-escape:fixture.py:DeepApp._kernel:self.u.np"
+
+    # The same helpers, but nothing reachable from _iterate calls them.
+    unreached = DEEP_ESCAPE.replace("                self._step()", "                pass")
+    assert "self._step()" not in unreached.split("def _iterate")[1]
+    assert run(unreached) == []
+
+    # Mutually recursive helpers: the walk terminates and still sees both.
+    recursive = """
+    class PingPongApp:
+        REGIONS = ("R1",)
+
+        def _allocate(self):
+            self.u = self.ws.array("u", (8,))
+
+        def _ping(self, n):
+            if n:
+                self._pong(n - 1)
+            return self.u.np.sum()
+
+        def _pong(self, n):
+            if n:
+                self._ping(n - 1)
+            self.u.write(slice(None), 0.0)
+
+        def _iterate(self, it):
+            with self.ws.region("R1"):
+                self._ping(3)
+            self._pong(3)
+            return False
+    """
+    findings = run(recursive)
+    assert sorted((f.rule, f.key.split(":")[2]) for f in findings) == [
+        ("out-of-region-write", "PingPongApp._pong"),
+        ("raw-np-escape", "PingPongApp._ping"),
+    ]
+
+
 def test_sanctioned_only_helper_is_clean():
     src = """
     class CleanApp:
