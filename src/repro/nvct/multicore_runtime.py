@@ -13,7 +13,11 @@ interleaving of a fork-join data-parallel execution); the crash-point
 counter spans all cores, so a crash can strike any core's shard mid-way —
 and, as on real hardware, loses *every* core's unflushed dirty lines.
 Crash images come from the same golden-pass recorder as the single-core
-runtime's.
+runtime's, and everything but the hierarchy is :class:`Runtime`'s own:
+:meth:`on_core` only sets the hierarchy's issuing ``core``.  Contract: a
+one-core ``MulticoreRuntime`` over ``(l1, llc)`` records what ``Runtime``
+records over the two-level hierarchy ``(l1, llc)`` -- the same persist
+events, crash images and counters.
 """
 
 from __future__ import annotations
@@ -51,16 +55,13 @@ class MulticoreRuntime(Runtime):
             crash_points=crash_points,
             capture_consistent=capture_consistent,
         )
-        if n_cores < 1:
-            raise ConfigError("need at least one core")
         self.n_cores = n_cores
         self._l1_cfg = l1 or CacheLevelConfig("L1", 32 * 1024, 8)
         self._llc_cfg = llc or CacheLevelConfig("LLC", 640 * 1024, 10)
-        self.current_core = 0
 
     # -- wiring -----------------------------------------------------------------
 
-    def _build_hierarchy(self, heap: PersistentHeap) -> MulticoreHierarchy:  # type: ignore[override]
+    def _build_hierarchy(self, heap: PersistentHeap) -> MulticoreHierarchy:
         # Runtime.attach_heap wires the golden recorder on top, exactly as
         # for the single-core hierarchy.
         return MulticoreHierarchy(
@@ -74,12 +75,14 @@ class MulticoreRuntime(Runtime):
         """Attribute accesses inside the scope to ``core``."""
         if not 0 <= core < self.n_cores:
             raise ConfigError(f"core {core} out of range")
-        prev = self.current_core
-        self.current_core = core
+        _, hier = self._require()
+        assert isinstance(hier, MulticoreHierarchy)  # built by _build_hierarchy
+        prev = hier.core
+        hier.core = core
         try:
             yield
         finally:
-            self.current_core = prev
+            hier.core = prev
 
     def parallel_chunks(self, n_items: int) -> list[tuple[int, slice]]:
         """Static (OpenMP-style) partition of ``n_items`` across cores:
@@ -90,17 +93,3 @@ class MulticoreRuntime(Runtime):
             for c in range(self.n_cores)
             if bounds[c + 1] > bounds[c]
         ]
-
-    # -- access primitives ---------------------------------------------------------
-
-    def _do_access(self, b0: int, b1: int, write: bool) -> None:
-        self.hierarchy.access(self.current_core, b0, b1, write)
-
-    def _do_access_blocks(self, blocks: np.ndarray, write: bool) -> None:
-        self.hierarchy.access_blocks(self.current_core, blocks, write)
-
-    def _do_nt_store(self, blocks: np.ndarray) -> None:
-        self.hierarchy.store_nontemporal(blocks)
-
-    def _do_flush(self, b0: int, b1: int, invalidate: bool) -> tuple[int, int]:
-        return self.hierarchy.flush(b0, b1, invalidate=invalidate)

@@ -129,7 +129,6 @@ class CountingRuntime:
     simulation.  Used for the fast profiling pass that measures the total
     access count and the main-loop crash window."""
 
-    simulate = False
     #: When set before the application allocates, the heap keeps per-block
     #: NVM write counters for endurance analysis (repro.perf.endurance).
     track_write_counts = False
@@ -199,6 +198,8 @@ class CountingRuntime:
         self.iteration = it
 
     def end_iteration(self) -> None:
+        """Called after the iterator store at the end of each main-loop
+        iteration; executes iteration-granularity plan flushes."""
         self._iterations_seen += 1
         if self._listeners:
             self._emit(
@@ -207,6 +208,15 @@ class CountingRuntime:
                     exec_count=self._iterations_seen,
                 )
             )
+        plan = self.plan
+        if (
+            plan.at_iteration_end
+            and plan.objects
+            and self._iterations_seen % plan.iteration_frequency == 0
+        ):
+            self._persist_named(plan.objects)
+        if plan.persist_iterator and (it_obj := self.heap.iterator_object()) is not None:
+            self.persist_object(it_obj)
 
     def region_begin(self, rid: str) -> None:
         self.current_region = rid
@@ -220,6 +230,8 @@ class CountingRuntime:
                     "region_end", rid, self.iteration, exec_count=prof.executions
                 )
             )
+        if self.plan.flushes_at(rid, prof.executions) and self.plan.objects:
+            self._persist_named(self.plan.objects)
         self.current_region = MAIN_REGION
 
     # -- access hooks ------------------------------------------------------------
@@ -260,6 +272,9 @@ class CountingRuntime:
         self._tick(int(blocks.size))
         self._tick_object(obj, int(blocks.size), write=write)
 
+    def _persist_named(self, names: tuple[str, ...]) -> None:
+        pass
+
     def persist_object(self, obj: DataObject) -> None:
         pass
 
@@ -272,8 +287,6 @@ class Runtime(CountingRuntime):
     marks a run whose crash points are the union of several shards':
     a divergent split raises :class:`DivergentSplit` instead of silently
     recording images that differ from each shard's own recording."""
-
-    simulate = True
 
     def __init__(
         self,
@@ -318,7 +331,6 @@ class Runtime(CountingRuntime):
         self.persist_events: list[PersistEvent] = []
         self.heap: PersistentHeap | None = None
         self.hierarchy: CacheHierarchy | None = None
-        self._in_window = False
 
     # -- wiring ---------------------------------------------------------------
 
@@ -339,18 +351,9 @@ class Runtime(CountingRuntime):
             raise RuntimeError("runtime has no attached heap (allocate via Workspace)")
         return self.heap, self.hierarchy
 
-    # -- access primitives (overridden by MulticoreRuntime) -------------------
-
-    def _do_access(self, b0: int, b1: int, write: bool) -> None:
-        self.hierarchy.access(b0, b1, write)
-
-    def _do_access_blocks(self, blocks: np.ndarray, write: bool) -> None:
-        self.hierarchy.access_blocks(blocks, write)
-
-    def _do_nt_store(self, blocks: np.ndarray) -> None:
-        self.hierarchy.store_nontemporal(blocks)
-
     def _do_flush(self, b0: int, b1: int, invalidate: bool) -> tuple[int, int]:
+        """Flush one object's block range: every plan and manual persist
+        goes through here."""
         return self.hierarchy.flush(b0, b1, invalidate=invalidate)
 
     # -- structure hooks --------------------------------------------------------
@@ -365,47 +368,6 @@ class Runtime(CountingRuntime):
             self.window_begin = self.counter
             if self._golden_recorder is not None:
                 self._golden_recorder.mark_base()
-        self._in_window = True
-        self.current_region = MAIN_REGION
-
-    def main_loop_end(self) -> None:
-        self._in_window = False
-        self.current_region = INIT_REGION
-
-    def end_iteration(self) -> None:
-        """Called after the iterator store at the end of each main-loop
-        iteration; executes iteration-granularity plan flushes."""
-        heap, _ = self._require()
-        self._iterations_seen += 1
-        if self._listeners:
-            self._emit(
-                RuntimeEvent(
-                    "iteration_end", self.current_region, self.iteration,
-                    exec_count=self._iterations_seen,
-                )
-            )
-        if (
-            self.plan.at_iteration_end
-            and self.plan.objects
-            and self._iterations_seen % self.plan.iteration_frequency == 0
-        ):
-            self._persist_named(self.plan.objects)
-        if self.plan.persist_iterator:
-            it_obj = heap.iterator_object()
-            if it_obj is not None:
-                self.persist_object(it_obj)
-
-    def region_end(self, rid: str) -> None:
-        prof = self.region_profile.setdefault(rid, RegionProfile())
-        prof.executions += 1
-        if self._listeners:
-            self._emit(
-                RuntimeEvent(
-                    "region_end", rid, self.iteration, exec_count=prof.executions
-                )
-            )
-        if self.plan.flushes_at(rid, prof.executions) and self.plan.objects:
-            self._persist_named(self.plan.objects)
         self.current_region = MAIN_REGION
 
     # -- persistence --------------------------------------------------------------
@@ -529,11 +491,11 @@ class Runtime(CountingRuntime):
         while b0 < b1:
             cp = self._next_cp()
             if cp is None or cp > self.counter + (b1 - b0):
-                self._do_access(b0, b1, write=False)
+                hier.access(b0, b1, write=False)
                 self.counter += b1 - b0
                 return
             k = cp - self.counter
-            self._do_access(b0, b0 + k, write=False)
+            hier.access(b0, b0 + k, write=False)
             self.counter = cp
             b0 += k
             self._take_snapshot()
@@ -567,7 +529,7 @@ class Runtime(CountingRuntime):
                 rec.on_store(obj, byte_lo, byte_hi)
             self._mark_stored(b0, b1)
             if n:
-                self._do_access(b0, b1, write=True)
+                hier.access(b0, b1, write=True)
             self.counter += n
             return
         if make_src is None:
@@ -581,7 +543,7 @@ class Runtime(CountingRuntime):
                 rec.on_store(obj, byte_lo, byte_hi)
             self._mark_stored(b0, b1)
             if n:
-                self._do_access(b0, b1, write=True)
+                hier.access(b0, b1, write=True)
             self.counter = end
             return
         src = np.asarray(make_src(), dtype=np.uint8)
@@ -610,7 +572,7 @@ class Runtime(CountingRuntime):
                     # Watch the unexecuted tail while the prefix simulates.
                     seen = rec.divergent_splits
                     rec.split_tail = (obj.name, cut // BLOCK_SIZE, rb1 - obj.base_block)
-                    self._do_access(rb0, rb0 + blocks_done, write=True)
+                    hier.access(rb0, rb0 + blocks_done, write=True)
                     rec.split_tail = None
                     if self.split_guard and rec.divergent_splits > seen:
                         raise DivergentSplit(
@@ -618,7 +580,7 @@ class Runtime(CountingRuntime):
                             "bytes of a split store's unexecuted tail"
                         )
                 else:
-                    self._do_access(rb0, rb0 + blocks_done, write=True)
+                    hier.access(rb0, rb0 + blocks_done, write=True)
             self.counter += blocks_done
             pos = cut
             if cp is not None and self.counter == cp:
@@ -654,9 +616,9 @@ class Runtime(CountingRuntime):
             self._mark_stored_blocks(np.asarray(blocks, dtype=np.int64))
         if n:
             if nontemporal and write:
-                self._do_nt_store(blocks)
+                hier.store_nontemporal(blocks)
             else:
-                self._do_access_blocks(blocks, write)
+                hier.access_blocks(blocks, write)
         self.counter = end
 
     # -- end-of-run ---------------------------------------------------------------

@@ -75,12 +75,10 @@ REPLY_TIMEOUT_S = 60.0
 class RetryPolicy:
     """Exponential backoff with seeded jitter.
 
-    ``max_retries`` counts *re*-tries: an operation runs at most
-    ``max_retries + 1`` times.  The policy only *decides* (how many
-    attempts, how long to back off); the caller owns its retry loop.
+    The policy only decides how long to back off; the caller owns its
+    retry loop and its bound (a worker's is the idle timeout).
     """
 
-    max_retries: int = 2
     base_delay: float = 0.05
     max_delay: float = 2.0
     seed: int = 0
@@ -112,7 +110,6 @@ class CircuitBreaker:
             raise ValueError(f"breaker threshold must be >= 1, got {threshold}")
         self.threshold = threshold
         self.consecutive_failures = 0
-        self.total_failures = 0
         self.tripped = False
 
     def allow(self) -> bool:
@@ -122,7 +119,6 @@ class CircuitBreaker:
         self.consecutive_failures = 0
 
     def record_failure(self) -> bool:
-        self.total_failures += 1
         self.consecutive_failures += 1
         if not self.tripped and self.consecutive_failures >= self.threshold:
             self.tripped = True
@@ -132,7 +128,7 @@ class CircuitBreaker:
 
 
 #: Reconnect backoff of a worker whose scheduler is restarting.
-WORKER_RETRY = RetryPolicy(max_retries=8, base_delay=0.1, max_delay=2.0)
+WORKER_RETRY = RetryPolicy(base_delay=0.1, max_delay=2.0)
 
 
 def new_breaker() -> CircuitBreaker:

@@ -106,11 +106,11 @@ def test_where_holds_under_coherence(shape, op_list):
     for op in op_list:
         kind = op[0]
         if kind == "range":
-            _, core, blocks, write = op
-            h.access(core, blocks[0], blocks[0] + len(blocks), write)
+            _, h.core, blocks, write = op
+            h.access(blocks[0], blocks[0] + len(blocks), write)
         elif kind == "scatter":
-            _, core, blocks, write = op
-            h.access_blocks(core, np.asarray(blocks, dtype=np.int64), write)
+            _, h.core, blocks, write = op
+            h.access_blocks(np.asarray(blocks, dtype=np.int64), write)
         elif kind in ("flush", "clflush"):
             h.flush(op[1], op[1] + 8, invalidate=(kind == "clflush"))
         elif kind == "nt":
@@ -119,7 +119,7 @@ def test_where_holds_under_coherence(shape, op_list):
             h.writeback_all()
         else:
             h.invalidate_all()
-        for cache in (*h.l1s, h.llc):
+        for cache in h.levels:
             assert_index_consistent(cache)
 
 

@@ -6,10 +6,13 @@ import pytest
 from repro.apps.base import AppFactory
 from repro.apps.parallel_kmeans import ParallelKMeans
 from repro.errors import ConfigError
+from repro.memsim.config import CacheLevelConfig, HierarchyConfig
 from repro.nvct.campaign import CampaignConfig, run_campaign
 from repro.nvct.managed import Workspace
 from repro.nvct.multicore_runtime import MulticoreRuntime
 from repro.nvct.plan import PersistencePlan
+from repro.nvct.runtime import CountingRuntime, Runtime
+from tests.apps.conftest import small_factory
 
 
 def test_core_scoping():
@@ -79,3 +82,33 @@ def test_multithreaded_campaign_reaches_same_conclusions():
     for cores in (1, 4):
         assert results[(cores, "crit")] > results[(cores, "none")] + 0.3
     assert abs(results[(1, "crit")] - results[(4, "crit")]) < 0.25
+
+
+@pytest.mark.parametrize("name", ["IS", "botsspar"])
+def test_one_core_runtime_records_what_the_two_level_runtime_records(name):
+    factory = small_factory(name)
+    candidates = [o.name for o in factory.make(None).ws.heap.candidates()]
+    plan = PersistencePlan.at_loop_end(candidates)
+    l1 = CacheLevelConfig("L1", 32 * 1024, 8)
+    llc = CacheLevelConfig("LLC", 640 * 1024, 10)
+    counting = CountingRuntime()
+    factory.make(runtime=counting).run()
+    points = np.linspace(counting.window_begin, counting.counter, 12, dtype=np.int64)
+    runtimes = [
+        Runtime(hierarchy=HierarchyConfig((l1, llc)), plan=plan, crash_points=points),
+        MulticoreRuntime(n_cores=1, l1=l1, llc=llc, plan=plan, crash_points=points),
+    ]
+    for rt in runtimes:
+        factory.make(runtime=rt).run()
+        rt.finalize()
+    single, multi = runtimes
+    assert any(ev.clean_resident for ev in single.persist_events)
+    assert multi.persist_events == single.persist_events
+    stats = multi.hierarchy.stats.as_dict()
+    stats["L1"] = stats.pop("L1.0")
+    assert stats == single.hierarchy.stats.as_dict()
+    images = zip(single.golden_store().snapshots(), multi.golden_store().snapshots(), strict=True)
+    for a, b in images:
+        assert (a.counter, a.iteration, a.region, a.rates) == (b.counter, b.iteration, b.region, b.rates)
+        assert a.nvm_state.keys() == b.nvm_state.keys()
+        assert all(np.array_equal(a.nvm_state[k], b.nvm_state[k]) for k in a.nvm_state)

@@ -4,7 +4,7 @@ from repro.service.worker import CircuitBreaker, RetryPolicy
 
 
 def test_backoff_is_exponential_capped_and_seeded():
-    p = RetryPolicy(max_retries=5, base_delay=0.1, max_delay=1.0, seed=3)
+    p = RetryPolicy(base_delay=0.1, max_delay=1.0, seed=3)
     delays = [p.delay("k", a) for a in range(6)]
     assert delays == [p.delay("k", a) for a in range(6)]  # deterministic
     assert RetryPolicy(seed=4).delay("k", 0) != p.delay("k", 0)  # seed matters
