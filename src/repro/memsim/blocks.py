@@ -7,8 +7,6 @@ object to a block boundary so no block is shared between objects.
 
 from __future__ import annotations
 
-import numpy as np
-
 BLOCK_SIZE = 64
 """Cache block (line) size in bytes, matching the paper's 64 B lines."""
 
@@ -36,13 +34,3 @@ def block_span(byte_lo: int, byte_hi: int, block_size: int = BLOCK_SIZE) -> tupl
 def bytes_to_blocks(nbytes: int, block_size: int = BLOCK_SIZE) -> int:
     """Number of blocks needed to hold ``nbytes`` bytes."""
     return (nbytes + block_size - 1) // block_size
-
-
-def block_bytes(blocks: np.ndarray, base_block: int, block_size: int = BLOCK_SIZE) -> np.ndarray:
-    """Flat byte indices (relative to ``base_block``) covered by ``blocks``.
-
-    Used to copy whole blocks between an object's architectural bytes and
-    its NVM image with a single fancy-indexing operation.
-    """
-    rel = (np.asarray(blocks, dtype=np.int64) - base_block) * block_size
-    return (rel[:, None] + np.arange(block_size, dtype=np.int64)[None, :]).ravel()

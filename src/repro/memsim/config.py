@@ -34,6 +34,13 @@ class CacheLevelConfig:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0 or self.ways <= 0:
             raise ConfigError(f"{self.name}: size and ways must be positive")
+        if self.block_size != BLOCK_SIZE:
+            # The heap, the runtime's byte -> block math and the golden
+            # row log all model BLOCK_SIZE-byte lines.
+            raise ConfigError(
+                f"{self.name}: block size {self.block_size} B is not supported "
+                f"(every level uses {BLOCK_SIZE}-byte lines)"
+            )
         if self.size_bytes % (self.ways * self.block_size) != 0:
             raise ConfigError(
                 f"{self.name}: size {self.size_bytes} not divisible by "
@@ -62,16 +69,9 @@ class HierarchyConfig:
     def __post_init__(self) -> None:
         if not self.levels:
             raise ConfigError("hierarchy needs at least one level")
-        bs = {lv.block_size for lv in self.levels}
-        if len(bs) != 1:
-            raise ConfigError("all levels must share one block size")
         sizes = [lv.size_bytes for lv in self.levels]
         if any(a > b for a, b in zip(sizes, sizes[1:])):
             raise ConfigError("levels must be ordered small (L1) to large (LLC)")
-
-    @property
-    def block_size(self) -> int:
-        return self.levels[0].block_size
 
     @property
     def llc(self) -> CacheLevelConfig:

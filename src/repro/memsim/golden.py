@@ -8,18 +8,20 @@ source of crash images instead:
 
 * :class:`GoldenRecorder` rides the instrumented run.  It captures one
   base NVM image per object at the start of the crash window, then logs
-  every NVM write-back as a ``(segment, byte_idx, values)`` delta, where a
-  *segment* is the span between consecutive crash points (persist-op /
-  access boundaries included).  Inconsistent rates are maintained
+  every NVM write-back as a ``(segment, block ids, rows)`` delta — whole
+  64-byte rows, the granularity at which NVM changes — where a *segment*
+  is the span between consecutive crash points (persist-op / access
+  boundaries included).  Inconsistent rates are maintained
   incrementally: stores and write-backs mark their blocks stale, and a
   crash point only re-diffs the stale blocks — exact, because a block's
   architectural and NVM bytes can only change through those two paths.
 * :class:`GoldenStore` replays the deltas after the run.  Per object the
-  deltas are concatenated into flat arrays with a prefix-reduction
-  (``searchsorted`` over segment ids -> cumulative element bounds), so
-  materializing crash image *k* is "patch everything up to bound[k+1]" —
-  a pair of vectorized fancy assignments per object, not a heap copy.
-  Ascending batches of crash points share one rolling buffer; consumers
+  deltas are concatenated into a block-id array and a ``(rows, 64)``
+  value array with a prefix-reduction (``searchsorted`` over segment
+  ids -> cumulative row bounds), so materializing crash image *k* is
+  "patch every row up to bound[k+1]" — one vectorized row scatter per
+  object into a block-padded buffer, not a heap copy.  Ascending
+  batches of crash points share one rolling buffer; consumers
   either *borrow* read-only views (zero-copy, valid until the next image)
   or request stable copies (consumers that retain images).  Parallel
   classification borrows too: each pool worker holds the store and
@@ -67,15 +69,13 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from repro.errors import SnapshotCorruptError
-from repro.memsim.blocks import BLOCK_SIZE
+from repro.memsim.blocks import BLOCK_SIZE, align_up
 
 if TYPE_CHECKING:  # imported lazily at runtime (nvct depends on memsim)
     from repro.nvct.heap import DataObject, PersistentHeap
     from repro.nvct.runtime import Snapshot
 
 __all__ = ["GoldenRecorder", "GoldenStore", "GoldenSnapshotSource"]
-
-_ARANGE_B = np.arange(BLOCK_SIZE, dtype=np.int64)
 
 #: Header ``kind`` of a published store file (:func:`repro.harness.store.seal_head`).
 _STORE_KIND = "golden-store"
@@ -104,8 +104,8 @@ class _Tracked:
     obj: "DataObject"
     base: np.ndarray  # NVM image at the start of the crash window
     seg: list[int] = field(default_factory=list)  # segment id per delta event
-    idx: list[np.ndarray] = field(default_factory=list)  # byte indices per event
-    vals: list[np.ndarray] = field(default_factory=list)  # byte values per event
+    idx: list[np.ndarray] = field(default_factory=list)  # block ids per event
+    vals: list[np.ndarray] = field(default_factory=list)  # (k, 64) rows per event
     # Rate bookkeeping (candidates only; None for the loop iterator).
     stale: np.ndarray | None = None  # per-block "re-diff me" mask
     counts: np.ndarray | None = None  # per-block differing-byte counts
@@ -181,26 +181,20 @@ class GoldenRecorder:
             self._consistent = []
         self._active = True
 
-    def on_writeback(
-        self,
-        obj: "DataObject",
-        rel_blocks: np.ndarray,
-        byte_idx: np.ndarray,
-        vals: np.ndarray,
-    ) -> None:
-        """Heap delta sink: ``vals`` were just persisted at ``byte_idx``."""
+    def on_writeback(self, obj: "DataObject", rel_blocks: np.ndarray, rows: np.ndarray) -> None:
+        """Heap delta sink: ``rows`` were just persisted at ``rel_blocks``."""
         if not self._active:
             return
         t = self._tracked.get(obj.name)
         if t is None:
             return
-        # byte_idx / vals are freshly materialized by the heap and never
+        # rel_blocks / rows are freshly materialized by the heap and never
         # mutated afterwards, so they are stored without copying.
         t.seg.append(len(self._metas))
-        t.idx.append(byte_idx)
-        t.vals.append(vals)
+        t.idx.append(rel_blocks)
+        t.vals.append(rows)
         self.deltas_recorded += 1
-        self.delta_bytes += int(byte_idx.size)
+        self.delta_bytes += int(rows.nbytes)
         if t.stale is not None:
             t.stale[rel_blocks] = True
         if (tail := self.split_tail) is not None and tail[0] == obj.name:
@@ -279,27 +273,20 @@ class GoldenRecorder:
 
     @staticmethod
     def _recount(t: _Tracked, sb: np.ndarray) -> None:
-        o = t.obj
-        nb = o.nbytes
+        # Padding is zero on both sides, so whole rows count exactly.
         assert t.counts is not None
-        full = sb[(sb + 1) * BLOCK_SIZE <= nb]
-        if full.size:
-            byte_idx = (full[:, None] * BLOCK_SIZE + _ARANGE_B).ravel()
-            neq = o.data_bytes[byte_idx] != o.nvm_bytes[byte_idx]
-            t.counts[full] = neq.reshape(-1, BLOCK_SIZE).sum(axis=1)
-        for b in sb[(sb + 1) * BLOCK_SIZE > nb]:  # the padded tail block
-            lo = int(b) * BLOCK_SIZE
-            t.counts[b] = int(np.count_nonzero(o.data_bytes[lo:nb] != o.nvm_bytes[lo:nb]))
+        t.counts[sb] = (t.obj.data_rows[sb] != t.obj.nvm_rows[sb]).sum(axis=1)
 
     # -- store construction ---------------------------------------------------
 
     def build_store(self) -> "GoldenStore":
         """Freeze the log into a replayable :class:`GoldenStore`.
 
-        Per object, event deltas are concatenated into flat index/value
-        arrays and the per-image element bounds are derived by a single
-        ``searchsorted`` over the (non-decreasing) segment ids — the
-        prefix-reduction that lets replay jump between crash points."""
+        Per object, event deltas are concatenated into a block-id array
+        and a ``(rows, 64)`` value array, and the per-image row bounds are
+        derived by a single ``searchsorted`` over the (non-decreasing)
+        segment ids — the prefix-reduction that lets replay jump between
+        crash points."""
         if self.n_images and not self._tracked:
             raise RuntimeError("golden recorder never saw main_loop_begin")
         n = len(self._metas)
@@ -313,14 +300,14 @@ class GoldenRecorder:
                 sizes = np.fromiter((a.size for a in t.idx), dtype=np.int64, count=len(t.idx))
                 offsets = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(sizes)])
                 ev_seg = np.asarray(t.seg, dtype=np.int64)
-                # bounds[j] = elements persisted before image j fired.
+                # bounds[j] = rows persisted before image j fired.
                 ev_bound = np.searchsorted(ev_seg, np.arange(n + 1, dtype=np.int64), side="left")
                 idx[name] = np.concatenate(t.idx)
                 vals[name] = np.concatenate(t.vals)
                 bounds[name] = offsets[ev_bound]
             else:
                 idx[name] = np.empty(0, dtype=np.int64)
-                vals[name] = np.empty(0, dtype=np.uint8)
+                vals[name] = np.empty((0, BLOCK_SIZE), dtype=np.uint8)
                 bounds[name] = np.zeros(n + 1, dtype=np.int64)
         return GoldenStore(
             metas=list(self._metas), base=base, idx=idx, vals=vals, bounds=bounds,
@@ -369,9 +356,9 @@ class GoldenStore:
         """Dirty-block signature of the crash images ``indices`` (default:
         all), in the order given.
 
-        The signature of image *k* is the per-object delta-array bound
-        vector ``(bounds[name][k+1] for name in sorted objects)``: two
-        crash points with equal signatures received exactly the same
+        The signature of image *k* is the per-object row bound vector
+        ``(bounds[name][k+1] for name in sorted objects)``: two crash
+        points with equal signatures received exactly the same
         write-back prefix on every restart-relevant object, so their
         reconstructed NVM images — and therefore the deterministic
         restart outcome — are bit-identical.  This is what the analyzer's
@@ -416,7 +403,7 @@ class GoldenStore:
         """A store of just the strictly-ascending crash ``images``, in order.
 
         Zero-copy where it can be: ``base`` is shared, ``idx``/``vals`` are
-        prefix views ending at the last selected image's bound, and only
+        prefix views ending at the last selected image's row bound, and only
         the small per-image arrays (bounds, metadata, overlay and
         consistent-copy references) are re-indexed.  Image *j* of the view
         is image ``images[j]`` of this store, bit for bit — which is how
@@ -444,9 +431,9 @@ class GoldenStore:
         """Yield :class:`~repro.nvct.runtime.Snapshot` objects for the given
         strictly-ascending crash-point ``indices`` (default: all).
 
-        One rolling buffer per object is patched forward through the delta
-        arrays; skipped crash points cost only their deltas.  With
-        ``copy=False`` the yielded ``nvm_state`` arrays are read-only
+        One block-padded rolling buffer per object is patched forward row
+        by row through the delta arrays; skipped crash points cost only
+        their deltas.  With ``copy=False`` the yielded ``nvm_state`` arrays are read-only
         *borrowed views* that are invalidated by the next iteration — the
         zero-copy contract for in-process, one-at-a-time consumption.
         ``copy=True`` yields stable read-only copies (counted in
@@ -465,9 +452,10 @@ class GoldenStore:
         try:
             t0 = time.perf_counter()
             for name in self._names:
-                a = self._base[name].copy()
-                cur[name] = a
-                v = a[:]
+                base = self._base[name]
+                cur[name] = np.zeros(align_up(base.size), dtype=np.uint8)
+                v = cur[name][: base.size]
+                v[:] = base
                 v.flags.writeable = False
                 views[name] = v
             spent += time.perf_counter() - t0
@@ -488,9 +476,10 @@ class GoldenStore:
                     hi = int(self._bounds[name][k + 1])
                     lo = pos[name]
                     if hi > lo:
-                        # Duplicate byte indices resolve last-write-wins
+                        # Duplicate block ids resolve last-write-wins
                         # under NumPy fancy assignment — event order.
-                        cur[name][self._idx[name][lo:hi]] = self._vals[name][lo:hi]
+                        rows = cur[name].reshape(-1, BLOCK_SIZE)
+                        rows[self._idx[name][lo:hi]] = self._vals[name][lo:hi]
                         pos[name] = hi
                 if self._extras is not None:
                     for name, (eidx, evals) in self._extras.get(k, {}).items():
@@ -503,7 +492,7 @@ class GoldenStore:
                 if copy:
                     state = {}
                     for name in self._names:
-                        c = cur[name].copy()
+                        c = views[name].copy()
                         c.flags.writeable = False
                         state[name] = c
                         copied += c.nbytes
@@ -565,7 +554,9 @@ class GoldenStore:
         crash-model overlays and consistent copies, and the array table
         (kind, object, image, dtype, shape, offset, length and crc32 per
         array); zero padding to a 64-byte boundary; then each array's raw
-        bytes at a 64-byte aligned offset from there.  The arrays stream
+        bytes at a 64-byte aligned offset from there.  An object's
+        ``nbytes`` is its ``base`` array's length; its ``vals`` array holds
+        whole ``(rows, 64)`` rows, padding included.  The arrays stream
         from their own buffers through the atomic write funnel — no joined
         copy, no pickle.
         """
@@ -575,7 +566,7 @@ class GoldenStore:
         chunks: list[bytes | memoryview] = []
         offset = 0
         for kind, name, image, a in self._arrays():
-            buf = memoryview(np.ascontiguousarray(a)).cast("B")
+            buf = memoryview(np.ascontiguousarray(a).reshape(-1).view(np.uint8))
             if pad := -offset % _ALIGN:
                 chunks.append(bytes(pad))
                 offset += pad

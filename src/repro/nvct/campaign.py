@@ -121,7 +121,8 @@ class CampaignConfig:
     # part of the execution (ablation).
     distribution: str = "uniform"
     # Simulated cores: 1 uses the standard hierarchy; >1 uses the MESI-lite
-    # multi-core model (applications may shard work with on_core()).
+    # multi-core model (applications may shard work with on_core()), whose
+    # per-core L1 and shared LLC are the two levels of ``hierarchy``.
     n_cores: int = 1
     # Crash model (repro.memsim.crashmodel spec string): what survives a
     # failure besides the NVM image.  The default is the paper's
@@ -457,8 +458,11 @@ def _instrumented_run(
     if cfg.n_cores > 1:
         from repro.nvct.multicore_runtime import MulticoreRuntime
 
+        l1, llc = cfg.hierarchy.levels if cfg.hierarchy is not None else (None, None)
         rt: Runtime = MulticoreRuntime(
             n_cores=cfg.n_cores,
+            l1=l1,
+            llc=llc,
             plan=cfg.plan,
             crash_points=crash_points,
             capture_consistent=cfg.verified_mode,
@@ -597,6 +601,13 @@ def plan_shards(
     from repro.errors import UsageError
     from repro.memsim.crashmodel import get_model
 
+    if cfg.n_cores < 1:
+        raise UsageError(f"a campaign needs at least one core (n_cores={cfg.n_cores})")
+    if cfg.n_cores > 1 and cfg.hierarchy is not None and len(cfg.hierarchy.levels) != 2:
+        raise UsageError(
+            f"a {cfg.n_cores}-core campaign needs a two-level hierarchy (per-core L1, "
+            f"shared LLC); this one has {len(cfg.hierarchy.levels)} levels"
+        )
     crash_model = get_model(cfg.crash_model)
     if not crash_model.is_default and (cfg.n_cores != 1 or cfg.verified_mode):
         raise UsageError(

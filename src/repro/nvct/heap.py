@@ -1,14 +1,19 @@
 """Persistent heap: block-aligned object layout plus the NVM value image.
 
-Each :class:`DataObject` owns two byte stores:
+Each :class:`DataObject` owns two byte stores, each one zeroed buffer
+padded to whole 64-byte blocks:
 
 * ``data`` — the architectural state, i.e. what the CPU would observe
   (registers/caches/memory combined).  Applications compute directly on
-  this NumPy array.
-* ``nvm`` — the bytes actually persistent in NVM.  It is updated *only*
-  when the cache simulation writes a dirty block back (eviction, flush,
-  drain), so after a crash ``nvm`` is exactly what the paper's restart
+  this NumPy array, a view of the first ``nbytes`` of ``data_rows``.
+* ``nvm_bytes`` — the bytes actually persistent in NVM.  It is updated
+  *only* when the cache simulation writes a dirty block back (eviction,
+  flush, drain), so after a crash it is exactly what the paper's restart
   sees: a mixture of written-back new values and stale old values.
+
+Nothing writes the padding past ``nbytes``, so it stays zero in both
+stores and a write-back is a whole-row copy (one ``(k, 64)`` gather plus
+one scatter), like the cache line it models.
 
 The heap also implements the paper's postmortem analysis: the per-object
 *data inconsistent rate*, the fraction of bytes whose cached (architectural)
@@ -43,7 +48,12 @@ class DataObject:
     role: str  # "data" | "iterator"
     data: np.ndarray = field(repr=False)
     data_bytes: np.ndarray = field(repr=False)
-    nvm_bytes: np.ndarray = field(repr=False)
+    data_rows: np.ndarray = field(repr=False)  # (nblocks, 64), zero padding
+    nvm_bytes: np.ndarray = field(repr=False)  # nblocks * 64, zero padding
+
+    @property
+    def nvm_rows(self) -> np.ndarray:
+        return self.nvm_bytes.reshape(-1, BLOCK_SIZE)
 
     @property
     def nblocks(self) -> int:
@@ -129,8 +139,8 @@ class PersistentHeap:
         nbytes = int(np.prod(shape, dtype=np.int64)) * dt.itemsize
         if nbytes <= 0:
             raise AllocationError(f"object {name!r}: empty allocation")
-        padded = align_up(nbytes)
-        data = np.zeros(shape, dtype=dt)
+        rows = np.zeros((align_up(nbytes) // BLOCK_SIZE, BLOCK_SIZE), dtype=np.uint8)
+        data_bytes = rows.reshape(-1)[:nbytes]
         obj = DataObject(
             name=name,
             base_block=self._next_block,
@@ -140,9 +150,10 @@ class PersistentHeap:
             candidate=candidate,
             readonly=readonly,
             role=role,
-            data=data,
-            data_bytes=data.reshape(-1).view(np.uint8),
-            nvm_bytes=np.zeros(padded, dtype=np.uint8),
+            data=data_bytes.view(dt).reshape(shape),
+            data_bytes=data_bytes,
+            data_rows=rows,
+            nvm_bytes=np.zeros(rows.size, dtype=np.uint8),
         )
         self._next_block += obj.nblocks + _OBJECT_GAP_BLOCKS
         self.objects[name] = obj
@@ -171,21 +182,19 @@ class PersistentHeap:
         idx = np.searchsorted(self._bases, blocks, side="right") - 1
         valid = (idx >= 0) & (blocks < self._ends[np.maximum(idx, 0)])
         sink = self._delta_sink
-        for oi in np.unique(idx[valid]):
+        blocks, idx = blocks[valid], idx[valid]
+        for oi in np.unique(idx):
             obj = self._order[int(oi)]
-            rel_blocks = blocks[valid][idx[valid] == oi] - obj.base_block
-            byte_idx = (rel_blocks[:, None] * BLOCK_SIZE + np.arange(BLOCK_SIZE, dtype=np.int64)).ravel()
-            # The final (padded) block may extend past nbytes.
-            byte_idx = byte_idx[byte_idx < obj.nbytes]
-            vals = obj.data_bytes[byte_idx]
-            obj.nvm_bytes[byte_idx] = vals
+            rel_blocks = blocks[idx == oi] - obj.base_block
+            rows = obj.data_rows[rel_blocks]
+            obj.nvm_rows[rel_blocks] = rows
             if sink is not None:
-                sink(obj, rel_blocks, byte_idx, vals)
+                sink(obj, rel_blocks, rows)
 
     def set_delta_sink(self, sink) -> None:
         """Install an observer called after every NVM write-back with
-        ``(obj, rel_blocks, byte_idx, values)`` — the object, its written
-        block ids (object-relative), and the exact persisted bytes.  The
+        ``(obj, rel_blocks, rows)`` — the object, its written block ids
+        (object-relative), and the persisted ``(k, 64)`` rows.  The
         golden-pass recorder (:mod:`repro.memsim.golden`) uses this to log
         per-segment deltas instead of copying whole NVM images."""
         self._delta_sink = sink

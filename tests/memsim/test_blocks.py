@@ -1,9 +1,8 @@
 """Block address arithmetic."""
 
-import numpy as np
 import pytest
 
-from repro.memsim.blocks import BLOCK_SIZE, align_up, block_bytes, block_span, bytes_to_blocks
+from repro.memsim.blocks import BLOCK_SIZE, align_up, block_span, bytes_to_blocks
 
 
 def test_block_span_exact_blocks():
@@ -46,10 +45,3 @@ def test_align_up():
     assert align_up(65) == 128
     with pytest.raises(ValueError):
         align_up(-1)
-
-
-def test_block_bytes_layout():
-    idx = block_bytes(np.array([5, 7]), base_block=5)
-    assert idx.shape == (128,)
-    assert idx[0] == 0 and idx[63] == 63
-    assert idx[64] == 128 and idx[127] == 191

@@ -38,10 +38,12 @@ def test_hierarchy_ordering_enforced():
 
 
 def test_hierarchy_block_size_consistency():
-    a = CacheLevelConfig("L1", 32 * 1024, 8, block_size=64)
-    b = CacheLevelConfig("L2", 64 * 1024, 8, block_size=128)
-    with pytest.raises(ConfigError):
-        HierarchyConfig((a, b))
+    # Every level models 64-byte lines; any other block size is refused
+    # when the level is built, so a hierarchy cannot mix sizes.
+    assert CacheLevelConfig("L1", 32 * 1024, 8, block_size=64).block_size == 64
+    for size in (32, 128):
+        with pytest.raises(ConfigError, match=f"block size {size} B"):
+            CacheLevelConfig("L2", 64 * 1024, 8, block_size=size)
 
 
 def test_hierarchy_needs_a_level():
@@ -56,7 +58,7 @@ def test_presets():
         HierarchyConfig.paper_like(),
     ):
         assert cfg.llc is cfg.levels[-1]
-        assert cfg.block_size == 64
+        assert all(lv.block_size == 64 for lv in cfg.levels)
         assert cfg.min_sets >= 1
 
 

@@ -94,8 +94,11 @@ class LegacyMulticoreRuntime(LegacySnapshots, MulticoreRuntime):
 def legacy_runtime(cfg: CampaignConfig, crash_points) -> Runtime:
     """The oracle runtime for ``cfg``, built like the campaign's own."""
     if cfg.n_cores > 1:
+        l1, llc = cfg.hierarchy.levels if cfg.hierarchy is not None else (None, None)
         return LegacyMulticoreRuntime(
             n_cores=cfg.n_cores,
+            l1=l1,
+            llc=llc,
             plan=cfg.plan,
             crash_points=crash_points,
             capture_consistent=cfg.verified_mode,

@@ -5,14 +5,15 @@ import pytest
 
 from repro.apps.base import AppFactory
 from repro.apps.parallel_kmeans import ParallelKMeans
-from repro.errors import ConfigError
+from repro.errors import ConfigError, UsageError
 from repro.memsim.config import CacheLevelConfig, HierarchyConfig
-from repro.nvct.campaign import CampaignConfig, run_campaign
+from repro.nvct.campaign import CampaignConfig, _instrumented_run, run_campaign
 from repro.nvct.managed import Workspace
 from repro.nvct.multicore_runtime import MulticoreRuntime
 from repro.nvct.plan import PersistencePlan
 from repro.nvct.runtime import CountingRuntime, Runtime
 from tests.apps.conftest import small_factory
+from tests.nvct.legacy_oracle import legacy_campaign
 
 
 def test_core_scoping():
@@ -112,3 +113,20 @@ def test_one_core_runtime_records_what_the_two_level_runtime_records(name):
         assert (a.counter, a.iteration, a.region, a.rates) == (b.counter, b.iteration, b.region, b.rates)
         assert a.nvm_state.keys() == b.nvm_state.keys()
         assert all(np.array_equal(a.nvm_state[k], b.nvm_state[k]) for k in a.nvm_state)
+
+
+def test_multicore_campaign_builds_its_cores_from_a_two_level_hierarchy():
+    l1 = CacheLevelConfig("L1", 4 * 1024, 4)
+    llc = CacheLevelConfig("LLC", 128 * 1024, 8)
+    cfg = CampaignConfig(n_tests=3, seed=1, n_cores=2, hierarchy=HierarchyConfig((l1, llc)))
+    rt, _ = _instrumented_run(small_factory("EP"), cfg, None)
+    assert [lv.config for lv in rt.hierarchy.levels] == [l1, l1, llc]
+    factory = small_factory("EP")
+    assert run_campaign(factory, cfg).records == legacy_campaign(factory, cfg).records
+
+
+@pytest.mark.parametrize("hierarchy", [HierarchyConfig.scaled_llc(), HierarchyConfig.scaled_three_level()])
+def test_multicore_campaign_refuses_other_hierarchy_shapes(hierarchy):
+    cfg = CampaignConfig(n_tests=3, seed=1, n_cores=2, hierarchy=hierarchy)
+    with pytest.raises(UsageError, match=f"this one has {len(hierarchy.levels)} levels"):
+        run_campaign(small_factory("EP"), cfg)

@@ -228,6 +228,14 @@ def test_campaign_crash_model_on_multicore_exits_2(capsys):
     assert "crash model" in err and "golden" not in err
 
 
+@pytest.mark.parametrize("cores", ["0", "-1"])
+def test_campaign_without_a_core_exits_2(capsys, cores):
+    code = main(["campaign", "EP", "--tests", "3", "--cores", cores])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"n_cores={cores}" in err
+
+
 def test_campaign_has_one_snapshot_engine():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["campaign", "EP", "--no-golden"])
