@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class Application(abc.ABC):
         self.ws = Workspace(runtime)
         self.params = params
         self.golden: dict[str, float] | None = None
+        #: The golden run's :meth:`precheck_table`, handed over by
+        #: :meth:`AppFactory.make` like ``golden``.
+        self.golden_table: Any = None
         self.it_scalar: ManagedScalar | None = None
         self._setup_done = False
 
@@ -91,6 +94,19 @@ class Application(abc.ABC):
 
     def _post_restore(self) -> None:
         """Hook: recompute derived state after candidates were restored."""
+
+    def precheck_table(self) -> Any:
+        """What :meth:`restart_fails` needs from a finished golden run;
+        :class:`AppFactory` takes it once, after its golden run."""
+        return None
+
+    def restart_fails(self, start_iter: int, limit: int) -> bool:
+        """Restart pre-check, called right after :meth:`restore`: ``True``
+        only when resuming at ``start_iter`` and running to ``limit`` is
+        proved to finish without raising and then fail :meth:`verify`
+        (S4), so the campaign may skip the run.  ``False`` proves
+        nothing and lets the restart run in full."""
+        return False
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -154,14 +170,16 @@ class AppFactory:
     """Binds an application class to a parameter set; caches the golden run.
 
     The golden run (plain, unperturbed) provides the reference outcome for
-    acceptance verification and the nominal iteration count for the
-    "no extra iterations" requirement.
+    acceptance verification, the nominal iteration count for the
+    "no extra iterations" requirement, and the app's restart pre-check
+    table (:meth:`Application.precheck_table`).
     """
 
     def __init__(self, app_cls: type[Application], **params: object):
         self.app_cls = app_cls
         self.params = params
         self._golden: tuple[RunResult, dict[str, float]] | None = None
+        self._table: Any = None
 
     @property
     def name(self) -> str:
@@ -187,13 +205,16 @@ class AppFactory:
             if not app.verify():
                 raise RuntimeError(f"{self.name}: golden run fails its own verification")
             self._golden = (result, metrics)
+            self._table = app.precheck_table()
         return self._golden
 
     def make(self, runtime: CountingRuntime | None = None) -> Application:
-        """Create a set-up application instance with the golden injected."""
+        """Create a set-up application instance with the golden (and its
+        pre-check table) injected."""
         _, metrics = self.golden()
         app = self.app_cls(runtime=runtime, **self.params)
         app.golden = metrics
+        app.golden_table = self._table
         app.setup()
         return app
 

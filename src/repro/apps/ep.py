@@ -13,6 +13,21 @@ draw the wrong numbers, the exact-match verification fails, and EP's
 recomputability is 0 with or without EasyCrash — which is why the paper
 excludes EP from the EasyCrash evaluation.
 
+So a campaign need not recompute to prove it (:meth:`EP.restart_fails`).
+A restart resets the generator to the seed, so resuming at ``start_iter``
+replays stream batches ``0 .. limit - start_iter - 1``, and each batch
+adds integer ``counts`` to ``q``.  The restart's final ``q`` is therefore
+``q_img + P[limit - start_iter]``, with ``P[m]`` the first ``m`` golden
+batches' summed counts (the golden run keeps them): when every ``q_img``
+element is an integer-valued float with ``|q| < 2^52`` (``P`` is at most
+``batches * batch_size``), every partial sum is an integer below 2^53, so
+each addition is exact and the order does not matter.  ``verify``
+compares ``q`` exactly and nothing in the run can raise, so a ``q`` that
+differs from the golden one proves S4.  Any other image (a non-integer,
+huge or non-finite ``q``, an iterator outside ``[0, limit]``) or a sum
+equal to the golden (the crash-before-first-batch image, a real S1)
+restarts in full.
+
 Regions (Table 1 lists 2): ``R1`` generation, ``R2`` accumulation.
 
 The kernel has NPB EP's own shape: ``log``/``sqrt`` run on the accepted
@@ -90,6 +105,7 @@ class EP(Application):
         # "stack" state the paper's failure model does not persist.
         self._lcg_state = self.seed & _MASK
         self._apow, self._cpre = _lcg_coefficients(2 * self.batch_size)
+        self._counts: list[np.ndarray] = []  # each batch's q increment, in order
 
     def _lcg_batch(self, count: int) -> np.ndarray:
         """Draw ``count`` uniforms in [0,1) advancing the sequential state."""
@@ -121,9 +137,30 @@ class EP(Application):
             m = np.maximum(np.abs(gx), np.abs(gy))
             counts = np.bincount(np.minimum(m, 9.999).astype(int), minlength=10)[:10]
             self.q.update(slice(None), lambda q: np.add(q, counts, out=q))
+            self._counts.append(counts)
             self.sx.set(float(self.sx.peek()) + float(gx.sum()))
             self.sy.set(float(self.sy.peek()) + float(gy.sum()))
         return False
+
+    def precheck_table(self) -> np.ndarray:
+        """``P``: row ``m`` holds the first ``m`` batches' summed counts."""
+        table = np.zeros((len(self._counts) + 1, 10))
+        if self._counts:
+            table[1:] = np.cumsum(self._counts, axis=0)
+        return table
+
+    def restart_fails(self, start_iter: int, limit: int) -> bool:
+        table = self.golden_table
+        if self.golden is None or table is None or limit != self.batches:
+            return False
+        if not 0 <= start_iter <= limit or len(table) != limit + 1:
+            return False
+        q = self.q.np
+        # NaN and +-inf fail the first test.
+        if not (np.all(np.abs(q) < 2.0**52) and np.all(q == np.trunc(q))):
+            return False
+        final = q + table[limit - start_iter]
+        return any(final[i] != self.golden[f"q{i}"] for i in range(10))
 
     def reference_outcome(self) -> dict[str, float]:
         out = {f"q{i}": float(self.q.np[i]) for i in range(10)}

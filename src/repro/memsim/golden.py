@@ -64,7 +64,7 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -85,6 +85,29 @@ _ALIGN = 64  # every array of a published store starts on this boundary
 def _array_label(entry: dict) -> str:
     image = "" if entry.get("image") is None else f" of image {entry['image']}"
     return f"{entry.get('kind')} array of {entry.get('obj')!r}{image}"
+
+
+class _ExpiredState:
+    """Stands in for a borrowed ``nvm_state`` once its iterator has moved
+    on and the buffers it viewed hold a later image: any read raises."""
+
+    def __init__(self, index: int) -> None:
+        self._index = index
+
+    def _expired(self, *args: object, **kwargs: object) -> NoReturn:
+        raise RuntimeError(
+            f"the nvm_state of crash image {self._index} was a borrowed view that "
+            "GoldenStore.snapshots() has moved past; keep snapshots with "
+            "snapshots(copy=True)"
+        )
+
+    __getitem__ = __iter__ = __len__ = __contains__ = __eq__ = _expired
+
+    def __getattr__(self, name: str) -> NoReturn:
+        self._expired()
+
+    def __repr__(self) -> str:
+        return f"<expired nvm_state of crash image {self._index}>"
 
 
 @dataclass
@@ -435,7 +458,9 @@ class GoldenStore:
         by row through the delta arrays; skipped crash points cost only
         their deltas.  With ``copy=False`` the yielded ``nvm_state`` arrays are read-only
         *borrowed views* that are invalidated by the next iteration — the
-        zero-copy contract for in-process, one-at-a-time consumption.
+        zero-copy contract for in-process, one-at-a-time consumption.  A
+        snapshot kept past that point has its ``nvm_state`` replaced by a
+        stand-in whose every read raises ``RuntimeError``.
         ``copy=True`` yields stable read-only copies (counted in
         ``golden.bytes_copied``) for consumers that retain or ship them.
         A recorded ``consistent_state`` is stable and read-only either way.
@@ -460,12 +485,17 @@ class GoldenStore:
                 views[name] = v
             spent += time.perf_counter() - t0
             prev = -1
+            lent: Snapshot | None = None
             undo: list[tuple[str, np.ndarray, np.ndarray]] = []
             for k in idx_list:
                 if not prev < k < self.n_images:
                     raise IndexError(
                         f"snapshot indices must be strictly ascending and < {self.n_images}"
                     )
+                if lent is not None:
+                    # Its views are about to show image k: make a kept
+                    # snapshot fail loudly instead.
+                    lent.nvm_state = _ExpiredState(lent.index)  # type: ignore[assignment]
                 t0 = time.perf_counter()
                 # Undo the previous image's survivor overlay before rolling
                 # forward: the delta prefix must patch pristine NVM bytes.
@@ -509,6 +539,8 @@ class GoldenStore:
                         None if self._consistent is None else dict(self._consistent[k])
                     ),
                 )
+                if not copy:
+                    lent = snap
                 spent += time.perf_counter() - t0
                 # Count before yielding: the image exists by now, and a
                 # consumer that stops pulling at the last item (zip) never

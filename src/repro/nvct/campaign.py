@@ -367,6 +367,12 @@ def _classify(
             # A failing restore (e.g. a truncated NVM payload) is itself
             # an interruption: the restart cannot even begin.
             start_iter = app.restore(state)
+            # The app may prove S4 without recomputing (its pre-check).
+            if app.restart_fails(start_iter, limit):
+                bump("campaign.restarts_prechecked", unit="tests")
+                return CrashTestRecord(
+                    snap.counter, snap.iteration, snap.region, snap.rates, Response.S4
+                )
             result = app.run(start_iter=start_iter, max_iterations=limit)
             ok = app.verify()
     except TrialTimeout:

@@ -2,10 +2,12 @@
 
 ``LegacyEP`` keeps the full-batch Box-Muller (``log``/``sqrt`` over every
 pair, accepted ones picked afterwards) and the ``states / 2**64``
-uniform draw; ``LegacyIS`` keeps the ``int64`` timsort of R4.  They
-subclass the production apps, so allocation, initialization, restart
-and verification are shared and only the iteration kernel differs:
-anything the two produce differently is a change of the kernel's bits.
+uniform draw, and restarts every image in full (no restart pre-check);
+``LegacyIS`` keeps the ``int64`` timsort of R4 and the per-bucket sort
+loop of ``reference_outcome``.  They subclass the production apps, so
+allocation, initialization, restart and verification are shared and
+only the kernels differ: anything the two produce differently is a
+change of the kernels' bits.
 
 ``BalancedIS`` draws every bucket equally often, so an ``n_buckets``
 beyond 16 bits (the wide-dtype path of R4's sort) fits its per-bucket
@@ -23,6 +25,9 @@ from repro.util.rng import derive_rng
 
 
 class LegacyEP(EP):
+    def restart_fails(self, start_iter: int, limit: int) -> bool:
+        return False
+
     def _lcg_batch(self, count: int) -> np.ndarray:
         assert count == self._apow.size
         with np.errstate(over="ignore"):
@@ -88,6 +93,16 @@ class LegacyIS(IS):
         with ws.region("R8"):
             self.keys.read()
         return False
+
+    def reference_outcome(self) -> dict[str, float]:
+        fill, store = self._final_state()
+        total = int(fill.sum())
+        digest = 0
+        for b in range(self.n_buckets):
+            lo = b * self.bucket_cap
+            seg = np.sort(store[lo : lo + max(int(fill[b]), 0)])
+            digest = (digest * 1000003 + int(seg.sum()) + int((seg * np.arange(1, seg.size + 1)).sum())) % (1 << 61)
+        return {"total": float(total), "digest": float(digest)}
 
 
 class BalancedKeys:

@@ -3,12 +3,16 @@
 ``tests/apps/kernel_oracles.py`` keeps the old kernels as subclasses of
 the production apps.  Each check runs both and compares bytes: every
 heap object after every iteration of a plain run, the records of
-restarts from the images of a whole-cache-loss campaign, and the image
-signatures of an instrumented run.
+restarts from the images of a whole-cache-loss campaign (the oracle
+restarts EP in full, the production app may pre-check), the image
+signatures of an instrumented run, and IS's outcome digest over golden,
+restarted and arbitrary stores.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.nvct.campaign as campaign_mod
 from repro.apps.base import AppFactory
@@ -89,3 +93,81 @@ def test_restarts_match_oracle_on_every_campaign_image(app):
             )
     assert records["new"] == records["old"]
     assert all(r.response is not Response.FAILED for r in records["new"])
+
+
+INT64 = np.iinfo(np.int64)
+I32 = np.iinfo(np.int32)
+
+
+def is_outcomes(app: IS) -> tuple[dict, dict]:
+    """IS's digest from the row sort and from the oracle's bucket loop."""
+    return IS.reference_outcome(app), LegacyIS.reference_outcome(app)
+
+
+def is_app(**params) -> IS:
+    app = IS(**params)
+    app.setup()
+    return app
+
+
+def test_is_outcome_matches_the_bucket_loop_on_golden_and_restarted_stores():
+    factory = AppFactory(IS)
+    app = factory.make()
+    app.run()
+    new, old = is_outcomes(app)
+    assert new == old == factory.golden()[1]
+    shard = record(factory)
+    for snap in shard.store.snapshots(range(shard.store.n_images)):
+        app = factory.make()
+        try:
+            with np.errstate(all="ignore"):
+                app.run(start_iter=app.restore(snap.nvm_state))
+        except Exception:
+            pass  # an overrun scatter still leaves a store to digest
+        new, old = is_outcomes(app)
+        assert new == old, f"image {snap.index}"
+
+
+@pytest.mark.parametrize("keys", ["golden", "int64"])
+@pytest.mark.parametrize("fills", ["empty", "full", "mixed", "over", "outside"])
+def test_is_outcome_matches_the_bucket_loop_on_edge_fills(fills, keys):
+    """40 buckets: the row sort runs in two full 16-row blocks and a
+    partial one; ``int64`` keys do not fit the narrow sort."""
+    app = is_app(n_keys=1 << 11, n_buckets=40, nit=3, seed=5)
+    app.run()
+    cap, n = app.bucket_cap, app.n_buckets
+    if keys == "int64":
+        rng = np.random.default_rng(5)
+        app.store.np[...] = rng.integers(INT64.min, INT64.max, size=n * cap, endpoint=True)
+    fill = {
+        "empty": np.zeros(n, dtype=np.int64),
+        "full": np.full(n, cap),
+        "mixed": np.resize([0, cap, 1, cap - 1], n),
+        # slices cross buckets
+        "over": np.resize([cap + 3, 0, cap], n),
+        "outside": np.resize([-2, cap + 3, 0, cap], n),
+    }[fills]
+    app.offsets.np[...] = np.arange(n) * cap + fill
+    new, old = is_outcomes(app)
+    assert new == old
+
+
+KEYS = st.one_of(
+    st.integers(-3, 300),
+    st.sampled_from([I32.min - 1, I32.min, I32.max - 1, I32.max, INT64.min, INT64.max]),
+    st.integers(INT64.min, INT64.max),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_is_outcome_matches_the_bucket_loop_on_arbitrary_stores(data):
+    """Any int64 keys (wraparound, int32 edges, ties with the padding)
+    and any fills, in ``[0, cap]`` or across bucket bounds."""
+    app = is_app(n_keys=64, n_buckets=8, nit=2, seed=3)
+    cap, n = app.bucket_cap, app.n_buckets
+    app.store.np[...] = data.draw(st.lists(KEYS, min_size=n * cap, max_size=n * cap))
+    fill = data.draw(st.lists(st.integers(-2, cap + 2) | st.integers(0, cap), min_size=n, max_size=n))
+    app.offsets.np[...] = np.arange(n) * cap + np.array(fill)
+    new, old = is_outcomes(app)
+    assert new == old

@@ -15,7 +15,8 @@ copies the architectural bytes too.
 * :func:`legacy_campaign` runs a whole campaign serially over those
   snapshots.  Besides crash-point sampling and the trial classifier it
   uses nothing from the execution core: no shard plan, no golden store,
-  no ledger.
+  no ledger, and no restart pre-check (:class:`FullRestarts`): it
+  restarts every image in full.
 """
 
 from __future__ import annotations
@@ -33,7 +34,21 @@ from repro.nvct.campaign import (
 from repro.nvct.multicore_runtime import MulticoreRuntime
 from repro.nvct.runtime import Runtime, Snapshot
 
-__all__ = ["LegacyRuntime", "LegacyMulticoreRuntime", "legacy_runtime", "legacy_campaign"]
+__all__ = ["FullRestarts", "LegacyRuntime", "LegacyMulticoreRuntime", "legacy_runtime", "legacy_campaign"]
+
+
+class FullRestarts:
+    """What the trial classifier needs of ``factory`` (its ``make``, golden
+    run shared), with the restart pre-check off: every trial classified
+    through it runs, then verifies."""
+
+    def __init__(self, factory) -> None:
+        self._factory = factory
+
+    def make(self, runtime=None):
+        app = self._factory.make(runtime)
+        app.restart_fails = lambda start_iter, limit: False
+        return app
 
 
 class LegacySnapshots:
@@ -122,10 +137,11 @@ def legacy_campaign(factory, cfg: CampaignConfig) -> CampaignResult:
     with np.errstate(all="ignore"):
         iterations = factory.make(runtime=rt).run().iterations
     assert len(rt.snapshots) == points.size
+    full = FullRestarts(factory)
     return CampaignResult(
         app=factory.name,
         plan=cfg.plan,
-        records=[_classify_trial(factory, s, golden.iterations, cfg) for s in rt.snapshots],
+        records=[_classify_trial(full, s, golden.iterations, cfg) for s in rt.snapshots],
         run_stats=_run_stats(rt, iterations),
         golden_iterations=golden.iterations,
         crash_model=get_model(cfg.crash_model).spec,

@@ -12,10 +12,13 @@ refuses them.  The scripted worker drives ``CampaignScheduler.handle`` +
 ``tests/service/test_scheduler.py``.
 
 Every executor's trial loop reuses an outcome across equal crash images,
-while the oracle classifies every image: this is the "memoised ≡ full"
-property.  Each in-process cell checks ``campaign.restarts_reused``
-against the shared-image pairs its trial loops hold, so the comparison
-is not vacuous.  EP x8 seed 2 shares one image pair in every crash model
+and EP's restarts prove most failures without recomputing (its restart
+pre-check), while the oracle restarts every image in full: this is the
+"memoised ≡ pre-checked ≡ full" property.  Each in-process cell checks
+``campaign.restarts_reused`` against the shared-image pairs its trial
+loops hold, and each in-process EP cell counts
+``campaign.restarts_prechecked`` above 0, so the comparison is not
+vacuous.  EP x8 seed 2 shares one image pair in every crash model
 and on two cores; IS x8 seed 2 shares four.  (``jobs2`` workers count in
 their own processes, and with 8 trials over 2 jobs each of their chunks
 is a single trial.)
@@ -174,7 +177,12 @@ def _run_cell(tmp_path, oracle, executor, cfg, name, reference, state, factory=F
     else:
         # a trial is reused iff its image equals its predecessor's in the same loop
         assert reused == sum(sigs[a] == sigs[b] for loop in loops for a, b in zip(loop, loop[1:]))
-    assert reg.counter("campaign.restarts").value + reused == sum(map(len, loops))
+    restarts = reg.counter("campaign.restarts").value
+    assert restarts + reused == sum(map(len, loops))
+    prechecked = reg.counter("campaign.restarts_prechecked").value
+    assert prechecked <= restarts
+    if factory.name == "EP":
+        assert prechecked > 0
     return reused
 
 

@@ -458,6 +458,44 @@ def test_borrowed_golden_views_are_read_only():
             assert arr.flags.writeable is False
 
 
+def test_a_kept_borrowed_snapshot_fails_loudly():
+    """``list(zip(store.snapshots(), ...))`` keeps borrowed views past
+    their image: reading one raises and names ``copy=True``, while the
+    last one, never overtaken, still reads its own image."""
+    from repro.nvct.campaign import PreparedShard, plan_shards
+
+    factory = get_factory("EP")
+    (plan,), _ = plan_shards(factory, CampaignConfig(n_tests=6, seed=4))
+    store = PreparedShard.record(factory, plan).store
+    copies = list(store.snapshots(copy=True))
+    kept = [snap for snap, _ in zip(store.snapshots(), copies)]
+    for snap in kept[:-1]:
+        with pytest.raises(RuntimeError, match=r"copy=True"):
+            snap.nvm_state["q"]
+        with pytest.raises(RuntimeError, match=r"copy=True"):
+            snap.nvm_state.items()
+    for name, arr in copies[-1].nvm_state.items():
+        assert np.array_equal(kept[-1].nvm_state[name], arr)
+    # Walked one at a time, borrowed views equal the stable copies.
+    for lazy, copied in zip(store.snapshots(), copies, strict=True):
+        for name, arr in copied.nvm_state.items():
+            assert np.array_equal(lazy.nvm_state[name], arr)
+
+
+def test_the_trial_loop_reads_borrowed_views_before_they_expire():
+    from repro.nvct.campaign import PreparedShard, _classify_trial, _trial_loop, plan_shards
+
+    factory = get_factory("IS")
+    cfg = CampaignConfig(n_tests=12, seed=4)
+    (plan,), _ = plan_shards(factory, cfg)
+    shard = PreparedShard.record(factory, plan)
+    store, golden = shard.store, shard.golden_iterations
+    records = list(_trial_loop(factory, store, golden, cfg, range(store.n_images)))
+    assert records == [
+        _classify_trial(factory, snap, golden, cfg) for snap in store.snapshots(copy=True)
+    ]
+
+
 @pytest.mark.parametrize("model", ["whole-cache-loss", "eadr"])
 def test_image_signatures_of_some_indices_match_the_full_list(model):
     """Signatures for a call's own indices are the matching entries of the
